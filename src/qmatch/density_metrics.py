@@ -50,6 +50,15 @@ def trace_inner_product(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
     return float(value.real)
 
 
+def _two_state_family(alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(alpha P1 + (1-alpha) P2, P1, P2) for a fixed complex orthonormal pair."""
+    theta, psi = 0.3, 0.7
+    phi1 = np.array([np.cos(theta), np.sin(theta) * np.exp(1j * psi)])
+    phi2 = np.array([-np.sin(theta) * np.exp(-1j * psi), np.cos(theta)])
+    p1, p2 = outer_product(phi1), outer_product(phi2)
+    return alpha * p1 + (1.0 - alpha) * p2, p1, p2
+
+
 def identity_counterexample_gap(alpha: float) -> float:
     """Self-overlap gap tr(rho_a^2) - tr(rho_a rho_b) for the two-state family
     rho_a = alpha P1 + (1-alpha) P2, rho_b = P1 over an orthonormal pair.
@@ -60,11 +69,7 @@ def identity_counterexample_gap(alpha: float) -> float:
     """
     if not 0.0 <= alpha <= 1.0:
         raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
-    theta, psi = 0.3, 0.7
-    phi1 = np.array([np.cos(theta), np.sin(theta) * np.exp(1j * psi)])
-    phi2 = np.array([-np.sin(theta) * np.exp(-1j * psi), np.cos(theta)])
-    p1, p2 = outer_product(phi1), outer_product(phi2)
-    rho_a = alpha * p1 + (1.0 - alpha) * p2
+    rho_a, p1, _ = _two_state_family(alpha)
     return trace_inner_product(rho_a, rho_a) - trace_inner_product(rho_a, p1)
 
 
@@ -198,12 +203,7 @@ def _injected_cases(metric_name: str) -> list[tuple[np.ndarray, np.ndarray, np.n
         return []
     # The two-state family at alpha = 0.75 rates rho_b above rho_a's own
     # self-similarity.
-    alpha = 0.75
-    phi1 = np.array([np.cos(0.3), np.sin(0.3) * np.exp(0.7j)])
-    phi2 = np.array([-np.sin(0.3) * np.exp(-0.7j), np.cos(0.3)])
-    p1, p2 = outer_product(phi1), outer_product(phi2)
-    rho_a = alpha * p1 + (1.0 - alpha) * p2
-    return [(rho_a, p1, p2)]
+    return [_two_state_family(0.75)]
 
 
 def _record(result: AxiomResult, axiom: str, gap: float, trial: int,

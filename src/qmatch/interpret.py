@@ -9,8 +9,7 @@ import numpy as np
 
 from .embedding import PAD_TOKEN, UNK_TOKEN, Vocabulary, normalize_word, tokenize
 from .errors import DegenerateInputError
-from .matcher import score
-from .mixture import slide_windows, softmax_weights
+from .matcher import forward_sentence, score
 from .model import GLOBAL_MIXTURE, ParameterSet, TrainerConfig
 
 
@@ -39,7 +38,7 @@ def word_importance(
 class WindowWeights:
     start: int
     tokens: list[str]
-    weights: np.ndarray     # softmax over the window's word norms, sums to 1
+    weights: np.ndarray     # the model's mixture weights for these words, sum to 1
 
 
 @dataclass
@@ -51,31 +50,26 @@ class MatchWeightMap:
 
 
 def _window_features(
-    token_ids: np.ndarray, params: ParameterSet, width: int
-) -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
-    """Per-window measurement-probability columns plus word weights.
+    token_ids: np.ndarray, params: ParameterSet, config: TrainerConfig
+) -> list[tuple[np.ndarray, list[np.ndarray]]]:
+    """Per window size, the model's window columns and word weights.
 
-    Returns (probs of shape (num_windows, k), weight rows padded with 0,
-    window index lists).
+    Read from the eval-mode forward tape, so windows cover only the
+    sentence truncated at ``max_sentence_len``.  Each entry is
+    (probabilities of shape (L, k), one weight row per window start).
+    Under the global mixture there is one window, the whole sentence: its
+    column is the representation and its weights are uniform.
     """
-    amp = params.amplitude[token_ids]
-    pi = np.linalg.norm(amp, axis=1)
-    states = np.stack(
-        [
-            normalize_word(a * np.exp(1j * p)).state
-            for a, p in zip(amp, params.phase[token_ids])
-        ]
-    )
-    inner = states @ params.measurements.conj().T
-    inner_sq = inner.real**2 + inner.imag**2
-    windows = slide_windows(list(range(len(token_ids))), width)
-    probs = np.zeros((len(windows), params.k))
-    weights = np.zeros((len(windows), width))
-    for j, win in enumerate(windows):
-        w = softmax_weights(pi[win])
-        probs[j] = w @ inner_sq[win]
-        weights[j, : len(win)] = w
-    return probs, weights, windows
+    _, tape = forward_sentence(token_ids, params, config)
+    L = tape.ids.size
+    if config.mixture == GLOBAL_MIXTURE:
+        return [(tape.representation[None, :], [np.full(L, 1.0 / L)])]
+    return [
+        (probs, [tape.exp_pi[j : j + width] / sums[j] for j in range(L)])
+        for width, probs, sums in zip(
+            config.window_sizes, tape.window_probs, tape.window_sums
+        )
+    ]
 
 
 def match_weight_map(
@@ -89,53 +83,36 @@ def match_weight_map(
 
     Scores every window pair per window size by the cosine of its
     measurement-probability columns and keeps the argmax; ties resolve
-    to the smallest (size, question start, answer start).  The returned
-    word weights are the same softmax weights the mixture uses, so each
+    to the smallest (size, question start, answer start).  Columns and
+    word weights come from the model's own forward pass, so each
     window's weights sum to one.
     """
     q_tokens, a_tokens = tokenize(question), tokenize(answer)
     if not q_tokens or not a_tokens:
         raise DegenerateInputError("question and answer must both contain tokens")
-    q_ids, a_ids = vocab.encode(q_tokens), vocab.encode(a_tokens)
+    q_feats = _window_features(vocab.encode(q_tokens), params, config)
+    a_feats = _window_features(vocab.encode(a_tokens), params, config)
     if config.mixture == GLOBAL_MIXTURE:
-        # no sliding: one window spanning each full sentence
-        pairs = [
-            (
-                max(len(q_ids), len(a_ids)),
-                tuple(x[:1] for x in _window_features(q_ids, params, len(q_ids))),
-                tuple(x[:1] for x in _window_features(a_ids, params, len(a_ids))),
-            )
-        ]
+        # one window spanning each full sentence: its weight row is that long
+        widths = [max(len(q_feats[0][1][0]), len(a_feats[0][1][0]))]
     else:
-        pairs = [
-            (
-                width,
-                _window_features(q_ids, params, width),
-                _window_features(a_ids, params, width),
-            )
-            for width in config.window_sizes
-        ]
+        widths = list(config.window_sizes)
 
     best: MatchWeightMap | None = None
-    for width, q_feat, a_feat in pairs:
-        q_probs, q_weights, q_windows = q_feat
-        a_probs, a_weights, a_windows = a_feat
-        for jq in range(len(q_windows)):
-            for ja in range(len(a_windows)):
+    for width, (q_probs, q_weights), (a_probs, a_weights) in zip(
+        widths, q_feats, a_feats
+    ):
+        for jq, q_w in enumerate(q_weights):
+            for ja, a_w in enumerate(a_weights):
                 sim = score(q_probs[jq], a_probs[ja])
                 if best is None or sim > best.similarity + 1e-15:
-                    q_win, a_win = q_windows[jq], a_windows[ja]
                     best = MatchWeightMap(
                         window_size=width,
                         question_window=WindowWeights(
-                            start=jq,
-                            tokens=[q_tokens[i] for i in q_win],
-                            weights=q_weights[jq, : len(q_win)].copy(),
+                            start=jq, tokens=q_tokens[jq : jq + len(q_w)], weights=q_w
                         ),
                         answer_window=WindowWeights(
-                            start=ja,
-                            tokens=[a_tokens[i] for i in a_win],
-                            weights=a_weights[ja, : len(a_win)].copy(),
+                            start=ja, tokens=a_tokens[ja : ja + len(a_w)], weights=a_w
                         ),
                         similarity=sim,
                     )

@@ -2,9 +2,10 @@
 
 Conventions: vectors are 1-D ``complex128`` arrays, operators are square
 2-D ``complex128`` arrays, and eigenvectors are returned as matrix
-columns.  The eigensolver is a cyclic Jacobi iteration specialised to
-Hermitian input; robustness is preferred over speed since the matrices
-in this package are tiny (dimension 2 to a few hundred).
+columns.  The eigensolver is LAPACK's Hermitian driver
+(``numpy.linalg.eigh``) behind the package's own contract: a Hermitian
+check, a finiteness check, descending eigenvalues and errors from
+``qmatch.errors``.
 """
 
 from __future__ import annotations
@@ -19,12 +20,6 @@ from .errors import DomainError, NumericError, ShapeError
 
 # Relative Frobenius tolerance accepted when checking Hermitian symmetry.
 HERMITIAN_ATOL = 1e-8
-
-# Off-diagonal mass below this fraction of ||A||_F counts as diagonal.
-JACOBI_TOL = 1e-12
-
-# Hard cap on full Jacobi sweeps before declaring non-convergence.
-JACOBI_MAX_SWEEPS = 100
 
 
 def _as_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -51,23 +46,6 @@ def outer_product(v: np.ndarray) -> np.ndarray:
     )
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions differ: {a.shape} @ {b.shape}")
-    return a @ b
-
-
-def trace(a: np.ndarray) -> complex:
-    """Sum of diagonal entries of a square matrix."""
-    a = _as_square(a)
-    return complex(np.trace(a))
-
-
 def frobenius_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 
@@ -76,13 +54,6 @@ def hermitian_deviation(a: np.ndarray) -> float:
     """Frobenius norm of the anti-Hermitian part, ||A - A^dagger||_F."""
     a = _as_square(a)
     return float(np.linalg.norm(a - a.conj().T))
-
-
-def is_hermitian(a: np.ndarray, atol: float | None = None) -> bool:
-    a = _as_square(a)
-    if atol is None:
-        atol = HERMITIAN_ATOL * max(1.0, frobenius_norm(a))
-    return hermitian_deviation(a) <= atol
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
@@ -103,97 +74,29 @@ class EigenDecomposition:
         return (v * self.values) @ v.conj().T
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
 def hermitian_eig(a: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
-
-    Each sweep visits every upper-triangle pivot (p, q) and applies the
-    two-sided unitary rotation that zeroes A[p, q].  For a complex pivot
-    the rotation is a real Jacobi rotation composed with a phase so that
-    the 2x2 block [[a_pp, a_pq], [conj(a_pq), a_qq]] diagonalises exactly.
+    """Eigendecomposition of a Hermitian matrix by LAPACK (``numpy.linalg.eigh``).
 
     Returns eigenvalues sorted descending with eigenvectors as columns.
-    Raises DomainError for non-Hermitian input and NumericError (naming
-    the residual) if the off-diagonal mass has not dropped below
-    JACOBI_TOL * ||A||_F after JACOBI_MAX_SWEEPS sweeps.
+    Raises DomainError for non-Hermitian input, and NumericError for
+    non-finite entries (which LAPACK would turn into NaN eigenvalues
+    silently) or when LAPACK reports a failure.
     """
     a = _as_square(a)
-    n = a.shape[0]
-    norm = frobenius_norm(a)
-    if hermitian_deviation(a) > HERMITIAN_ATOL * max(1.0, norm):
+    if not np.all(np.isfinite(a)):
+        raise NumericError("non-finite entries in matrix passed to hermitian_eig")
+    tol = HERMITIAN_ATOL * max(1.0, frobenius_norm(a))
+    deviation = hermitian_deviation(a)
+    if deviation > tol:
         raise DomainError(
-            f"matrix is not Hermitian: deviation {hermitian_deviation(a):.3e} "
-            f"exceeds tolerance {HERMITIAN_ATOL * max(1.0, norm):.3e}"
+            f"matrix is not Hermitian: deviation {deviation:.3e} "
+            f"exceeds tolerance {tol:.3e}"
         )
-    if n == 1:
-        return EigenDecomposition(
-            values=np.array([a[0, 0].real]), vectors=np.eye(1, dtype=np.complex128)
-        )
-
-    # Work on an exactly Hermitian copy to keep roundoff symmetric.
-    m = hermitize(a)
-    v = np.eye(n, dtype=np.complex128)
-    threshold = JACOBI_TOL * max(norm, np.finfo(np.float64).tiny)
-    # Rotations cannot push a pivot below roundoff scale; skip tiny pivots.
-    pivot_floor = 1e-18 * max(norm, np.finfo(np.float64).tiny)
-
-    converged = _offdiag_norm(m) <= threshold
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if converged:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = m[p, q]
-                mag = abs(apq)
-                if mag <= pivot_floor:
-                    continue
-                app = m[p, p].real
-                aqq = m[q, q].real
-                phase = apq / mag
-                # Real rotation angle for the phase-stripped 2x2 block.
-                tau = (aqq - app) / (2.0 * mag)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                # Unitary U = [[c, s*phase], [-s*conj(phase)... columns act on (p, q).
-                u_pp = c
-                u_pq = s * phase
-                u_qp = -s * np.conj(phase)
-                u_qq = c
-                # m <- U^dagger m U, applied as column then row updates.
-                col_p = m[:, p].copy()
-                col_q = m[:, q].copy()
-                m[:, p] = col_p * u_pp + col_q * u_qp
-                m[:, q] = col_p * u_pq + col_q * u_qq
-                row_p = m[p, :].copy()
-                row_q = m[q, :].copy()
-                m[p, :] = row_p * np.conj(u_pp) + row_q * np.conj(u_qp)
-                m[q, :] = row_p * np.conj(u_pq) + row_q * np.conj(u_qq)
-                # Pin the algebraically-zero entries and real diagonal.
-                m[p, q] = 0.0
-                m[q, p] = 0.0
-                m[p, p] = m[p, p].real
-                m[q, q] = m[q, q].real
-                col_p = v[:, p].copy()
-                col_q = v[:, q].copy()
-                v[:, p] = col_p * u_pp + col_q * u_qp
-                v[:, q] = col_p * u_pq + col_q * u_qq
-        converged = _offdiag_norm(m) <= threshold
-
-    if not converged:
-        residual = _offdiag_norm(m)
-        raise NumericError(
-            f"Jacobi eigensolver did not converge in {JACOBI_MAX_SWEEPS} sweeps; "
-            f"off-diagonal residual {residual:.3e} (threshold {threshold:.3e})"
-        )
-
-    values = np.diag(m).real.copy()
-    order = np.argsort(values)[::-1]
-    return EigenDecomposition(values=values[order], vectors=v[:, order])
+    try:
+        values, vectors = np.linalg.eigh(hermitize(a))
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigensolver failed: {exc}") from exc
+    return EigenDecomposition(values=values[::-1], vectors=vectors[:, ::-1])
 
 
 def matrix_function(

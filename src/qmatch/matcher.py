@@ -14,9 +14,10 @@ Two equivalent routes compute the measurement probabilities:
 * ``forward_sentence`` uses the factored identity
   <v|rho|v> = sum_i p(w_i) |<v|w_i>|^2, never building rho.
 
-The factored route is the production path (it is what the analytic
-backward pass differentiates); the dense route is kept as a reference
-and the test suite pins their agreement.
+The factored route is the production path: the analytic backward pass
+differentiates its tape, and ``interpret`` reads its match maps from the
+same tape.  The dense route is kept as a reference and the test suite
+pins their agreement.
 """
 
 from __future__ import annotations

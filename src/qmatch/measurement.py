@@ -51,13 +51,8 @@ class MeasurementSet:
         self.vectors /= norms[:, None]
 
 
-def init_measurements(k: int, dim: int, seed: int | None = None) -> MeasurementSet:
-    """Real one-hot rows e_(i mod dim); orthogonal whenever k <= dim.
-
-    ``seed`` is accepted for interface stability but unused: the one-hot
-    start is deterministic by design.
-    """
-    del seed
+def init_measurements(k: int, dim: int) -> MeasurementSet:
+    """Real one-hot rows e_(i mod dim); orthogonal whenever k <= dim."""
     if k < 1 or dim < 1:
         raise DomainError(f"need k >= 1 and dim >= 1, got k={k}, dim={dim}")
     vectors = np.zeros((k, dim), dtype=np.complex128)

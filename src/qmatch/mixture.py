@@ -15,7 +15,7 @@ import numpy as np
 
 from .embedding import WordState
 from .errors import ConfigError, DegenerateInputError, ShapeError
-from .linalg import hermitian_eig
+from .linalg import hermitian_eig, hermitize
 
 TRACE_ATOL = 1e-9
 HERM_ATOL = 1e-9
@@ -57,7 +57,7 @@ def _mix(states_matrix: np.ndarray, probs: np.ndarray) -> np.ndarray:
     # sum_i p_i |w_i><w_i|  ==  (W^T diag(p) conj(W)) for stacked rows W
     rho = (states_matrix.T * probs) @ states_matrix.conj()
     # enforce exact Hermitian symmetry against FMA roundoff
-    return 0.5 * (rho + rho.conj().T)
+    return hermitize(rho)
 
 
 def global_mixture(states: Sequence[WordState]) -> np.ndarray:

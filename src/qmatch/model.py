@@ -88,10 +88,6 @@ class TrainerConfig:
             )
 
     @property
-    def keep_prob(self) -> float:
-        return self.dropout_rate if self.dropout_is_keep_prob else 1.0 - self.dropout_rate
-
-    @property
     def representation_len(self) -> int:
         if self.mixture == GLOBAL_MIXTURE:
             return self.num_measurements
@@ -168,11 +164,6 @@ class GradientSet:
             d_phase=np.zeros_like(params.phase),
             d_measurements=np.zeros_like(params.measurements),
         )
-
-    def add_(self, other: "GradientSet") -> None:
-        self.d_amplitude += other.d_amplitude
-        self.d_phase += other.d_phase
-        self.d_measurements += other.d_measurements
 
     def scale_(self, factor: float) -> None:
         self.d_amplitude *= factor

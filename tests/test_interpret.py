@@ -10,7 +10,7 @@ from qmatch.interpret import (
     measurement_neighbors,
     word_importance,
 )
-from qmatch.matcher import score
+from qmatch.matcher import represent, score
 from qmatch.mixture import slide_windows, softmax_weights
 from qmatch.model import TrainerConfig, init_parameters
 
@@ -154,6 +154,36 @@ def test_match_map_global_mixture_uses_whole_sentences():
     assert result.window_size == 3
     assert result.question_window.tokens == ["apple", "banana"]
     assert result.answer_window.tokens == ["cherry", "melon", "orange"]
+
+
+def test_match_map_global_mixture_uses_the_model_mixture():
+    params, config = setup_model(mixture="global")
+    question, answer = "apple banana", "cherry melon orange"
+    result = match_weight_map(params, config, VOCAB, question, answer)
+    np.testing.assert_array_equal(result.question_window.weights, [0.5, 0.5])
+    np.testing.assert_array_equal(result.answer_window.weights, [1 / 3] * 3)
+    model_score = score(
+        represent(VOCAB.encode(tokenize(question)), params, config),
+        represent(VOCAB.encode(tokenize(answer)), params, config),
+    )
+    assert result.similarity == pytest.approx(model_score, abs=1e-12)
+
+
+@pytest.mark.parametrize("mixture", ["local", "global"])
+def test_match_map_windows_stay_inside_truncated_sentences(mixture):
+    params, config = setup_model(
+        window_sizes=(1,), max_sentence_len=2, mixture=mixture
+    )
+    question = "apple banana cherry melon orange pear"
+    answer = "pear plum quince apple"
+    result = match_weight_map(params, config, VOCAB, question, answer)
+    for window, sentence in (
+        (result.question_window, question),
+        (result.answer_window, answer),
+    ):
+        end = window.start + len(window.tokens)
+        assert end <= 2
+        assert window.tokens == sentence.split()[window.start : end]
 
 
 def test_match_map_needs_tokens():
