@@ -7,18 +7,21 @@ blocks as little-endian float64 in C order:
     amplitude (V, n) | phase (V, n) | measurements real (k, n) | imag (k, n)
 
 Writing the same parameters twice produces byte-identical files — there
-are no timestamps or compression headers.
+are no timestamps or compression headers.  Saves go through a renamed
+temporary file, so a failed save never leaves a half-written checkpoint.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 
 from .embedding import Vocabulary
 from .errors import ConfigError, ParseError
+from .measurement import UNIT_NORM_ATOL
 from .model import ParameterSet, TrainerConfig
 
 MAGIC = "qmatch-checkpoint"
@@ -54,12 +57,18 @@ def save_checkpoint(
         f"config: {json.dumps(config.to_dict(), sort_keys=True)}\n"
         "\n"
     )
-    with open(path, "wb") as fh:
-        fh.write(header.encode("utf-8"))
-        fh.write(vocab_line.encode("utf-8"))
-        fh.write(b"\n")
-        for block in _blocks(params):
-            fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(header.encode("utf-8"))
+            fh.write(vocab_line.encode("utf-8"))
+            fh.write(b"\n")
+            for block in _blocks(params):
+                fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(
@@ -101,9 +110,11 @@ def load_checkpoint(
             f"{path}: header claims {vocab_size} tokens, found {len(tokens)}"
         )
     # PAD/UNK are already part of the stored token list.
-    vocab = Vocabulary(
-        tokens=list(tokens), index={t: i for i, t in enumerate(tokens)}
-    )
+    index = {t: i for i, t in enumerate(tokens)}
+    if len(index) != len(tokens):
+        dup = next(t for i, t in enumerate(tokens) if index[t] != i)
+        raise ParseError(f"{path}: duplicate vocabulary token {dup!r}")
+    vocab = Vocabulary(tokens=list(tokens), index=index)
 
     shapes = [(vocab_size, dim), (vocab_size, dim), (k, dim), (k, dim)]
     expected = sum(r * c for r, c in shapes) * 8
@@ -132,4 +143,8 @@ def load_checkpoint(
         raise ParseError(
             f"{path}: header dimensions disagree with stored config"
         )
+    params.check_finite()
+    norms = np.linalg.norm(params.measurements, axis=1)
+    if np.any(np.abs(norms - 1.0) > UNIT_NORM_ATOL):
+        raise ParseError(f"{path}: measurement rows are not unit norm")
     return params, config, vocab

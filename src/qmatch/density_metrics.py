@@ -244,11 +244,13 @@ def _audit_triple(
         _record(report.identity, "identity", gap, trial, [a, b],
                 lambda: max(fn(a, b) - fn(a, a), fn(a, b) - fn(b, b)),
                 note="cross-similarity exceeds self-similarity")
-        # triangle on the induced squared distance
+        # triangle on the induced squared distance; the recheck recomputes
         def induced(x, y):
             return fn(x, x) + fn(y, y) - 2.0 * fn(x, y)
+        d_cc, d_ac, d_bc = fn(c, c), fn(a, c), fn(b, c)
         report.triangle.checked += 1
-        gap = induced(a, c) - induced(a, b) - induced(b, c)
+        gap = ((d_aa + d_cc - 2.0 * d_ac) - (d_aa + d_bb - 2.0 * d_ab)
+               - (d_bb + d_cc - 2.0 * d_bc))
         _record(report.triangle, "triangle", gap, trial, [a, b, c],
                 lambda: induced(a, c) - induced(a, b) - induced(b, c),
                 note="induced squared distance fails subadditivity")

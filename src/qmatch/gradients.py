@@ -4,8 +4,10 @@ Gradients are derived by hand through the factored forward form: the
 measurement probability of a window is sum_i p(w_i) |<v|w_i>|^2, so the
 chain runs through complex inner products, the norm softmax, the norm
 itself and the polar word assembly, never materialising a density
-matrix.  Complex gradients are packed: for a complex intermediate z the
-array holds dL/dRe(z) + i*dL/dIm(z), which makes the two bilinear rules
+matrix.  Max-pooling routes gradient only into each measurement's
+winning window, whose softmax weights the tape keeps.  Complex gradients
+are packed: for a complex intermediate z the array holds
+dL/dRe(z) + i*dL/dIm(z), which makes the two bilinear rules
 
     z = sum_d conj(v_d) u_d   =>   g_u += g_z * v,   g_v += conj(g_z) * u
 
@@ -50,30 +52,18 @@ def backward_sentence(
         g_sq = np.broadcast_to(g / L, (L, k)).copy()
         g_pi = np.zeros(L)
     else:
-        g_weighted = np.zeros((L, k))
-        g_exp = np.zeros(L)
-        cols = np.arange(k)
-        positions = np.arange(L)
-        for b, width in enumerate(config.window_sizes):
-            gp = g[b * k : (b + 1) * k]
-            winners = tape.argmax[b]
-            sums = tape.window_sums[b]
-            probs = tape.window_probs[b]
-            # probs[j] = weighted-window-sum / sums[j]; only winning rows matter
-            g_num = np.zeros((L, k))
-            g_den = np.zeros(L)
-            np.add.at(g_num, (winners, cols), gp / sums[winners])
-            np.add.at(g_den, winners, -gp * probs[winners, cols] / sums[winners])
-            # window j covers positions [j, j+width); transpose that relation
-            cum_n = np.vstack((np.zeros((1, k)), np.cumsum(g_num, axis=0)))
-            cum_d = np.concatenate(([0.0], np.cumsum(g_den)))
-            first = np.maximum(positions - width + 1, 0)
-            g_weighted += cum_n[positions + 1] - cum_n[first]
-            g_exp += cum_d[positions + 1] - cum_d[first]
-        g_sq = g_weighted * tape.exp_pi[:, None]
-        g_exp += (g_weighted * tape.inner_sq).sum(axis=1)
-        # exp_pi = exp(pi - const): same factor regardless of the shift
-        g_pi = g_exp * tape.exp_pi
+        # per size, only each measurement's winning window was pooled
+        B = tape.argmax.shape[0]
+        cols = np.arange(k)[:, None]
+        rows = tape.window_pos[tape.argmax]                          # (B, k, W)
+        a = tape.window_weights[np.arange(B)[:, None], tape.argmax]  # (B, k, W)
+        pooled = tape.window_probs.max(axis=1)[:, :, None]           # (B, k, 1)
+        # pooled = sum_o a_o inner_sq_o with a = softmax of pi over the window
+        g_a = g.reshape(B, k, 1) * a                     # d pooled/d inner_sq_o
+        g_sq = np.bincount((rows * k + cols).ravel(), g_a.ravel(), minlength=L * k)
+        g_sq = g_sq.reshape(L, k)
+        g_pi_win = g_a * (tape.inner_sq[rows, cols] - pooled)   # d pooled/d pi_o
+        g_pi = np.bincount(rows.ravel(), g_pi_win.ravel(), minlength=L)
 
     # inner_sq = |inner|^2
     g_inner = 2.0 * tape.inner * g_sq

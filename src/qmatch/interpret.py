@@ -65,9 +65,9 @@ def _window_features(
     if config.mixture == GLOBAL_MIXTURE:
         return [(tape.representation[None, :], [np.full(L, 1.0 / L)])]
     return [
-        (probs, [tape.exp_pi[j : j + width] / sums[j] for j in range(L)])
-        for width, probs, sums in zip(
-            config.window_sizes, tape.window_probs, tape.window_sums
+        (probs, [weights[j, : min(width, L - j)] for j in range(L)])
+        for width, probs, weights in zip(
+            config.window_sizes, tape.window_probs, tape.window_weights
         )
     ]
 

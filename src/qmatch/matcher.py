@@ -3,8 +3,8 @@
 A sentence is encoded by, for each window size l, sliding l-wide windows
 over the word states, mixing each window into a density matrix, applying
 every measurement, and max-pooling each measurement's probability over
-the windows.  The pooled blocks are concatenated in ascending window
-size; question and answer are compared by cosine similarity and trained
+the windows.  The pooled blocks are concatenated in ``window_sizes``
+order; question and answer are compared by cosine similarity and trained
 with a triplet hinge loss.
 
 Two equivalent routes compute the measurement probabilities:
@@ -12,7 +12,8 @@ Two equivalent routes compute the measurement probabilities:
 * ``represent_dense`` composes the mixture/measurement modules and
   materialises every window's density matrix;
 * ``forward_sentence`` uses the factored identity
-  <v|rho|v> = sum_i p(w_i) |<v|w_i>|^2, never building rho.
+  <v|rho|v> = sum_i p(w_i) |<v|w_i>|^2, never building rho; each
+  window's softmax is shifted by its own max norm, so no gap overflows.
 
 The factored route is the production path: the analytic backward pass
 differentiates its tape, and ``interpret`` reads its match maps from the
@@ -80,10 +81,11 @@ class SentenceTape:
     states: np.ndarray           # (L, n) unit states
     inner: np.ndarray            # (L, k) <v_k|w_i>
     inner_sq: np.ndarray         # (L, k) |<v_k|w_i>|^2
-    exp_pi: np.ndarray | None    # (L,) stabilised exp of weights (local mixture)
-    window_sums: list[np.ndarray]    # per window size: (L,) softmax denominators
-    window_probs: list[np.ndarray]   # per window size: (L, k) probabilities
-    argmax: list[np.ndarray]         # per window size: (k,) winning window
+    # B window sizes, widest W, window j starts at word j; B = W = 0 if global
+    window_pos: np.ndarray       # (L, W) word at each window offset (clipped)
+    window_weights: np.ndarray   # (B, L, W) softmax word weights, 0 off-window
+    window_probs: np.ndarray     # (B, L, k) measurement probabilities
+    argmax: np.ndarray           # (B, k) winning window start per measurement
     pooled_mask: np.ndarray | None   # dropout mask on the pooled vector
     representation: np.ndarray       # final (possibly masked) representation
 
@@ -130,30 +132,25 @@ def forward_sentence(
     inner = states @ params.measurements.conj().T        # (L, k)
     inner_sq = inner.real**2 + inner.imag**2             # |<v|w>|^2
 
-    window_sums: list[np.ndarray] = []
-    window_probs: list[np.ndarray] = []
-    argmaxes: list[np.ndarray] = []
-    exp_pi = None
     if config.mixture == GLOBAL_MIXTURE:
         pooled = inner_sq.mean(axis=0)
+        window_pos = np.zeros((L, 0), dtype=np.int64)
+        weights = np.zeros((0, L, 0))
+        probs = np.zeros((0, L, k))
+        winners = np.zeros((0, k), dtype=np.int64)
     else:
-        # shared softmax numerators: shifting by max(pi) cancels in the ratio
-        exp_pi = np.exp(pi - pi.max())
-        cum_e = np.concatenate(([0.0], np.cumsum(exp_pi)))
-        weighted = exp_pi[:, None] * inner_sq
-        cum_w = np.vstack((np.zeros((1, k)), np.cumsum(weighted, axis=0)))
-        lo = np.arange(L)
-        blocks = []
-        for width in config.window_sizes:
-            hi = np.minimum(lo + width, L)
-            sums = cum_e[hi] - cum_e[lo]                 # (L,)
-            probs = (cum_w[hi] - cum_w[lo]) / sums[:, None]  # (L, k)
-            winners = probs.argmax(axis=0)               # ties -> lowest window
-            blocks.append(probs[winners, np.arange(k)])
-            window_sums.append(sums)
-            window_probs.append(probs)
-            argmaxes.append(winners)
-        pooled = np.concatenate(blocks)
+        sizes = np.asarray(config.window_sizes)
+        offsets = np.arange(sizes.max())
+        reach = np.arange(L)[:, None] + offsets              # (L, W)
+        window_pos = np.minimum(reach, L - 1)
+        inside = (reach < L) & (offsets < sizes[:, None, None])  # (B, L, W)
+        # softmax over each window's norms, shifted by that window's max
+        logits = np.where(inside, pi[window_pos], -np.inf)
+        e = np.exp(logits - logits.max(axis=2, keepdims=True))
+        weights = e / e.sum(axis=2, keepdims=True)
+        probs = (weights[:, :, None, :] @ inner_sq[window_pos])[:, :, 0, :]
+        winners = probs.argmax(axis=1)                   # ties -> lowest window
+        pooled = probs.max(axis=1).ravel()
 
     representation, pooled_mask = apply_dropout(
         pooled, config.dropout_rate, rng, train, config.dropout_is_keep_prob
@@ -169,10 +166,10 @@ def forward_sentence(
         states=states,
         inner=inner,
         inner_sq=inner_sq,
-        exp_pi=exp_pi,
-        window_sums=window_sums,
-        window_probs=window_probs,
-        argmax=argmaxes,
+        window_pos=window_pos,
+        window_weights=weights,
+        window_probs=probs,
+        argmax=winners,
         pooled_mask=pooled_mask,
         representation=representation,
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .embedding import Vocabulary, init_amplitudes_from_glove, init_phases
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .measurement import MeasurementSet, init_measurements
 
 LOCAL_MIXTURE = "local"
@@ -139,6 +139,12 @@ class ParameterSet:
 
     def measurement_set(self) -> MeasurementSet:
         return MeasurementSet(self.measurements)
+
+    def check_finite(self) -> None:
+        """Raise NumericError naming the first block holding NaN or inf."""
+        for name in ("amplitude", "phase", "measurements"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise NumericError(f"non-finite values in parameter block {name!r}")
 
     def copy(self) -> "ParameterSet":
         return ParameterSet(

@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import QADataset, Triplet, build_vocab, sample_triplets
 from .embedding import Vocabulary
-from .errors import ConfigError, NumericError
+from .errors import ConfigError
 from .evaluation import MetricReport, evaluate
 from .gradients import triplet_grad
 from .model import (
@@ -35,17 +35,6 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-def _check_finite(params: ParameterSet) -> None:
-    for name, block in (
-        ("amplitude", params.amplitude),
-        ("phase", params.phase),
-        ("measurements", params.measurements),
-    ):
-        if not np.all(np.isfinite(block) if block.dtype != np.complex128
-                      else np.isfinite(block.real) & np.isfinite(block.imag)):
-            raise NumericError(f"non-finite values in parameter block {name!r}")
-
-
 def sgd_step(params: ParameterSet, grads: GradientSet, config: TrainerConfig) -> None:
     """One projected SGD step in place; L2 decay on amplitudes only."""
     lr = config.learning_rate
@@ -55,7 +44,7 @@ def sgd_step(params: ParameterSet, grads: GradientSet, config: TrainerConfig) ->
     mset = params.measurement_set()
     mset.renormalize()
     params.measurements = mset.vectors
-    _check_finite(params)
+    params.check_finite()
 
 
 @dataclass
@@ -122,7 +111,7 @@ def adam_step(
     mset = params.measurement_set()
     mset.renormalize()
     params.measurements = mset.vectors
-    _check_finite(params)
+    params.check_finite()
 
 
 @dataclass

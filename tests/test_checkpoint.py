@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from qmatch import checkpoint
 from qmatch.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, save_checkpoint
 from qmatch.embedding import Vocabulary
-from qmatch.errors import ConfigError, ParseError
+from qmatch.errors import ConfigError, NumericError, ParseError
 from qmatch.model import TrainerConfig, init_parameters
 
 
@@ -47,6 +48,25 @@ def test_saves_are_byte_identical(tmp_path):
     save_checkpoint(first, params, config, vocab)
     save_checkpoint(second, params.copy(), config, vocab)
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_failed_save_leaves_existing_checkpoint_intact(tmp_path, monkeypatch):
+    params, config, vocab = setup_state()
+    path = tmp_path / "model.qmatch"
+    save_checkpoint(path, params, config, vocab)
+    before = path.read_bytes()
+
+    def failing_blocks(p):
+        yield p.amplitude
+        raise OSError("disk full")
+
+    monkeypatch.setattr(checkpoint, "_blocks", failing_blocks)
+    changed = params.copy()
+    changed.amplitude += 1.0
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, changed, config, vocab)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.qmatch"]
 
 
 def test_header_is_readable_text(tmp_path):
@@ -135,6 +155,35 @@ def test_load_rejects_token_count_mismatch(tmp_path):
     bad.write_bytes(head + b"\n\n" + shorter + b"\n" + payload)
     with pytest.raises(ParseError, match="tokens"):
         load_checkpoint(bad)
+
+
+def test_load_rejects_duplicate_tokens(tmp_path):
+    params, config, vocab = setup_state()
+    path = tmp_path / "model.qmatch"
+    save_checkpoint(path, params, config, vocab)
+    bad = tmp_path / "dup.qmatch"
+    bad.write_bytes(path.read_bytes().replace(b'"green"', b'"red"', 1))
+    with pytest.raises(ParseError, match="duplicate vocabulary token 'red'"):
+        load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("block", ["amplitude", "phase", "measurements"])
+def test_load_rejects_non_finite_blocks(tmp_path, block):
+    params, config, vocab = setup_state()
+    getattr(params, block)[2, 1] = np.nan
+    path = tmp_path / "nan.qmatch"
+    save_checkpoint(path, params, config, vocab)
+    with pytest.raises(NumericError, match=f"parameter block '{block}'"):
+        load_checkpoint(path)
+
+
+def test_load_rejects_non_unit_measurement_rows(tmp_path):
+    params, config, vocab = setup_state()
+    params.measurements[1] *= 1.0 + 1e-4
+    path = tmp_path / "norm.qmatch"
+    save_checkpoint(path, params, config, vocab)
+    with pytest.raises(ParseError, match="measurement rows are not unit norm"):
+        load_checkpoint(path)
 
 
 def test_load_missing_file_raises():

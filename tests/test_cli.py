@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from qmatch.cli import (
@@ -146,6 +147,23 @@ def test_eval_reports_metrics(trained, toy_tsv, tmp_path, capsys):
     assert summary["split"] == "toytest"
     assert 0.0 <= summary["map"] <= 1.0
     assert len([r for r in records if r["kind"] == "question"]) == 3
+
+
+def test_eval_non_finite_checkpoint_exits_4(trained, toy_tsv, tmp_path, capsys):
+    data = bytearray(trained.read_bytes())
+    # the last 8 bytes are the final measurement imaginary part
+    data[-8:] = np.array([np.nan], dtype="<f8").tobytes()
+    trained.write_bytes(bytes(data))
+    rc = main(
+        [
+            "eval",
+            "--checkpoint", str(trained),
+            "--dataset", str(toy_tsv),
+            "--out", str(tmp_path / "eval"),
+        ]
+    )
+    assert rc == 4
+    assert "'measurements'" in capsys.readouterr().err
 
 
 def test_eval_rejects_structural_flag_conflicts(trained, toy_tsv, capsys):

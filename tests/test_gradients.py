@@ -21,7 +21,7 @@ REL_TOL = 1e-4
 VOCAB = Vocabulary.from_tokens([f"w{i}" for i in range(10)])
 
 
-def make_instance(seed, mixture="local", complex_valued=True):
+def make_instance(seed, mixture="local", complex_valued=True, norm=None):
     rng = np.random.default_rng(seed)
     config = TrainerConfig(
         embedding_dim=4,
@@ -52,6 +52,10 @@ def make_instance(seed, mixture="local", complex_valued=True):
     q = rng.choice(ids, size=rng.integers(2, 5), replace=False)
     p = rng.choice(ids, size=rng.integers(2, 6), replace=False)
     n = rng.choice(ids, size=rng.integers(2, 6), replace=False)
+    if norm is not None:
+        # one question word far above its neighbours' norms (about 0.4)
+        row = params.amplitude[q[0]]
+        row *= norm / np.linalg.norm(row)
     # pick a margin that keeps the hinge strictly open at the base point
     _, s_pos, s_neg, *_ = triplet_forward(q, p, n, params, config)
     config = config.with_overrides(margin=max(0.05, s_pos - s_neg + 0.2))
@@ -96,8 +100,8 @@ def compare_class(name, analytic, fd, valid):
     assert rel <= REL_TOL, f"{name}: relative error {rel:.2e}"
 
 
-def run_fd_check(seed, mixture="local", complex_valued=True):
-    q, p, n, params, config = make_instance(seed, mixture, complex_valued)
+def run_fd_check(seed, mixture="local", complex_valued=True, norm=None):
+    q, p, n, params, config = make_instance(seed, mixture, complex_valued, norm)
     loss, grads = triplet_grad(q, p, n, params, config)
     assert loss > 0.0
     _, base_sig = eval_loss(q, p, n, params, config)
@@ -127,9 +131,13 @@ def run_fd_check(seed, mixture="local", complex_valued=True):
         compare_class("measurement.re", grads.d_measurements.real, fd_re, ok_re)
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_fd_agreement_local_mixture(seed):
-    run_fd_check(seed)
+@pytest.mark.parametrize(
+    "seed, norm",
+    [*((s, None) for s in range(8)), (11, 60.0)],
+    ids=[*map(str, range(8)), "norm-gap-60"],
+)
+def test_fd_agreement_local_mixture(seed, norm):
+    run_fd_check(seed, norm=norm)
 
 
 @pytest.mark.parametrize("seed", (3, 17))

@@ -89,12 +89,23 @@ def test_match_map_single_word_windows_have_weight_one():
 
 def test_match_map_weights_sum_to_one():
     params, config = setup_model()
-    result = match_weight_map(
-        params, config, VOCAB, "apple banana cherry", "melon orange pear plum"
-    )
-    assert result.question_window.weights.sum() == pytest.approx(1.0, abs=1e-9)
-    assert result.answer_window.weights.sum() == pytest.approx(1.0, abs=1e-9)
-    assert result.window_size in config.window_sizes
+    wide = params.copy()
+    # a norm-40 word next to norms near 0.4: a gap that overflows a softmax
+    # shifted by anything but its own window's max
+    row = wide.amplitude[VOCAB.index["banana"]]
+    row *= 40.0 / np.linalg.norm(row)
+    for p, question, answer in (
+        (params, "apple banana cherry", "melon orange pear plum"),
+        (wide, "apple banana cherry", "cherry melon"),
+    ):
+        result = match_weight_map(p, config, VOCAB, question, answer)
+        for window in (result.question_window, result.answer_window):
+            assert np.all(np.isfinite(window.weights))
+            assert window.weights.sum() == pytest.approx(1.0, abs=1e-9)
+        assert result.window_size in config.window_sizes
+    # the word after the norm-40 one still finds its exact match
+    assert result.question_window.tokens == ["cherry"]
+    assert result.similarity == pytest.approx(1.0, abs=1e-12)
 
 
 def exhaustive_best(params, config, vocab, question, answer):

@@ -241,12 +241,17 @@ def test_forward_train_mode_without_dropout_matches_eval():
 @given(
     length=st.integers(min_value=1, max_value=12),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
+    norm=st.floats(min_value=1e-2, max_value=1e3),
 )
-def test_forward_dense_agreement_property(length, seed):
+def test_forward_dense_agreement_property(length, seed, norm):
     config = small_config()
     params = make_params(config)
     rng = np.random.default_rng(seed)
     ids = rng.integers(0, len(VOCAB), size=length)
+    # one word of drawn norm opens a softmax gap of up to 1e3 in its windows
+    word = int(rng.integers(2, len(VOCAB)))
+    ids[rng.integers(length)] = word
+    params.amplitude[word] *= norm / np.linalg.norm(params.amplitude[word])
     np.testing.assert_allclose(
         represent(ids, params, config),
         represent_dense(ids, params, config),
