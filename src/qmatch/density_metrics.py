@@ -82,9 +82,12 @@ def vn_divergence(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
 
     Eigenvalues are floored at 1e-12 inside the logarithm, so support
     mismatch yields a large finite value instead of +inf (regularized
-    variant).  Asymmetric in its arguments by construction.
+    variant).  Asymmetric in its arguments by construction.  Bit-identical
+    inputs short-circuit to 0, skipping both matrix logarithms.
     """
     _check_pair(rho_a, rho_b)
+    if np.array_equal(rho_a, rho_b):
+        return 0.0
     diff = _log_density(rho_a) - _log_density(rho_b)
     value = np.trace(rho_a @ diff)
     return float(value.real)

@@ -109,6 +109,10 @@ def normalize_word(vector: np.ndarray) -> WordState:
     if vector.ndim != 1 or vector.size == 0:
         raise ShapeError(f"expected a non-empty vector, got shape {vector.shape}")
     weight = float(np.linalg.norm(vector))
+    if weight < 1e-150:
+        # squares of entries this small are subnormal and lose bits;
+        # scaling by a power of two is exact
+        weight = float(np.linalg.norm(vector * 2.0**600)) * 2.0**-600
     if weight < 1e-300:
         return WordState(state=uniform_state(vector.size), weight=DEGENERATE_WEIGHT)
     return WordState(state=vector / weight, weight=weight)

@@ -13,8 +13,8 @@ import numpy as np
 
 from .data import QADataset
 from .embedding import Vocabulary, tokenize
-from .errors import DataError
-from .matcher import represent, score
+from .errors import DataError, NumericError
+from .matcher import forward_batch, score
 from .model import ParameterSet, TrainerConfig
 
 
@@ -146,18 +146,27 @@ def evaluate(
     config: TrainerConfig,
     vocab: Vocabulary,
 ) -> MetricReport:
-    """Deterministic MAP/MRR of the model over one split (eval mode)."""
+    """Deterministic MAP/MRR of the model over one split (eval mode).
+
+    Each question is ranked with one forward_batch over the question and
+    its candidates, so ranking a question alone computes exactly what the
+    whole-split pass computes.  Raises NumericError naming the question
+    if a representation or score is not finite.
+    """
     results = []
     aps = []
     rrs = []
     for q in dataset.questions:
-        rep_q = represent(vocab.encode(tokenize(q.text)), params, config)
-        scores, ids, labels = [], [], []
-        for cand in q.candidates:
-            rep_a = represent(vocab.encode(tokenize(cand.text)), params, config)
-            scores.append(score(rep_q, rep_a))
-            ids.append(cand.answer_id)
-            labels.append(cand.label)
+        sentences = [vocab.encode(tokenize(q.text))]
+        sentences += [vocab.encode(tokenize(c.text)) for c in q.candidates]
+        reps, _ = forward_batch(sentences, params, config)
+        scores = [score(reps[0], rep_a) for rep_a in reps[1:]]
+        if not (np.isfinite(reps).all() and np.isfinite(scores).all()):
+            raise NumericError(
+                f"non-finite representation or score for question {q.question_id!r}"
+            )
+        ids = [c.answer_id for c in q.candidates]
+        labels = [c.label for c in q.candidates]
         ranked = rank_candidates(scores, ids, labels)
         ordered_labels = [r.label for r in ranked]
         ap = average_precision(ordered_labels)

@@ -12,13 +12,27 @@ dL/dRe(z) + i*dL/dIm(z), which makes the two bilinear rules
     z = sum_d conj(v_d) u_d   =>   g_u += g_z * v,   g_v += conj(g_z) * u
 
 the only complex calculus needed.
+
+``backward_batch`` differentiates a whole ``forward_batch`` tape in one
+pass; ``batch_grad`` runs one SGD batch of triplets through both, and the
+single-triplet and single-sentence calls are batches of one.  Token
+gradients reach the amplitude and phase rows in sentence order and, within
+a sentence, in token order, so a batch's sums equal those of its triplets
+accumulated one by one in the same order.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .matcher import SentenceTape, forward_sentence, score, triplet_loss
+from .matcher import (
+    BatchTape,
+    SentenceTape,
+    forward_batch,
+    matmul_rows,
+    score,
+    triplet_loss,
+)
 from .model import GLOBAL_MIXTURE, GradientSet, ParameterSet, TrainerConfig
 
 
@@ -36,6 +50,105 @@ def cosine_grad(
     return g_u, g_v
 
 
+def backward_batch(
+    g_reps: np.ndarray,
+    tape: BatchTape,
+    sentences,
+    params: ParameterSet,
+    config: TrainerConfig,
+    grads: GradientSet | None = None,
+) -> GradientSet:
+    """dLoss/dParams of the tape's ``sentences``, in that order.
+
+    ``g_reps`` holds one representation gradient per listed sentence.
+    Gradients accumulate into the dense ``grads`` token by token; without
+    ``grads`` they land on a GradientSet over the touched vocabulary rows
+    only, with the same additions in the same order.
+    """
+    sel = np.asarray(sentences, dtype=np.int64)
+    M = sel.size
+    k = params.k
+    lengths = tape.lengths[sel]
+    offsets = np.cumsum(lengths) - lengths     # first position of each sentence
+    shift = tape.starts[sel] - offsets         # tape token minus position
+    T = int(lengths.sum())
+    tokens = np.arange(T) + np.repeat(shift, lengths)
+    rows = tape.rows[tokens]
+
+    g = g_reps if tape.pooled_mask is None else g_reps * tape.pooled_mask[sel]
+
+    if config.mixture == GLOBAL_MIXTURE:
+        g_sq = (g / lengths[:, None])[np.repeat(np.arange(M), lengths)]
+        g_pi = np.zeros(T)
+    else:
+        # per size, only each measurement's winning window was pooled
+        B = tape.window_probs.shape[0]
+        sizes = np.arange(B)[:, None]
+        cols = np.arange(k)[:, None]
+        win = np.array([tape.winners(s) for s in sel], dtype=np.int64)
+        win = win.reshape(M, B, k) + tape.starts[sel][:, None, None]  # tape tokens
+        pos = tape.window_pos[win] - shift[:, None, None, None]     # (M, B, k, W)
+        a = tape.window_weights[sizes, win]                          # (M, B, k, W)
+        pooled = tape.window_probs[sizes, win, np.arange(k)][..., None]
+        # pooled = sum_o a_o inner_sq_o with a = softmax of pi over the window
+        g_a = g.reshape(M, B, k, 1) * a                  # d pooled/d inner_sq_o
+        g_sq = np.bincount((pos * k + cols).ravel(), g_a.ravel(), minlength=T * k)
+        g_sq = g_sq.reshape(T, k)
+        window_sq = tape.inner_sq[rows[pos], cols]
+        g_pi_win = g_a * (window_sq - pooled)            # d pooled/d pi_o
+        g_pi = np.bincount(pos.ravel(), g_pi_win.ravel(), minlength=T)
+
+    inner = tape.inner[rows]
+    states = tape.states[rows]
+    pi = tape.pi[rows]
+    amp_eff = tape.amp_eff[rows]
+    eiph = tape.eiph[rows]
+
+    # inner_sq = |inner|^2
+    g_inner = 2.0 * inner * g_sq
+    # inner[i, k] = sum_d conj(M[k, d]) states[i, d]
+    g_states = matmul_rows(g_inner, params.measurements)
+
+    # states = W / pi with W the masked polar row; radial part feeds the norm
+    radial = np.einsum("ld,ld->l", g_states.conj(), states).real
+    g_pi = g_pi - radial / pi
+    g_w = g_states / pi[:, None]
+
+    mask = tape.emb_mask[tokens] if tape.emb_mask is not None else 1.0
+    # W = mask * amp * e^{i phase};  pi = ||mask * amp||
+    g_amp = (g_w.conj() * eiph).real * mask
+    g_amp += (g_pi / pi)[:, None] * (mask * amp_eff)
+    g_phase = -(g_w.conj() * (amp_eff * eiph)).imag
+
+    alive = tape.alive[rows]
+    if not alive.all():
+        dead = ~alive
+        g_amp[dead] = 0.0
+        g_phase[dead] = 0.0
+
+    if not config.complex_valued:
+        g_phase[:] = 0.0
+
+    ids = tape.ids[tokens]
+    if grads is None:
+        touched, ids = np.unique(ids, return_inverse=True)
+        grads = GradientSet(
+            d_amplitude=np.zeros((touched.size, params.dim)),
+            d_phase=np.zeros((touched.size, params.dim)),
+            d_measurements=np.zeros_like(params.measurements),
+            rows=touched,
+        )
+    np.add.at(grads.d_amplitude, ids, g_amp)
+    np.add.at(grads.d_phase, ids, g_phase)
+    for start, length in zip(offsets, lengths):
+        span = slice(start, start + length)
+        g_meas = g_inner[span].conj().T @ states[span]
+        if not config.complex_valued:
+            g_meas = g_meas.real.astype(np.complex128)
+        grads.d_measurements += g_meas
+    return grads
+
+
 def backward_sentence(
     g_rep: np.ndarray,
     tape: SentenceTape,
@@ -44,56 +157,7 @@ def backward_sentence(
     grads: GradientSet,
 ) -> None:
     """Accumulate dLoss/dParams for one sentence into ``grads``."""
-    L, k = tape.inner_sq.shape
-
-    g = g_rep * tape.pooled_mask if tape.pooled_mask is not None else g_rep
-
-    if config.mixture == GLOBAL_MIXTURE:
-        g_sq = np.broadcast_to(g / L, (L, k)).copy()
-        g_pi = np.zeros(L)
-    else:
-        # per size, only each measurement's winning window was pooled
-        B = tape.argmax.shape[0]
-        cols = np.arange(k)[:, None]
-        rows = tape.window_pos[tape.argmax]                          # (B, k, W)
-        a = tape.window_weights[np.arange(B)[:, None], tape.argmax]  # (B, k, W)
-        pooled = tape.window_probs.max(axis=1)[:, :, None]           # (B, k, 1)
-        # pooled = sum_o a_o inner_sq_o with a = softmax of pi over the window
-        g_a = g.reshape(B, k, 1) * a                     # d pooled/d inner_sq_o
-        g_sq = np.bincount((rows * k + cols).ravel(), g_a.ravel(), minlength=L * k)
-        g_sq = g_sq.reshape(L, k)
-        g_pi_win = g_a * (tape.inner_sq[rows, cols] - pooled)   # d pooled/d pi_o
-        g_pi = np.bincount(rows.ravel(), g_pi_win.ravel(), minlength=L)
-
-    # inner_sq = |inner|^2
-    g_inner = 2.0 * tape.inner * g_sq
-    # inner[i, k] = sum_d conj(M[k, d]) states[i, d]
-    g_states = g_inner @ params.measurements
-    g_meas = g_inner.conj().T @ tape.states
-
-    # states = W / pi with W the masked polar row; radial part feeds the norm
-    radial = np.einsum("ld,ld->l", g_states.conj(), tape.states).real
-    g_pi = g_pi - radial / tape.pi
-    g_w = g_states / tape.pi[:, None]
-
-    mask = tape.emb_mask if tape.emb_mask is not None else 1.0
-    # W = mask * amp * e^{i phase};  pi = ||mask * amp||
-    g_amp = (g_w.conj() * tape.eiph).real * mask
-    g_amp += (g_pi / tape.pi)[:, None] * (mask * tape.amp_eff)
-    g_phase = -(g_w.conj() * (tape.amp_eff * tape.eiph)).imag
-
-    if not tape.alive.all():
-        dead = ~tape.alive
-        g_amp[dead] = 0.0
-        g_phase[dead] = 0.0
-
-    if not config.complex_valued:
-        g_phase[:] = 0.0
-        g_meas = g_meas.real.astype(np.complex128)
-
-    np.add.at(grads.d_amplitude, tape.ids, g_amp)
-    np.add.at(grads.d_phase, tape.ids, g_phase)
-    grads.d_measurements += g_meas
+    backward_batch(g_rep[None, :], tape.batch, [tape.index], params, config, grads)
 
 
 def triplet_forward(
@@ -106,13 +170,44 @@ def triplet_forward(
     rng: np.random.Generator | None = None,
 ) -> tuple[float, float, float, SentenceTape, SentenceTape, SentenceTape]:
     """Shared-question triplet pass; returns loss, both scores and tapes."""
-    rep_q, tape_q = forward_sentence(question, params, config, train, rng)
-    rep_p, tape_p = forward_sentence(positive, params, config, train, rng)
-    rep_n, tape_n = forward_sentence(negative, params, config, train, rng)
-    s_pos = score(rep_q, rep_p)
-    s_neg = score(rep_q, rep_n)
+    reps, tape = forward_batch(
+        [question, positive, negative], params, config, train, rng
+    )
+    s_pos = score(reps[0], reps[1])
+    s_neg = score(reps[0], reps[2])
     loss = triplet_loss(s_pos, s_neg, config.margin)
-    return loss, s_pos, s_neg, tape_q, tape_p, tape_n
+    return loss, s_pos, s_neg, tape.sentence(0), tape.sentence(1), tape.sentence(2)
+
+
+def batch_grad(
+    triplets,
+    params: ParameterSet,
+    config: TrainerConfig,
+    train: bool = False,
+    rng: np.random.Generator | None = None,
+    grads: GradientSet | None = None,
+) -> tuple[list[float], GradientSet]:
+    """Losses and gradients of (q, a+, a-) triplets: one forward, one backward.
+
+    The sentences run in q, a+, a- order per triplet.  The hinge
+    subgradient at the kink is taken as zero, so an inactive triplet
+    contributes nothing.  ``grads`` works as in ``backward_batch``.
+    """
+    sentences = [ids for triplet in triplets for ids in triplet]
+    reps, tape = forward_batch(sentences, params, config, train, rng)
+    losses, active, g_reps = [], [], []
+    for t in range(len(triplets)):
+        rep_q, rep_p, rep_n = reps[3 * t : 3 * t + 3]
+        loss = triplet_loss(score(rep_q, rep_p), score(rep_q, rep_n), config.margin)
+        losses.append(loss)
+        if loss > 0.0:
+            # d loss = -d s_pos + d s_neg while the hinge is active
+            g_q_pos, g_p = cosine_grad(rep_q, rep_p, -1.0)
+            g_q_neg, g_n = cosine_grad(rep_q, rep_n, +1.0)
+            active += [3 * t, 3 * t + 1, 3 * t + 2]
+            g_reps += [g_q_pos + g_q_neg, g_p, g_n]
+    g_reps = np.array(g_reps).reshape(len(active), reps.shape[1])
+    return losses, backward_batch(g_reps, tape, active, params, config, grads)
 
 
 def triplet_grad(
@@ -125,24 +220,10 @@ def triplet_grad(
     rng: np.random.Generator | None = None,
     grads: GradientSet | None = None,
 ) -> tuple[float, GradientSet]:
-    """Loss and accumulated gradients for one (q, a+, a-) triplet.
-
-    The hinge subgradient at the kink is taken as zero, so an inactive
-    triplet contributes nothing.
-    """
+    """Loss and accumulated gradients for one (q, a+, a-) triplet."""
     if grads is None:
         grads = GradientSet.zeros_like(params)
-    loss, _, _, tape_q, tape_p, tape_n = triplet_forward(
-        question, positive, negative, params, config, train, rng
+    losses, grads = batch_grad(
+        [(question, positive, negative)], params, config, train, rng, grads
     )
-    if loss > 0.0:
-        rep_q = tape_q.representation
-        rep_p = tape_p.representation
-        rep_n = tape_n.representation
-        # d loss = -d s_pos + d s_neg while the hinge is active
-        g_q_pos, g_p = cosine_grad(rep_q, rep_p, -1.0)
-        g_q_neg, g_n = cosine_grad(rep_q, rep_n, +1.0)
-        backward_sentence(g_q_pos + g_q_neg, tape_q, params, config, grads)
-        backward_sentence(g_p, tape_p, params, config, grads)
-        backward_sentence(g_n, tape_n, params, config, grads)
-    return loss, grads
+    return losses[0], grads

@@ -157,11 +157,18 @@ class ParameterSet:
 @dataclass
 class GradientSet:
     """Loss gradients matching ParameterSet; measurement grads are packed
-    complex (real part = d/d Re, imaginary part = d/d Im)."""
+    complex (real part = d/d Re, imaginary part = d/d Im).  Amplitude and
+    phase grads cover the vocabulary rows ``rows`` (ascending), or every
+    row when ``rows`` is None."""
 
     d_amplitude: np.ndarray
     d_phase: np.ndarray
     d_measurements: np.ndarray
+    rows: np.ndarray | None = None
+
+    def row_index(self) -> np.ndarray | slice:
+        """Index of the covered rows into a vocabulary-sized table."""
+        return slice(None) if self.rows is None else self.rows
 
     @classmethod
     def zeros_like(cls, params: ParameterSet) -> "GradientSet":

@@ -1,10 +1,11 @@
 """Training loop: SGD (or Adam) on the triplet hinge loss.
 
 Every epoch resamples triplets, shuffles them, averages gradients over
-each batch and applies one optimizer step.  Measurement rows live on the
-unit sphere via projected gradient: step first, renormalize after.  L2
-decay applies to the amplitude table only.  After each epoch the model
-is scored on the dev split; the best-dev parameters are retained.
+each batch (one batched forward and backward pass) and applies one
+optimizer step.  Measurement rows live on the unit sphere via projected
+gradient: step first, renormalize after.  L2 decay applies to the
+amplitude table only.  After each epoch the model is scored on the dev
+split; the best-dev parameters are retained.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .data import QADataset, Triplet, build_vocab, sample_triplets
 from .embedding import Vocabulary
 from .errors import ConfigError
 from .evaluation import MetricReport, evaluate
-from .gradients import triplet_grad
+from .gradients import batch_grad
 from .model import (
     GradientSet,
     ParameterSet,
@@ -38,8 +39,12 @@ ADAM_EPS = 1e-8
 def sgd_step(params: ParameterSet, grads: GradientSet, config: TrainerConfig) -> None:
     """One projected SGD step in place; L2 decay on amplitudes only."""
     lr = config.learning_rate
-    params.amplitude -= lr * (grads.d_amplitude + config.l2_lambda * params.amplitude)
-    params.phase -= lr * grads.d_phase
+    rows = grads.row_index()
+    step = config.l2_lambda * params.amplitude    # the decay touches every row
+    step[rows] += grads.d_amplitude
+    step *= lr
+    params.amplitude -= step
+    params.phase[rows] -= lr * grads.d_phase
     params.measurements -= lr * grads.d_measurements
     mset = params.measurement_set()
     mset.renormalize()
@@ -92,13 +97,19 @@ def adam_step(
         v += (1 - b2) * g * g
         theta -= lr * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
 
+    # the moments decay on every row, so the gradients are made dense
+    rows = grads.row_index()
+    d_amplitude = np.zeros_like(params.amplitude)
+    d_amplitude[rows] = grads.d_amplitude
+    d_phase = np.zeros_like(params.phase)
+    d_phase[rows] = grads.d_phase
     update(
         params.amplitude,
-        grads.d_amplitude + config.l2_lambda * params.amplitude,
+        d_amplitude + config.l2_lambda * params.amplitude,
         state.m_amplitude,
         state.v_amplitude,
     )
-    update(params.phase, grads.d_phase, state.m_phase, state.v_phase)
+    update(params.phase, d_phase, state.m_phase, state.v_phase)
     # complex block: real and imaginary parts are independent coordinates
     g_re, g_im = grads.d_measurements.real, grads.d_measurements.imag
     state.m_meas = b1 * state.m_meas + (1 - b1) * grads.d_measurements
@@ -172,13 +183,12 @@ def train(
         losses = []
         for batch_no, start in enumerate(range(0, len(order), config.batch_size)):
             batch = order[start : start + config.batch_size]
-            grads = GradientSet.zeros_like(params)
+            batch_losses, grads = batch_grad(
+                [triplets[idx] for idx in batch], params, config, train=True,
+                rng=dropout,
+            )
             batch_loss = 0.0
-            for idx in batch:
-                q, p, n = triplets[idx]
-                loss, _ = triplet_grad(
-                    q, p, n, params, config, train=True, rng=dropout, grads=grads
-                )
+            for loss in batch_losses:
                 batch_loss += loss
             grads.scale_(1.0 / len(batch))
             batch_loss /= len(batch)

@@ -3,6 +3,8 @@
 Every test prints one ``[acceptance] <name>: PASS/FAIL (...)`` line
 (visible under ``pytest -s``) before asserting, so the verdicts survive
 in the log either way.  Checks with a wall-clock budget assert it too.
+The three multi-run checks carry the ``slow`` marker: ``pytest -m "not
+slow"`` gives a quick tier, and the full suite still runs them.
 
 The loader check against the original TREC QA / WikiQA distributions is
 optional: point ``QMATCH_TRECQA_TRAIN`` at the raw four-column training
@@ -15,6 +17,7 @@ import os
 import time
 
 import numpy as np
+import pytest
 
 import test_gradients as fd
 from qmatch.data import FORMAT_PRESETS, build_vocab, load_tsv
@@ -314,6 +317,7 @@ def test_toy_overfit_reaches_perfect_ranking():
     )
 
 
+@pytest.mark.slow
 def test_training_beats_random_baseline_across_seeds():
     """Trained dev MAP must clear the frozen random baseline by 0.10."""
     t0 = time.perf_counter()
@@ -349,6 +353,7 @@ def test_training_beats_random_baseline_across_seeds():
     )
 
 
+@pytest.mark.slow
 def test_metric_audit_reproduces_axiom_pattern():
     """Symmetry/identity verdicts across the distance-measure family."""
     t0 = time.perf_counter()
@@ -375,6 +380,7 @@ def test_metric_audit_reproduces_axiom_pattern():
     _report("metric audit axiom pattern", ok, detail)
 
 
+@pytest.mark.slow
 def test_ablation_orderings_hold():
     """Windowed beats whole-sentence; complex at least matches real."""
     t0 = time.perf_counter()

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmatch import density_metrics
 from qmatch.density_metrics import (
     AUDIT_TOL,
     DISTANCE,
@@ -149,6 +150,17 @@ def test_vn_divergence_is_asymmetric():
 def test_vn_divergence_vanishes_on_identical_inputs():
     rho, _ = random_pair(5)
     assert vn_divergence(rho, rho) == pytest.approx(0.0, abs=1e-9)
+
+
+def test_vn_divergence_of_bit_identical_inputs_is_exactly_zero(monkeypatch):
+    rho, _ = random_pair(5)
+
+    def no_logarithm(*args, **kwargs):
+        raise AssertionError("identical inputs need no matrix logarithm")
+
+    monkeypatch.setattr(density_metrics, "matrix_function", no_logarithm)
+    assert vn_divergence(rho, rho.copy()) == 0.0
+    assert sym_vn(rho, rho.copy()) == 0.0
 
 
 def test_vn_divergence_support_mismatch_is_large_but_finite():

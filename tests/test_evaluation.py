@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qmatch.data import CandidateAnswer, QADataset, QuestionGroup
-from qmatch.errors import DataError
+from qmatch.errors import DataError, NumericError
 from qmatch.evaluation import (
     MetricReport,
     QuestionResult,
@@ -150,6 +150,25 @@ def test_evaluate_is_deterministic():
     a = evaluate(params, ds, config, vocab)
     b = evaluate(params, ds, config, vocab)
     assert a == b
+
+
+def test_ranking_a_question_alone_matches_the_whole_split():
+    ds = oracle_dataset()
+    params, config, vocab = small_setup(ds)
+    whole = evaluate(params, ds, config, vocab)
+    for question, row in zip(ds.questions, whole.per_question):
+        one = QADataset(split="dev", questions=[question])
+        assert evaluate(params, one, config, vocab).per_question == [row]
+
+
+def test_evaluate_rejects_non_finite_representations():
+    ds = oracle_dataset()
+    params, config, vocab = small_setup(ds)
+    # a NaN phase row makes every window holding "epsilon" NaN
+    params.phase[vocab.index["epsilon"]] = np.nan
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericError, match="'q1'"):
+            evaluate(params, ds, config, vocab)
 
 
 def test_evaluate_rejects_empty_split():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qmatch.embedding import Vocabulary
-from qmatch.gradients import cosine_grad, triplet_forward, triplet_grad
+from qmatch.gradients import batch_grad, cosine_grad, triplet_forward, triplet_grad
 from qmatch.matcher import score
 from qmatch.model import GradientSet, ParameterSet, TrainerConfig, init_parameters
 
@@ -241,3 +241,57 @@ def test_identical_answers_cancel_exactly():
     assert np.all(grads_same.d_amplitude == 0.0)
     assert np.all(grads_same.d_phase == 0.0)
     assert np.all(grads_same.d_measurements == 0.0)
+
+
+# ------------------------------------------------- batched and single pass
+
+
+def batch_instance(dropout_rate):
+    """Triplets sharing words across sentences, with one-word sentences and
+    an answer equal to its question (a closed hinge)."""
+    rng = np.random.default_rng(8)
+    config = TrainerConfig(
+        embedding_dim=4, num_measurements=3, window_sizes=(1, 2, 3),
+        dropout_rate=dropout_rate, margin=0.2, max_sentence_len=7, seed=3,
+    )
+    params = init_parameters(VOCAB, config)
+    raw = rng.normal(size=params.measurements.shape) + 1j * rng.normal(
+        size=params.measurements.shape
+    )
+    params.measurements = raw / np.linalg.norm(raw, axis=1)[:, None]
+
+    def ids(size):
+        return rng.integers(1, len(VOCAB), size=size)
+
+    q = ids(3)
+    triplets = [
+        (q, q.copy(), ids(5)),
+        (ids(4), ids(9), ids(1)),
+        (ids(1), ids(3), ids(6)),
+        (q, ids(6), ids(2)),
+        (ids(5), ids(5), ids(5)),
+    ]
+    return triplets, params, config
+
+
+@pytest.mark.parametrize("dropout_rate", (0.0, 0.5), ids=["eval", "dropout"])
+def test_batch_grad_equals_triplet_grad_accumulated(dropout_rate):
+    triplets, params, config = batch_instance(dropout_rate)
+    train = dropout_rate > 0.0
+    losses, sparse = batch_grad(
+        triplets, params, config, train=train, rng=np.random.default_rng(4)
+    )
+    rng = np.random.default_rng(4)
+    dense = GradientSet.zeros_like(params)
+    expected = [
+        triplet_grad(*t, params, config, train=train, rng=rng, grads=dense)[0]
+        for t in triplets
+    ]
+    assert losses == expected
+    assert 0.0 in losses and max(losses) > 0.0
+    assert np.array_equal(sparse.rows, np.unique(sparse.rows))
+    untouched = np.setdiff1d(np.arange(len(VOCAB)), sparse.rows)
+    assert np.all(dense.d_amplitude[untouched] == 0.0)
+    assert np.array_equal(sparse.d_amplitude, dense.d_amplitude[sparse.rows])
+    assert np.array_equal(sparse.d_phase, dense.d_phase[sparse.rows])
+    assert np.array_equal(sparse.d_measurements, dense.d_measurements)

@@ -7,6 +7,7 @@ from qmatch.embedding import Vocabulary
 from qmatch.errors import ConfigError, DegenerateInputError, ShapeError
 from qmatch.matcher import (
     apply_dropout,
+    forward_batch,
     forward_sentence,
     represent,
     represent_dense,
@@ -257,6 +258,74 @@ def test_forward_dense_agreement_property(length, seed, norm):
         represent_dense(ids, params, config),
         atol=1e-9,
     )
+
+
+# ---------------------------------------------- batched and single forward
+
+
+def mixed_batch():
+    """One-word sentences, sentences past max_sentence_len (6 below), the
+    padding word, a zeroed (dead) row and a repeated sentence."""
+    rng = np.random.default_rng(31)
+    return [
+        np.array([5]),
+        rng.integers(2, len(VOCAB), size=11),
+        np.array([0, 7, 7, 9]),
+        np.array([3, 4]),
+        rng.integers(2, len(VOCAB), size=6),
+        np.array([5]),
+        np.array([12, 0, 3, 12, 9, 4, 4, 8]),
+    ]
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"mixture": "global", "window_sizes": (1,)},
+        {"complex_valued": False},
+    ],
+    ids=["local", "global", "real"],
+)
+def test_forward_batch_equals_represent_per_sentence(overrides):
+    config = small_config(max_sentence_len=6, **overrides)
+    params = make_params(config)
+    params.amplitude[3] = 0.0
+    batch = mixed_batch()
+    reps, tape = forward_batch(batch, params, config)
+    assert reps.shape == (len(batch), config.representation_len)
+    for s, ids in enumerate(batch):
+        assert np.array_equal(reps[s], represent(ids, params, config))
+        _, single = forward_sentence(ids, params, config)
+        view = tape.sentence(s)
+        assert np.array_equal(view.ids, single.ids)
+        assert np.array_equal(view.argmax, single.argmax)
+        assert np.array_equal(view.window_weights, single.window_weights)
+        assert np.array_equal(view.window_probs, single.window_probs)
+
+
+def test_forward_batch_draws_dropout_masks_sentence_by_sentence():
+    config = small_config(dropout_rate=0.5)
+    params = make_params(config)
+    batch = mixed_batch()
+    reps, tape = forward_batch(
+        batch, params, config, train=True, rng=np.random.default_rng(9)
+    )
+    rng = np.random.default_rng(9)
+    for s, ids in enumerate(batch):
+        rep, single = forward_sentence(ids, params, config, train=True, rng=rng)
+        assert np.array_equal(reps[s], rep)
+        assert np.array_equal(tape.sentence(s).emb_mask, single.emb_mask)
+        assert np.array_equal(tape.pooled_mask[s], single.pooled_mask)
+
+
+def test_forward_batch_rejects_empty_input():
+    config = small_config()
+    params = make_params(config)
+    with pytest.raises(DegenerateInputError):
+        forward_batch([], params, config)
+    with pytest.raises(DegenerateInputError):
+        forward_batch([np.array([2]), np.array([], dtype=np.int64)], params, config)
 
 
 # -------------------------------------------------------------------- score

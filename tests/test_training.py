@@ -47,6 +47,28 @@ def params_bytes(params):
 # SGD
 
 
+def test_sgd_step_on_touched_rows_equals_dense_step():
+    params = hand_params()
+    dense = hand_grads(params)
+    dense.d_amplitude[2] = [0.25, -0.125]
+    dense.d_phase[2, 1] = 0.5
+    sparse = GradientSet(
+        d_amplitude=dense.d_amplitude[[0, 2]],
+        d_phase=dense.d_phase[[0, 2]],
+        d_measurements=dense.d_measurements.copy(),
+        rows=np.array([0, 2]),
+    )
+    config = TrainerConfig(learning_rate=0.1, l2_lambda=0.01)
+    a, b = hand_params(), hand_params()
+    sgd_step(a, dense, config)
+    sgd_step(b, sparse, config)
+    assert params_bytes(a) == params_bytes(b)
+    a, b = hand_params(), hand_params()
+    adam_step(a, dense, config, AdamState.zeros_like(a))
+    adam_step(b, sparse, config, AdamState.zeros_like(b))
+    assert params_bytes(a) == params_bytes(b)
+
+
 def test_sgd_step_arithmetic_by_hand():
     params = hand_params()
     config = TrainerConfig(learning_rate=0.1, l2_lambda=0.01)
