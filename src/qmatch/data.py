@@ -4,7 +4,9 @@ Datasets arrive as UTF-8 tab-separated files whose column layout is
 described by a small key=value format descriptor (never sniffed).  The
 loader groups candidate answers under their question, drops pairs whose
 text tokenizes to nothing, drops questions without any positive answer,
-and reports what it kept and why it dropped the rest.
+and reports what it kept and why it dropped the rest.  Every question and
+answer keeps its tokens, so vocabulary building, triplet sampling and
+evaluation never tokenize again.
 """
 
 from __future__ import annotations
@@ -90,18 +92,43 @@ def resolve_format(spec: str) -> DatasetFormat:
     return read_format_descriptor(spec)
 
 
+def join_tokens(text: str) -> str:
+    """``text``'s tokens joined by single spaces: ``text`` itself when it is
+    already in that form, so a tokenised corpus keeps no second copy."""
+    joined = " ".join(tokenize(text))
+    return text if joined == text else joined
+
+
+class _Tokenized:
+    """A text tokenised once: ``token_text`` holds its tokens, and
+    ``tokens`` splits them apart (tokens never hold whitespace)."""
+
+    text: str
+    token_text: str | None
+
+    def __post_init__(self) -> None:
+        if self.token_text is None:
+            self.token_text = join_tokens(self.text)
+
+    @property
+    def tokens(self) -> list[str]:
+        return self.token_text.split()
+
+
 @dataclass
-class CandidateAnswer:
+class CandidateAnswer(_Tokenized):
     answer_id: int
     text: str
     label: int
+    token_text: str | None = field(default=None, repr=False)
 
 
 @dataclass
-class QuestionGroup:
+class QuestionGroup(_Tokenized):
     question_id: str
     text: str
     candidates: list[CandidateAnswer] = field(default_factory=list)
+    token_text: str | None = field(default=None, repr=False)
 
     def positives(self) -> list[CandidateAnswer]:
         return [c for c in self.candidates if c.label == 1]
@@ -158,6 +185,7 @@ def load_tsv(
     report = LoadReport(path=path, split=split)
     groups: dict[str, QuestionGroup] = {}
     order: list[str] = []
+    question, q_joined = None, ""   # the last question text seen, its tokens
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             if fmt.has_header and lineno == 1:
@@ -173,21 +201,24 @@ def load_tsv(
                     f"tab-separated columns, found {len(cols)}"
                 )
             qid = cols[fmt.question_id_col].strip()
-            question = _normalize_text(cols[fmt.question_col])
+            text = _normalize_text(cols[fmt.question_col])
+            if text != question:
+                question, q_joined = text, join_tokens(text)
             answer = _normalize_text(cols[fmt.answer_col])
             label_text = cols[fmt.label_col].strip()
             if label_text not in ("0", "1"):
                 raise DataError(f"{path}:{lineno}: unknown label value {label_text!r}")
             label = int(label_text)
-            if not tokenize(question) or not tokenize(answer):
+            a_joined = join_tokens(answer)
+            if not q_joined or not a_joined:
                 report.pairs_dropped_empty_text += 1
                 continue
             if qid not in groups:
-                groups[qid] = QuestionGroup(question_id=qid, text=question)
+                groups[qid] = QuestionGroup(qid, question, token_text=q_joined)
                 order.append(qid)
-            group = groups[qid]
-            group.candidates.append(
-                CandidateAnswer(answer_id=len(group.candidates), text=answer, label=label)
+            candidates = groups[qid].candidates
+            candidates.append(
+                CandidateAnswer(len(candidates), answer, label, token_text=a_joined)
             )
 
     kept: list[QuestionGroup] = []
@@ -221,9 +252,9 @@ def build_vocab(datasets: list[QADataset]) -> Vocabulary:
     counts: Counter[str] = Counter()
     for ds in datasets:
         for q in ds.questions:
-            counts.update(tokenize(q.text))
+            counts.update(q.tokens)
             for c in q.candidates:
-                counts.update(tokenize(c.text))
+                counts.update(c.tokens)
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return Vocabulary.from_tokens([t for t, _ in ordered])
 
@@ -255,14 +286,8 @@ def sample_triplets(dataset: QADataset, epoch_seed: int) -> list[Triplet]:
             )
             continue
         perm = rng.permutation(len(negatives))
-        q_tokens = tokenize(q.text)
+        q_tokens = q.tokens
         for i, pos in enumerate(positives):
             neg = negatives[perm[i % len(negatives)]]
-            out.append(
-                Triplet(
-                    question=q_tokens,
-                    positive=tokenize(pos.text),
-                    negative=tokenize(neg.text),
-                )
-            )
+            out.append(Triplet(q_tokens, pos.tokens, neg.tokens))
     return out

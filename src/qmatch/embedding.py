@@ -169,11 +169,13 @@ def init_amplitudes_from_glove(
     rng = np.random.default_rng(seed)
     pretrained = read_glove_vectors(glove_path, dim) if glove_path else {}
     table = np.empty((len(vocab), dim), dtype=np.float64)
-    for i, token in enumerate(vocab.tokens):
-        if i == 0:
-            table[0] = _pad_row(dim)
-        elif token in pretrained:
+    table[0] = _pad_row(dim)
+    drawn = []
+    for i, token in enumerate(vocab.tokens[1:], start=1):
+        if token in pretrained:
             table[i] = pretrained[token]
         else:
-            table[i] = rng.uniform(-0.25, 0.25, size=dim)
+            drawn.append(i)
+    # one draw fills the rows in vocabulary order, as a draw per row would
+    table[drawn] = rng.uniform(-0.25, 0.25, size=(len(drawn), dim))
     return table

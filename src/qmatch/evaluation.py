@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import QADataset
-from .embedding import Vocabulary, tokenize
+from .embedding import Vocabulary
 from .errors import DataError, NumericError
-from .matcher import forward_batch, score
+from .matcher import represent_batch, score, word_table
 from .model import ParameterSet, TrainerConfig
 
 
@@ -148,18 +148,28 @@ def evaluate(
 ) -> MetricReport:
     """Deterministic MAP/MRR of the model over one split (eval mode).
 
-    Each question is ranked with one forward_batch over the question and
-    its candidates, so ranking a question alone computes exactly what the
-    whole-split pass computes.  Raises NumericError naming the question
-    if a representation or score is not finite.
+    The split's sentences are encoded once and one word table (each
+    distinct word's weight and Born row) is built over all of them; then
+    each question is ranked with one window pass over the question and its
+    candidates.  A word's table row does not depend on the other words in
+    the table, so ranking a question alone computes exactly what the
+    whole-split pass computes.  Raises NumericError naming the question if
+    a representation or score is not finite.
     """
+    if not dataset.questions:
+        raise DataError(f"split {dataset.split!r} has no questions to evaluate")
+    encoded = [
+        [vocab.encode(q.tokens)] + [vocab.encode(c.tokens) for c in q.candidates]
+        for q in dataset.questions
+    ]
+    table = word_table(
+        [ids for sentences in encoded for ids in sentences], params, config
+    )
     results = []
     aps = []
     rrs = []
-    for q in dataset.questions:
-        sentences = [vocab.encode(tokenize(q.text))]
-        sentences += [vocab.encode(tokenize(c.text)) for c in q.candidates]
-        reps, _ = forward_batch(sentences, params, config)
+    for q, sentences in zip(dataset.questions, encoded):
+        reps = represent_batch(sentences, table, config)
         scores = [score(reps[0], rep_a) for rep_a in reps[1:]]
         if not (np.isfinite(reps).all() and np.isfinite(scores).all()):
             raise NumericError(
@@ -178,8 +188,6 @@ def evaluate(
                 question_id=q.question_id, average_precision=ap, reciprocal_rank=rr
             )
         )
-    if not results:
-        raise DataError(f"split {dataset.split!r} has no questions to evaluate")
     return MetricReport(
         split=dataset.split,
         map=float(np.mean(aps)),

@@ -13,18 +13,22 @@ Two equivalent routes compute the measurement probabilities:
   materialises every window's density matrix;
 * ``forward_batch`` uses the factored identity
   <v|rho|v> = sum_i p(w_i) |<v|w_i>|^2, never building rho.  It runs N
-  sentences at once: one product gives the Born table |<v|w>|^2 for the
-  batch's distinct words (its token occurrences under embedding dropout),
-  and one (sizes, tokens, width) array holds every window's softmax, each
-  shifted by its own max norm, so no gap overflows.
+  sentences at once, in two stages.  The word stage gives each distinct
+  word (each token occurrence under embedding dropout) its weight, unit
+  state and Born row |<v|w>|^2 in one product; a row's bits depend on that
+  word alone.  The window stage puts every window's softmax in one
+  (sizes, tokens, width) array, each shifted by its own max norm so no gap
+  overflows, and max-pools each sentence's windows.
 
-The batched factored route is the production path: evaluation ranks a
-question per call, training runs an SGD batch per call, the analytic
-backward pass differentiates its tape, and ``interpret`` reads its match
-maps from the same tape.  ``forward_sentence`` and ``represent`` are
-batches of one, and a sentence's result does not depend on the batch it
-ran in.  The dense route is kept as a reference and the test suite pins
-their agreement.
+The batched factored route is the production path: training runs an SGD
+batch per ``forward_batch`` call, the analytic backward pass
+differentiates its tape, and ``interpret`` reads its match maps from the
+same tape.  Evaluation runs the word stage once per split
+(``word_table``) and the window stage once per question
+(``represent_batch``), with the bits ``forward_batch`` would give.
+``forward_sentence`` and ``represent`` are batches of one, and a
+sentence's result does not depend on the batch it ran in.  The dense route
+is kept as a reference and the test suite pins their agreement.
 """
 
 from __future__ import annotations
@@ -41,6 +45,9 @@ from .model import GLOBAL_MIXTURE, ParameterSet, TrainerConfig
 
 # Row norms below this have no usable direction (see normalize_word).
 _ZERO_NORM = 1e-300
+# Words per word-stage call in word_table: bounds the states and inner
+# products held at once (about 1 MB at n = k = 50) for any split size.
+_TABLE_CHUNK = 512
 
 
 def _keep_probability(
@@ -180,6 +187,93 @@ def _truncate(token_ids: np.ndarray, config: TrainerConfig) -> np.ndarray:
     return ids[: config.max_sentence_len]
 
 
+def _lay_out(
+    id_lists, config: TrainerConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Truncated sentences end to end: (ids (T,), starts (N,), lengths (N,))."""
+    sentences = [_truncate(ids, config) for ids in id_lists]
+    if not sentences:
+        raise DegenerateInputError("a batch needs at least one sentence")
+    lengths = np.array([ids.size for ids in sentences])
+    starts = np.cumsum(lengths) - lengths
+    return np.concatenate(sentences), starts, lengths
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """L2 norm of each row; rows below 1e-150 are scaled by 2**600 first
+    (exact), as in normalize_word, since their squares would go subnormal."""
+    norms = np.linalg.norm(x, axis=1)
+    tiny = norms < 1e-150
+    if tiny.any():
+        norms[tiny] = np.linalg.norm(x[tiny] * 2.0**600, axis=1) * 2.0**-600
+    return norms
+
+
+def _word_stage(amp_eff: np.ndarray, eiph: np.ndarray, measurements: np.ndarray):
+    """Word weights, unit states and Born table of polar word rows.
+
+    Returns (pi, alive, states, inner, inner_sq).  Each output row depends
+    on its own input row only (``matmul_rows`` rounds a row alike at any
+    row count), so a word gets the same bits in any table.
+    """
+    pi = _row_norms(amp_eff)
+    alive = pi >= _ZERO_NORM
+    states = np.empty(amp_eff.shape, dtype=np.complex128)
+    if alive.all():
+        states[:] = (amp_eff / pi[:, None]) * eiph
+    else:
+        safe = np.where(alive, pi, 1.0)
+        states[:] = (amp_eff / safe[:, None]) * eiph
+        states[~alive] = uniform_state(amp_eff.shape[1])
+        pi = np.where(alive, pi, DEGENERATE_WEIGHT)
+    inner = matmul_rows(states, measurements.conj().T)   # (U, k)
+    inner_sq = inner.real**2 + inner.imag**2              # |<v|w>|^2
+    return pi, alive, states, inner, inner_sq
+
+
+def _window_stage(
+    rows: np.ndarray,
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    pi: np.ndarray,
+    inner_sq: np.ndarray,
+    config: TrainerConfig,
+):
+    """Window mixtures and max-pooling over word-table rows.
+
+    Token t of the laid-out sentences reads table row ``rows[t]``.  Returns
+    (pooled (N, R), window_pos, window_weights, window_probs) with the
+    shapes BatchTape documents.
+    """
+    T = rows.size
+    k = inner_sq.shape[1]
+    if config.mixture == GLOBAL_MIXTURE:
+        # one mean per sentence: np.add.reduceat would sum in another order
+        tok_sq = inner_sq[rows]
+        pooled = np.stack(
+            [tok_sq[a : a + L].mean(axis=0) for a, L in zip(starts, lengths)]
+        )
+        no_windows = np.zeros((T, 0), dtype=np.int64)
+        return pooled, no_windows, np.zeros((0, T, 0)), np.zeros((0, T, k))
+    sizes = np.asarray(config.window_sizes)
+    offsets = np.arange(sizes.max())
+    tokens = np.arange(T)
+    ends = np.repeat(starts + lengths, lengths)          # (T,) sentence ends
+    reach = tokens[:, None] + offsets                    # (T, W)
+    window_pos = np.minimum(reach, ends[:, None] - 1)
+    inside = (reach < ends[:, None]) & (offsets < sizes[:, None, None])
+    # softmax over each window's norms, shifted by that window's max
+    window_rows = rows[window_pos]
+    logits = np.where(inside, pi[window_rows], -np.inf)  # (B, T, W)
+    e = np.exp(logits - logits.max(axis=2, keepdims=True))
+    weights = e / e.sum(axis=2, keepdims=True)
+    probs = (weights[:, :, None, :] @ inner_sq[window_rows])[:, :, 0, :]
+    # max-pool each sentence's windows
+    pooled = np.maximum.reduceat(probs, starts, axis=1)
+    pooled = pooled.transpose(1, 0, 2).reshape(lengths.size, sizes.size * k)
+    return pooled, window_pos, weights, probs
+
+
 def forward_batch(
     id_lists,
     params: ParameterSet,
@@ -192,18 +286,11 @@ def forward_batch(
     Dropout masks are drawn sentence by sentence (amplitude rows, then the
     pooled vector), so the random stream is that of N single-sentence calls.
     """
-    sentences = [_truncate(ids, config) for ids in id_lists]
-    if not sentences:
-        raise DegenerateInputError("forward_batch needs at least one sentence")
-    N = len(sentences)
-    lengths = np.array([ids.size for ids in sentences])
-    starts = np.cumsum(lengths) - lengths
-    ids = np.concatenate(sentences)
+    ids, starts, lengths = _lay_out(id_lists, config)
     T = ids.size
     n = params.dim
     k = params.k
-    local = config.mixture != GLOBAL_MIXTURE
-    R = k * len(config.window_sizes) if local else k
+    R = k if config.mixture == GLOBAL_MIXTURE else k * len(config.window_sizes)
 
     keep = _keep_probability(
         config.dropout_rate, config.dropout_is_keep_prob, train, rng
@@ -225,48 +312,12 @@ def forward_batch(
         eiph = eiph[rows]
         rows = np.arange(T)
 
-    pi = np.linalg.norm(amp_eff, axis=1)
-    alive = pi >= _ZERO_NORM
-    states = np.empty(amp_eff.shape, dtype=np.complex128)
-    if alive.all():
-        states[:] = (amp_eff / pi[:, None]) * eiph
-    else:
-        safe = np.where(alive, pi, 1.0)
-        states[:] = (amp_eff / safe[:, None]) * eiph
-        states[~alive] = uniform_state(n)
-        pi = np.where(alive, pi, DEGENERATE_WEIGHT)
-
-    inner = matmul_rows(states, params.measurements.conj().T)   # (U, k)
-    inner_sq = inner.real**2 + inner.imag**2                    # |<v|w>|^2
-
-    if not local:
-        # one mean per sentence: np.add.reduceat would sum in another order
-        tok_sq = inner_sq[rows]
-        pooled = np.stack(
-            [tok_sq[a : a + L].mean(axis=0) for a, L in zip(starts, lengths)]
-        )
-        window_pos = np.zeros((T, 0), dtype=np.int64)
-        weights = np.zeros((0, T, 0))
-        probs = np.zeros((0, T, k))
-    else:
-        sizes = np.asarray(config.window_sizes)
-        B = sizes.size
-        offsets = np.arange(sizes.max())
-        tokens = np.arange(T)
-        ends = np.repeat(starts + lengths, lengths)          # (T,) sentence ends
-        reach = tokens[:, None] + offsets                    # (T, W)
-        window_pos = np.minimum(reach, ends[:, None] - 1)
-        inside = (reach < ends[:, None]) & (offsets < sizes[:, None, None])
-        # softmax over each window's norms, shifted by that window's max
-        window_rows = rows[window_pos]
-        logits = np.where(inside, pi[window_rows], -np.inf)  # (B, T, W)
-        e = np.exp(logits - logits.max(axis=2, keepdims=True))
-        weights = e / e.sum(axis=2, keepdims=True)
-        probs = (weights[:, :, None, :] @ inner_sq[window_rows])[:, :, 0, :]
-        # max-pool each sentence's windows
-        pooled = np.maximum.reduceat(probs, starts, axis=1)
-        pooled = pooled.transpose(1, 0, 2).reshape(N, R)
-
+    pi, alive, states, inner, inner_sq = _word_stage(
+        amp_eff, eiph, params.measurements
+    )
+    pooled, window_pos, weights, probs = _window_stage(
+        rows, starts, lengths, pi, inner_sq, config
+    )
     representation = pooled if pooled_mask is None else pooled * pooled_mask
 
     tape = BatchTape(
@@ -289,6 +340,60 @@ def forward_batch(
         representation=representation,
     )
     return representation, tape
+
+
+@dataclass
+class WordTable:
+    """Eval-mode word quantities over a set of distinct token ids; row j
+    describes ``words[j]``.  Ranking reads nothing else of a word."""
+
+    words: np.ndarray      # (U,) distinct token ids, ascending
+    pi: np.ndarray         # (U,) word weights
+    alive: np.ndarray      # (U,) False where the row degenerated
+    inner_sq: np.ndarray   # (U, k) |<v_k|w>|^2, the Born table
+
+    def rows(self, ids: np.ndarray) -> np.ndarray:
+        """Table row of each id; KeyError if an id is not in the table."""
+        rows = np.searchsorted(self.words, ids)
+        found = self.words[np.minimum(rows, self.words.size - 1)] == ids
+        if not found.all():
+            raise KeyError(f"token ids not in the word table: {ids[~found][:5]}")
+        return rows
+
+
+def word_table(id_lists, params: ParameterSet, config: TrainerConfig) -> WordTable:
+    """The word stage, in eval mode, over the distinct ids of the sentences
+    (truncated to ``max_sentence_len``), run _TABLE_CHUNK words at a time."""
+    ids, _, _ = _lay_out(id_lists, config)
+    words = np.unique(ids)
+    table = WordTable(
+        words=words,
+        pi=np.empty(words.size),
+        alive=np.empty(words.size, dtype=bool),
+        inner_sq=np.empty((words.size, params.k)),
+    )
+    for start in range(0, words.size, _TABLE_CHUNK):
+        rows = slice(start, start + _TABLE_CHUNK)
+        chunk = words[rows]
+        table.pi[rows], table.alive[rows], _, _, table.inner_sq[rows] = _word_stage(
+            params.amplitude[chunk],
+            np.exp(1j * params.phase[chunk]),
+            params.measurements,
+        )
+    return table
+
+
+def represent_batch(
+    id_lists, table: WordTable, config: TrainerConfig
+) -> np.ndarray:
+    """Eval-mode representations (N, R) of sentences whose words ``table``
+    holds: the window stage alone, so each sentence gets the bits that
+    ``forward_batch`` gives it."""
+    ids, starts, lengths = _lay_out(id_lists, config)
+    pooled, *_ = _window_stage(
+        table.rows(ids), starts, lengths, table.pi, table.inner_sq, config
+    )
+    return pooled
 
 
 def forward_sentence(

@@ -20,6 +20,7 @@ from qmatch.data import (
     sample_triplets,
     write_canonical_tsv,
 )
+from qmatch.embedding import tokenize
 from qmatch.errors import DataError, ParseError
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -115,6 +116,30 @@ def test_load_normalizes_whitespace_and_numbers_answers():
     assert [c.label for c in q2.candidates] == [1, 0, 0]
     assert len(q1.positives()) == 1 and len(q1.negatives()) == 1
     assert len(q2.negatives()) == 2
+
+
+def test_load_keeps_each_texts_tokens():
+    ds, _ = load_tsv(fixture("canonical_tiny.tsv"), CANONICAL_FORMAT)
+    for q in ds.questions:
+        assert q.tokens == tokenize(q.text)
+        for c in q.candidates:
+            assert c.tokens == tokenize(c.text)
+
+
+def test_already_tokenised_text_is_not_copied(tmp_path):
+    path = tmp_path / "split.tsv"
+    path.write_text("q1\twho wrote it\tshe wrote it\t1\n", encoding="utf-8")
+    ds, _ = load_tsv(str(path), CANONICAL_FORMAT)
+    (q,) = ds.questions
+    assert q.token_text is q.text
+    assert q.candidates[0].token_text is q.candidates[0].text
+    assert q.candidates[0].tokens == ["she", "wrote", "it"]
+
+
+def test_constructed_groups_tokenize_their_text():
+    group = QuestionGroup("q1", "Who, then?", [CandidateAnswer(0, "It was me.", 1)])
+    assert group.tokens == ["who", "then"]
+    assert group.candidates[0].tokens == ["it", "was", "me"]
 
 
 def test_load_wikiqa_layout():

@@ -209,3 +209,23 @@ def test_init_amplitudes_deterministic_per_seed():
     a = init_amplitudes_from_glove(vocab, 5, seed=9)
     b = init_amplitudes_from_glove(vocab, 5, seed=9)
     assert np.array_equal(a, b)
+
+
+def test_init_amplitudes_draws_rows_in_vocabulary_order(tmp_path):
+    # pretrained tokens interleave with drawn ones, so the one batched draw
+    # must land on the drawn rows in the order a draw per row would take
+    path = tmp_path / "vectors.txt"
+    path.write_text("w1 1 2 3 4\nw4 5 6 7 8\nw5 -1 -2 -3 -4\nw9 0.5 0.5 0.5 0.5\n")
+    vocab = Vocabulary.from_tokens([f"w{i}" for i in range(12)])
+    table = init_amplitudes_from_glove(vocab, 4, seed=17, glove_path=str(path))
+    pretrained = read_glove_vectors(str(path), 4)
+    rng = np.random.default_rng(17)
+    expected = np.empty_like(table)
+    for i, token in enumerate(vocab.tokens):
+        if i == 0:
+            expected[0] = np.full(4, DEGENERATE_WEIGHT / 2.0)
+        elif token in pretrained:
+            expected[i] = pretrained[token]
+        else:
+            expected[i] = rng.uniform(-0.25, 0.25, size=4)
+    assert np.array_equal(table, expected)

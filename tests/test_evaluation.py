@@ -17,6 +17,7 @@ from qmatch.evaluation import (
 )
 from qmatch.data import build_vocab
 from qmatch.model import TrainerConfig, init_parameters
+from qmatch.synthetic import topic_corpus
 
 
 # ---------------------------------------------------------------------------
@@ -153,12 +154,15 @@ def test_evaluate_is_deterministic():
 
 
 def test_ranking_a_question_alone_matches_the_whole_split():
-    ds = oracle_dataset()
-    params, config, vocab = small_setup(ds)
-    whole = evaluate(params, ds, config, vocab)
-    for question, row in zip(ds.questions, whole.per_question):
-        one = QADataset(split="dev", questions=[question])
-        assert evaluate(params, one, config, vocab).per_question == [row]
+    topics, _ = topic_corpus(train_questions=12, dev_questions=2, seed=3)
+    # topic questions share words, and their sentences run past 5 tokens
+    for ds, max_len in ((oracle_dataset(), 40), (topics, 5)):
+        params, config, vocab = small_setup(ds)
+        config = config.with_overrides(max_sentence_len=max_len)
+        whole = evaluate(params, ds, config, vocab)
+        for question, row in zip(ds.questions, whole.per_question):
+            one = QADataset(split="dev", questions=[question])
+            assert evaluate(params, one, config, vocab).per_question == [row]
 
 
 def test_evaluate_rejects_non_finite_representations():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmatch import matcher
 from qmatch.embedding import Vocabulary
 from qmatch.errors import ConfigError, DegenerateInputError, ShapeError
 from qmatch.matcher import (
@@ -10,9 +11,11 @@ from qmatch.matcher import (
     forward_batch,
     forward_sentence,
     represent,
+    represent_batch,
     represent_dense,
     score,
     triplet_loss,
+    word_table,
 )
 from qmatch.model import TrainerConfig, init_parameters
 
@@ -256,8 +259,24 @@ def test_forward_dense_agreement_property(length, seed, norm):
     np.testing.assert_allclose(
         represent(ids, params, config),
         represent_dense(ids, params, config),
+        rtol=0,
         atol=1e-9,
     )
+
+
+@pytest.mark.parametrize("norm", [1e-158, 1e-160])
+def test_tiny_word_norm_matches_dense(norm):
+    # squares of such entries are subnormal: the norm must be rescaled
+    config = small_config()
+    params = make_params(config)
+    params.amplitude[5] *= norm / np.linalg.norm(params.amplitude[5])
+    for ids in (np.array([5]), np.array([5, 5, 9])):
+        np.testing.assert_allclose(
+            represent(ids, params, config),
+            represent_dense(ids, params, config),
+            rtol=0,
+            atol=1e-9,
+        )
 
 
 # ---------------------------------------------- batched and single forward
@@ -302,6 +321,57 @@ def test_forward_batch_equals_represent_per_sentence(overrides):
         assert np.array_equal(view.argmax, single.argmax)
         assert np.array_equal(view.window_weights, single.window_weights)
         assert np.array_equal(view.window_probs, single.window_probs)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"mixture": "global", "window_sizes": (1,)},
+        {"complex_valued": False},
+    ],
+    ids=["local", "global", "real"],
+)
+def test_window_stage_over_a_word_table_equals_forward_batch(overrides):
+    config = small_config(max_sentence_len=6, **overrides)
+    params = make_params(config)
+    params.amplitude[3] = 0.0
+    batch = mixed_batch()
+    reps, tape = forward_batch(batch, params, config)
+    # a table over more words than the batch holds, built in another order
+    table = word_table([np.arange(len(VOCAB))[::-1]] + batch, params, config)
+    assert np.array_equal(represent_batch(batch, table, config), reps)
+    for s, ids in enumerate(batch):
+        assert np.array_equal(represent_batch([ids], table, config)[0], reps[s])
+    # the table's word rows are the tape's, bit for bit
+    rows = table.rows(tape.ids)
+    assert np.array_equal(table.pi[rows], tape.pi[tape.rows])
+    assert np.array_equal(table.inner_sq[rows], tape.inner_sq[tape.rows])
+    assert not table.alive[table.rows(np.array([3]))].any()
+    assert table.alive[table.rows(np.array([0, 5]))].all()
+
+
+def test_word_table_rows_do_not_depend_on_its_chunks(monkeypatch):
+    config = small_config()
+    params = make_params(config)
+    params.amplitude[3] = 0.0
+    every_word = [np.arange(len(VOCAB))]
+    whole = word_table(every_word, params, config)
+    # 26 words in chunks of 5 leave a last chunk of one row
+    monkeypatch.setattr(matcher, "_TABLE_CHUNK", 5)
+    chunked = word_table(every_word, params, config)
+    assert np.array_equal(chunked.pi, whole.pi)
+    assert np.array_equal(chunked.alive, whole.alive)
+    assert np.array_equal(chunked.inner_sq, whole.inner_sq)
+
+
+def test_word_table_covers_only_the_truncated_sentences():
+    config = small_config(max_sentence_len=3)
+    params = make_params(config)
+    table = word_table([np.array([4, 5, 6, 7, 8])], params, config)
+    assert np.array_equal(table.words, [4, 5, 6])
+    with pytest.raises(KeyError):
+        represent_batch([np.array([4, 9])], table, config)
 
 
 def test_forward_batch_draws_dropout_masks_sentence_by_sentence():
