@@ -9,6 +9,15 @@ axiom applied to the induced squared distance
 s(a,a) + s(b,b) - 2 s(a,b); divergence/distance-style measures are
 audited directly.  A violation flag is only raised when a concrete
 counterexample is stored and re-verified beyond tolerance.
+
+An audit of a registered spectral measure draws every trial's matrices
+first and decomposes each matrix once, in one stacked LAPACK call per
+entry of ``dims``: the von Neumann measures reuse each matrix's
+logarithm, and the fidelity measures reuse each matrix's square root and
+stack the per-pair ``sqrt(a) b sqrt(a)`` eigenproblems too.  Every value
+equals the plain pairwise function's to the bit.  Re-verification of a stored
+counterexample always calls the plain function, so it stays independent
+of the stacked path.
 """
 
 from __future__ import annotations
@@ -77,6 +86,24 @@ def _log_density(rho: np.ndarray) -> np.ndarray:
     return matrix_function(rho, np.log, eigen_floor=LOG_EIGEN_FLOOR)
 
 
+def _directed_vn(
+    rho_a: np.ndarray, log_a: np.ndarray, log_b: np.ndarray
+) -> np.ndarray:
+    """tr(rho_a (log_a - log_b)) for one pair or for a stack of pairs."""
+    return np.trace(rho_a @ (log_a - log_b), axis1=-2, axis2=-1).real
+
+
+def _vn_both_ways(rho_a: np.ndarray, rho_b: np.ndarray) -> list[float]:
+    """[vn(a, b), vn(b, a)] from one logarithm of each matrix, both in one
+    stacked call; bit-identical inputs skip the logarithms."""
+    _check_pair(rho_a, rho_b)
+    if np.array_equal(rho_a, rho_b):
+        return [0.0, 0.0]
+    pair = np.stack([rho_a, rho_b])
+    logs = _log_density(pair)
+    return _directed_vn(pair, logs, logs[::-1]).tolist()
+
+
 def vn_divergence(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
     """Relative-entropy style divergence tr(rho_a (log rho_a - log rho_b)).
 
@@ -85,17 +112,33 @@ def vn_divergence(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
     variant).  Asymmetric in its arguments by construction.  Bit-identical
     inputs short-circuit to 0, skipping both matrix logarithms.
     """
-    _check_pair(rho_a, rho_b)
-    if np.array_equal(rho_a, rho_b):
-        return 0.0
-    diff = _log_density(rho_a) - _log_density(rho_b)
-    value = np.trace(rho_a @ diff)
-    return float(value.real)
+    return _vn_both_ways(rho_a, rho_b)[0]
 
 
 def sym_vn(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
-    """Symmetrized divergence: the mean of both directions."""
-    return 0.5 * (vn_divergence(rho_a, rho_b) + vn_divergence(rho_b, rho_a))
+    """Symmetrized divergence: the mean of both directions, which share
+    one logarithm of each matrix."""
+    ab, ba = _vn_both_ways(rho_a, rho_b)
+    return 0.5 * (ab + ba)
+
+
+def _fidelity_order(rho_a: np.ndarray, rho_b: np.ndarray) -> bool | None:
+    """Whether fidelity evaluates the pair as given (False: swapped), or
+    None when the inputs are bit-identical and F is exactly 1."""
+    if rho_a.tobytes() > rho_b.tobytes():
+        return False
+    return None if np.array_equal(rho_a, rho_b) else True
+
+
+def _root_trace(sqrt_a: np.ndarray, rho_b: np.ndarray) -> np.ndarray:
+    """tr sqrt(sqrt_a rho_b sqrt_a) for one pair or for a stack of pairs."""
+    inner = hermitize(sqrt_a @ rho_b @ sqrt_a)
+    root = matrix_function(inner, np.sqrt, eigen_floor=0.0)
+    return np.trace(root, axis1=-2, axis2=-1).real
+
+
+def _fidelity_value(root_trace: float) -> float:
+    return min(max(root_trace ** 2, 0.0), 1.0)
 
 
 def fidelity(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
@@ -108,16 +151,13 @@ def fidelity(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
     bit-identical inputs short-circuit to 1.
     """
     _check_pair(rho_a, rho_b)
-    order = rho_a.tobytes() <= rho_b.tobytes()
+    order = _fidelity_order(rho_a, rho_b)
+    if order is None:
+        return 1.0
     if not order:
         rho_a, rho_b = rho_b, rho_a
-    elif np.array_equal(rho_a, rho_b):
-        return 1.0
     sqrt_a = matrix_function(rho_a, np.sqrt, eigen_floor=0.0)
-    inner = hermitize(sqrt_a @ rho_b @ sqrt_a)
-    root = matrix_function(inner, np.sqrt, eigen_floor=0.0)
-    value = float(np.trace(root).real) ** 2
-    return min(max(value, 0.0), 1.0)
+    return _fidelity_value(float(_root_trace(sqrt_a, rho_b)))
 
 
 def sqrt_fidelity_distance(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
@@ -228,49 +268,129 @@ def _audit_triple(
     a: np.ndarray,
     b: np.ndarray,
     c: np.ndarray,
+    d: dict[str, float] | None = None,
 ) -> None:
-    d_ab, d_ba = fn(a, b), fn(b, a)
-    d_aa, d_bb = fn(a, a), fn(b, b)
+    """Check one trial's axioms.  ``d`` holds the measure values keyed by
+    pair ("ab" is fn(a, b)); without it they come from ``fn``.  Rechecks of
+    a violation always call ``fn``."""
+    if d is None:
+        named = {"a": a, "b": b, "c": c}
+        pairs = ("ab", "ba", "aa", "bb", "ac", "bc")
+        if kind == SIMILARITY:
+            pairs += ("cc",)
+        d = {p: fn(named[p[0]], named[p[1]]) for p in pairs}
 
     report.symmetry.checked += 1
-    gap = abs(d_ab - d_ba)
+    gap = abs(d["ab"] - d["ba"])
     _record(report.symmetry, "symmetry", gap, trial, [a, b],
             lambda: abs(fn(a, b) - fn(b, a)))
 
     if kind == SIMILARITY:
         report.non_negativity.checked += 1
-        _record(report.non_negativity, "non_negativity", -d_ab, trial, [a, b],
+        _record(report.non_negativity, "non_negativity", -d["ab"], trial, [a, b],
                 lambda: -fn(a, b), note="similarity went negative")
         # identity as self-maximum: nothing may beat a matrix's own score
         report.identity.checked += 1
-        gap = max(d_ab - d_aa, d_ab - d_bb)
+        gap = max(d["ab"] - d["aa"], d["ab"] - d["bb"])
         _record(report.identity, "identity", gap, trial, [a, b],
                 lambda: max(fn(a, b) - fn(a, a), fn(a, b) - fn(b, b)),
                 note="cross-similarity exceeds self-similarity")
         # triangle on the induced squared distance; the recheck recomputes
         def induced(x, y):
             return fn(x, x) + fn(y, y) - 2.0 * fn(x, y)
-        d_cc, d_ac, d_bc = fn(c, c), fn(a, c), fn(b, c)
         report.triangle.checked += 1
-        gap = ((d_aa + d_cc - 2.0 * d_ac) - (d_aa + d_bb - 2.0 * d_ab)
-               - (d_bb + d_cc - 2.0 * d_bc))
+        gap = ((d["aa"] + d["cc"] - 2.0 * d["ac"]) - (d["aa"] + d["bb"] - 2.0 * d["ab"])
+               - (d["bb"] + d["cc"] - 2.0 * d["bc"]))
         _record(report.triangle, "triangle", gap, trial, [a, b, c],
                 lambda: induced(a, c) - induced(a, b) - induced(b, c),
                 note="induced squared distance fails subadditivity")
     else:
         report.non_negativity.checked += 1
-        _record(report.non_negativity, "non_negativity", -d_ab, trial, [a, b],
+        _record(report.non_negativity, "non_negativity", -d["ab"], trial, [a, b],
                 lambda: -fn(a, b))
         # identity: d(a,a) must vanish
         report.identity.checked += 1
-        gap = max(abs(d_aa), abs(d_bb))
+        gap = max(abs(d["aa"]), abs(d["bb"]))
         _record(report.identity, "identity", gap, trial, [a, b],
                 lambda: max(abs(fn(a, a)), abs(fn(b, b))),
                 note="nonzero self-distance")
         report.triangle.checked += 1
-        gap = fn(a, c) - d_ab - fn(b, c)
+        gap = d["ac"] - d["ab"] - d["bc"]
         _record(report.triangle, "triangle", gap, trial, [a, b, c],
                 lambda: fn(a, c) - fn(a, b) - fn(b, c))
+
+
+# Ordered pairs of a trial's matrices (a, b, c) = (0, 1, 2): ab, ba, ac, bc
+# first, then the reverses sym_vn needs.
+_DIRECTED = ((0, 1), (1, 0), (0, 2), (1, 2), (2, 0), (2, 1))
+_UNORDERED = ((0, 1), (0, 2), (1, 2))
+
+
+def _vn_table(mats: np.ndarray) -> np.ndarray:
+    """vn_divergence over ``_DIRECTED`` for each trial of an (n, 3, d, d)
+    stack, from one logarithm per matrix."""
+    logs = _log_density(mats)
+    i, j = np.array(_DIRECTED).T
+    values = _directed_vn(mats[:, i], logs[:, i], logs[:, j])
+    same = (mats[:, i] == mats[:, j]).all(axis=(-2, -1))
+    return np.where(same, 0.0, values)
+
+
+def _sym_vn_table(mats: np.ndarray) -> np.ndarray:
+    """sym_vn over ab, ba, ac, bc; (b, a) sums the same two directions as
+    (a, b), and floating-point addition commutes exactly."""
+    vn = _vn_table(mats)
+    return 0.5 * (vn[:, :4] + vn[:, [1, 0, 4, 5]])
+
+
+def _fidelity_table(mats: np.ndarray) -> np.ndarray:
+    """fidelity over ab, ba, ac, bc for each trial of an (n, 3, d, d) stack,
+    from one square root per matrix and one stacked decomposition of every
+    pair's ``sqrt(a) b sqrt(a)``, each pair in fidelity's own order."""
+    out = np.ones((len(mats), len(_UNORDERED)))
+    jobs = []
+    for t, trio in enumerate(mats):
+        for p, (i, j) in enumerate(_UNORDERED):
+            order = _fidelity_order(trio[i], trio[j])
+            if order is not None:
+                jobs.append((t, p, i, j) if order else (t, p, j, i))
+    if jobs:
+        t, p, first, second = np.array(jobs).T
+        sqrts = matrix_function(mats, np.sqrt, eigen_floor=0.0)
+        traces = _root_trace(sqrts[t, first], mats[t, second])
+        out[t, p] = [_fidelity_value(x) for x in traces.tolist()]
+    return out[:, [0, 0, 1, 2]]
+
+
+def _sine_distance_table(mats: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.maximum(0.0, 1.0 - _fidelity_table(mats)))
+
+
+# Registered measures whose audit decomposes each matrix once: the value
+# of a measure on bit-identical inputs, and its table of ab, ba, ac, bc
+# values for an (n, 3, d, d) stack of trials (a, b, c).
+_STACKED: dict[str, tuple[float, Callable[[np.ndarray], np.ndarray]]] = {
+    "vn_divergence": (0.0, lambda mats: _vn_table(mats)[:, :4]),
+    "sym_vn": (0.0, _sym_vn_table),
+    "fidelity": (1.0, _fidelity_table),
+    "sqrt_fidelity_distance": (0.0, _sine_distance_table),
+}
+
+
+def _stacked_values(name: str, triples: list, cycle: int) -> list[dict[str, float]]:
+    """Each trial's measure values keyed by pair, from one table per entry
+    of a ``cycle`` of dimensions (trial t has the dimension of entry
+    t % cycle); every value equals the plain function's to the bit."""
+    self_value, table = _STACKED[name]
+    out: list = [None] * len(triples)
+    for k in range(min(cycle, len(triples))):
+        rows = table(np.array(triples[k::cycle])).tolist()
+        out[k::cycle] = [
+            {"aa": self_value, "bb": self_value, "cc": self_value,
+             "ab": ab, "ba": ba, "ac": ac, "bc": bc}
+            for ab, ba, ac, bc in rows
+        ]
+    return out
 
 
 def audit_metric(
@@ -284,7 +404,10 @@ def audit_metric(
 
     ``metric`` may be a registered name or a callable (then ``kind`` is
     required).  Known seeded counterexamples are injected ahead of the
-    random trials and marked with trial index -1.
+    random trials and marked with trial index -1.  Every trial's matrices
+    are drawn first; a registered spectral measure then takes its values
+    from one decomposition per matrix (``_STACKED``), a callable or the
+    trace inner product from pairwise calls.
     """
     if callable(metric):
         fn = metric
@@ -310,22 +433,25 @@ def audit_metric(
     for a, b, c in _injected_cases(name):
         _audit_triple(report, fn, kind, -1, a, b, c)
     rng = np.random.default_rng(seed)
-    for trial in range(trials):
-        dim = int(dims[trial % len(dims)])
-        a = random_density(rng, dim)
-        b = random_density(rng, dim)
-        c = random_density(rng, dim)
-        _audit_triple(report, fn, kind, trial, a, b, c)
+    triples = [
+        tuple(random_density(rng, int(dims[trial % len(dims)])) for _ in range(3))
+        for trial in range(trials)
+    ]
+    stacked = not callable(metric) and name in _STACKED
+    values = (_stacked_values(name, triples, len(dims)) if stacked
+              else [None] * trials)
+    for trial, ((a, b, c), d) in enumerate(zip(triples, values)):
+        _audit_triple(report, fn, kind, trial, a, b, c, d)
     return report
 
 
 # Informative cost notes for the report table (matrix dimension d).
 _COMPLEXITY_NOTES = {
     "trace_inner_product": "O(d^2) via elementwise product",
-    "vn_divergence": "O(d^3) matrix logarithms",
-    "sym_vn": "O(d^3), two directed divergences",
-    "fidelity": "O(d^3) matrix square roots",
-    "sqrt_fidelity_distance": "O(d^3) matrix square roots",
+    "vn_divergence": "O(d^3), one decomposition per matrix (log)",
+    "sym_vn": "O(d^3), one decomposition per matrix (log), both directions",
+    "fidelity": "O(d^3), one decomposition per matrix (sqrt) and pair",
+    "sqrt_fidelity_distance": "O(d^3), one decomposition per matrix (sqrt) and pair",
 }
 
 _AXIOM_COLUMNS = ("non_negativity", "identity", "symmetry", "triangle")

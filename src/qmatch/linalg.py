@@ -1,11 +1,17 @@
 """Complex linear algebra for small Hermitian problems.
 
 Conventions: vectors are 1-D ``complex128`` arrays, operators are square
-2-D ``complex128`` arrays, and eigenvectors are returned as matrix
-columns.  The eigensolver is LAPACK's Hermitian driver
-(``numpy.linalg.eigh``) behind the package's own contract: a Hermitian
-check, a finiteness check, descending eigenvalues and errors from
-``qmatch.errors``.
+``complex128`` arrays, and eigenvectors are returned as matrix columns.
+The eigensolver is LAPACK's Hermitian driver (``numpy.linalg.eigh``)
+behind the package's own contract: a Hermitian check, a finiteness check,
+descending eigenvalues and errors from ``qmatch.errors``.
+
+``hermitize``, ``hermitian_eig`` and ``matrix_function`` also take a
+``(..., d, d)`` stack and treat every matrix in it as its own problem:
+every check applies matrix by matrix, an error names the first offending
+matrix's stack index, and the whole stack goes to LAPACK in one call.  A
+single ``(d, d)`` matrix is a stack of one, and each matrix's result is
+bit-identical to what it gets alone.
 """
 
 from __future__ import annotations
@@ -22,11 +28,30 @@ from .errors import DomainError, NumericError, ShapeError
 HERMITIAN_ATOL = 1e-8
 
 
-def _as_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
+def _as_square(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"{name} must be square, got shape {a.shape}")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ShapeError(
+            f"matrix must be square or a stack of square matrices, got shape {a.shape}"
+        )
     return a
+
+
+def _dagger(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a.conj(), -1, -2)
+
+
+def _frobenius(a: np.ndarray) -> np.ndarray:
+    """Per-matrix Frobenius norms of a stack, shape ``a.shape[:-2]``."""
+    return np.sqrt(np.add.reduce((a.conj() * a).real, axis=(-2, -1)))
+
+
+def _first(bad: np.ndarray) -> tuple[tuple, str]:
+    """The first matrix a per-matrix mask flags: its stack index and its
+    name, ``matrix`` for a single matrix and ``matrix 3`` (or ``matrix 1, 2``)
+    within a stack."""
+    index = tuple(np.argwhere(bad)[0])
+    return index, " ".join(["matrix", ", ".join(str(i) for i in index)]).rstrip()
 
 
 def outer_product(v: np.ndarray) -> np.ndarray:
@@ -46,79 +71,96 @@ def outer_product(v: np.ndarray) -> np.ndarray:
     )
 
 
-def frobenius_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(a)))
-
-
-def hermitian_deviation(a: np.ndarray) -> float:
-    """Frobenius norm of the anti-Hermitian part, ||A - A^dagger||_F."""
-    a = _as_square(a)
-    return float(np.linalg.norm(a - a.conj().T))
-
-
 def hermitize(a: np.ndarray) -> np.ndarray:
     """Average away roundoff asymmetry: (A + A^dagger) / 2."""
     a = _as_square(a)
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + _dagger(a))
 
 
 @dataclass
 class EigenDecomposition:
-    """Eigenvalues (descending, real) and matching orthonormal columns."""
+    """Eigenvalues (descending, real) and matching orthonormal columns;
+    ``values`` is ``(..., d)`` and ``vectors`` ``(..., d, d)`` for a stack."""
 
     values: np.ndarray
     vectors: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
         v = self.vectors
-        return (v * self.values) @ v.conj().T
+        return (v * self.values[..., None, :]) @ _dagger(v)
+
+
+def _scale(a: np.ndarray) -> np.ndarray:
+    """Each matrix's scale ``max(1, ||A||_F)``, which sets its tolerances."""
+    return np.maximum(1.0, _frobenius(a))
 
 
 def hermitian_eig(a: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix by LAPACK (``numpy.linalg.eigh``).
+    """Eigendecomposition of a Hermitian matrix, or of each matrix in a
+    stack, by LAPACK (``numpy.linalg.eigh``).
 
     Returns eigenvalues sorted descending with eigenvectors as columns.
-    Raises DomainError for non-Hermitian input, and NumericError for
-    non-finite entries (which LAPACK would turn into NaN eigenvalues
-    silently) or when LAPACK reports a failure.
+    Raises DomainError for a non-Hermitian matrix (deviation past
+    ``HERMITIAN_ATOL * max(1, ||A||_F)``), and NumericError for non-finite
+    entries (which LAPACK would turn into NaN eigenvalues silently) or when
+    LAPACK reports a failure.
     """
     a = _as_square(a)
-    if not np.all(np.isfinite(a)):
-        raise NumericError("non-finite entries in matrix passed to hermitian_eig")
-    tol = HERMITIAN_ATOL * max(1.0, frobenius_norm(a))
-    deviation = hermitian_deviation(a)
-    if deviation > tol:
-        raise DomainError(
-            f"matrix is not Hermitian: deviation {deviation:.3e} "
-            f"exceeds tolerance {tol:.3e}"
+    if not np.isfinite(a).all():
+        bad = ~np.isfinite(a).all(axis=(-2, -1))
+        raise NumericError(
+            f"non-finite entries in {_first(bad)[1]} passed to hermitian_eig"
         )
+    dagger = _dagger(a)
+    deviation = _frobenius(a - dagger)
+    # every tolerance is at least HERMITIAN_ATOL, so norms are needed only
+    # when some deviation passes that
+    if (deviation > HERMITIAN_ATOL).any():
+        tol = HERMITIAN_ATOL * _scale(a)
+        bad = deviation > tol
+        if bad.any():
+            i, name = _first(bad)
+            raise DomainError(
+                f"{name} is not Hermitian: deviation {deviation[i]:.3e} "
+                f"exceeds tolerance {tol[i]:.3e}"
+            )
     try:
-        values, vectors = np.linalg.eigh(hermitize(a))
+        values, vectors = np.linalg.eigh(0.5 * (a + dagger))
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolver failed: {exc}") from exc
-    return EigenDecomposition(values=values[::-1], vectors=vectors[:, ::-1])
+    return EigenDecomposition(values=values[..., ::-1], vectors=vectors[..., ::-1])
 
 
 def matrix_function(
     a: np.ndarray, f: Callable[[np.ndarray], np.ndarray], eigen_floor: float = 0.0
 ) -> np.ndarray:
-    """Apply a scalar function to a Hermitian PSD matrix via its spectrum.
+    """Apply a scalar function to a Hermitian PSD matrix (or to each matrix
+    of a stack) via its spectrum.
 
-    Eigenvalues are clamped from below at ``eigen_floor`` before f is
-    applied, which regularises log/inverse-style functions on nearly
-    singular input.  The result is V f(Lambda) V^dagger.
+    Raises DomainError when an eigenvalue lies below
+    ``-HERMITIAN_ATOL * max(1, ||A||_F)``.  Eigenvalues are clamped from
+    below at ``eigen_floor`` before f is applied, which regularises
+    log/inverse-style functions on nearly singular input.  The result is
+    V f(Lambda) V^dagger.
     """
     eig = hermitian_eig(a)
-    norm = max(1.0, frobenius_norm(a))
-    if eig.values.min() < -HERMITIAN_ATOL * norm:
-        raise DomainError(
-            f"matrix is not positive semidefinite: min eigenvalue {eig.values.min():.3e}"
+    smallest = eig.values.min(axis=-1)
+    # as in hermitian_eig: a scale is needed only past -HERMITIAN_ATOL
+    if (smallest < -HERMITIAN_ATOL).any():
+        bad = smallest < -HERMITIAN_ATOL * _scale(_as_square(a))
+        if bad.any():
+            i, name = _first(bad)
+            raise DomainError(
+                f"{name} is not positive semidefinite: min eigenvalue "
+                f"{smallest[i]:.3e}"
+            )
+    fvals = np.asarray(f(np.maximum(eig.values, eigen_floor)), dtype=np.float64)
+    if not np.isfinite(fvals).all():
+        bad = ~np.isfinite(fvals).all(axis=-1)
+        raise NumericError(
+            f"matrix function produced non-finite eigenvalues for {_first(bad)[1]}"
         )
-    clamped = np.maximum(eig.values, eigen_floor)
-    fvals = np.asarray(f(clamped), dtype=np.float64)
-    if not np.all(np.isfinite(fvals)):
-        raise NumericError("matrix function produced non-finite eigenvalues")
-    return (eig.vectors * fvals) @ eig.vectors.conj().T
+    return (eig.vectors * fvals[..., None, :]) @ _dagger(eig.vectors)
 
 
 def complex_add_polar(
@@ -126,11 +168,14 @@ def complex_add_polar(
 ) -> tuple[float, float]:
     """Add two complex numbers given in polar form, returning polar form.
 
-    Magnitude: r = sqrt(r1^2 + r2^2 + 2 r1 r2 cos(theta2 - theta1)),
-    evaluated in the half-angle form (r1+r2)^2 - 4 r1 r2 sin^2(d/2) so
-    that aligned phases degenerate to plain real addition without
-    roundoff.  Angle: atan2 of the rectangular components; a zero-length
-    result takes theta = 0 by convention.
+    Magnitude: r = sqrt(r1^2 + r2^2 + 2 r1 r2 cos(d)), d = theta2 - theta1,
+    evaluated in the half-angle form (r1+r2)^2 - 4 r1 r2 sin^2(d/2) while
+    cos(d) >= 0, so that aligned phases degenerate to plain real addition
+    without roundoff.  Past that the form would cancel, so near-opposite
+    phases use (r1-r2)^2 + 4 r1 r2 cos^2(d/2), a sum of non-negative
+    terms with cos(d/2) taken as sin((pi - d)/2).  Angle: atan2 of the
+    rectangular components; a zero-length result takes theta = 0 by
+    convention.
     """
     for name, r in (("r1", r1), ("r2", r2)):
         if r < 0.0 or not math.isfinite(r):
@@ -138,7 +183,12 @@ def complex_add_polar(
     if not (math.isfinite(theta1) and math.isfinite(theta2)):
         raise DomainError("phases must be finite")
     delta = theta2 - theta1
-    radicand = (r1 + r2) ** 2 - 4.0 * r1 * r2 * math.sin(0.5 * delta) ** 2
+    half_sin_sq = math.sin(0.5 * delta) ** 2
+    if half_sin_sq <= 0.5:
+        radicand = (r1 + r2) ** 2 - 4.0 * r1 * r2 * half_sin_sq
+    else:
+        half_cos = math.sin(0.5 * (math.pi - delta))
+        radicand = (r1 - r2) ** 2 + 4.0 * r1 * r2 * half_cos**2
     r = math.sqrt(max(radicand, 0.0))
     if r == 0.0:
         return 0.0, 0.0

@@ -145,12 +145,21 @@ class TrainResult:
 
 
 def _encode_triplets(
-    triplets: list[Triplet], vocab: Vocabulary
+    triplets: list[Triplet], vocab: Vocabulary, ids: dict[tuple[str, ...], np.ndarray]
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    return [
-        (vocab.encode(t.question), vocab.encode(t.positive), vocab.encode(t.negative))
-        for t in triplets
-    ]
+    """Each triplet's token ids.  ``ids`` keeps every text's ids for the
+    whole run, so a text is encoded once per ``train()``, not once per
+    triplet per epoch; the arrays are shared and must not be written."""
+
+    def encode(tokens: list[str]) -> np.ndarray:
+        key = tuple(tokens)
+        found = ids.get(key)
+        if found is None:
+            found = ids[key] = vocab.encode(tokens)
+        return found
+
+    return [(encode(t.question), encode(t.positive), encode(t.negative))
+            for t in triplets]
 
 
 def train(
@@ -175,10 +184,13 @@ def train(
     best_map: float | None = None
     best_epoch = 0
     history: list[EpochRecord] = []
+    encoded: dict[tuple[str, ...], np.ndarray] = {}
 
     for epoch in range(1, config.epochs + 1):
         epoch_seed = int(sampling.integers(0, 2**63))
-        triplets = _encode_triplets(sample_triplets(train_set, epoch_seed), vocab)
+        triplets = _encode_triplets(
+            sample_triplets(train_set, epoch_seed), vocab, encoded
+        )
         order = sampling.permutation(len(triplets))
         losses = []
         for batch_no, start in enumerate(range(0, len(order), config.batch_size)):

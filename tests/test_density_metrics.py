@@ -190,6 +190,28 @@ def test_sym_vn_is_the_mean_of_both_directions():
     assert sym_vn(a, b) == sym_vn(b, a)
 
 
+def count_decompositions(monkeypatch):
+    """Wrap density_metrics.matrix_function; returns the number of matrices
+    each call decomposed."""
+    counts = []
+    original = density_metrics.matrix_function
+
+    def counting(a, *args, **kwargs):
+        counts.append(int(np.prod(np.shape(a)[:-2])))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(density_metrics, "matrix_function", counting)
+    return counts
+
+
+def test_sym_vn_takes_each_logarithm_once(monkeypatch):
+    a, b = random_pair(9)
+    expected = 0.5 * (vn_divergence(a, b) + vn_divergence(b, a))
+    counts = count_decompositions(monkeypatch)
+    assert sym_vn(a, b) == expected
+    assert counts == [2]  # one stacked call for log a and log b
+
+
 # ---------------------------------------------------------------------------
 # fidelity
 
@@ -340,6 +362,64 @@ def test_audit_rejects_bad_arguments():
         audit_metric("fidelity", trials=0)
     with pytest.raises(DomainError, match="dims"):
         audit_metric("fidelity", trials=5, dims=(1,))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11])
+@pytest.mark.parametrize("name", sorted(METRIC_FNS))
+def test_stacked_audit_equals_the_pairwise_oracle(name, seed):
+    # a callable audit evaluates every pair with the plain function; the
+    # registered name decomposes each matrix once (d = 9 also sums traces
+    # past numpy's 8-element pairwise-summation block)
+    dims = (2, 3, 4, 9)
+    stacked = audit_metric(name, trials=40, dims=dims, seed=seed)
+    pairwise = audit_metric(METRIC_FNS[name], trials=40, dims=dims, seed=seed,
+                            kind=METRIC_KINDS[name])
+
+    def payload(report):
+        out = report_to_dict(report)
+        del out["metric"]
+        return json.dumps(out, sort_keys=True)
+
+    def every_violation(report):
+        return [(axiom, v.gap, v.trial, [m.tobytes() for m in v.matrices])
+                for axiom in ("non_negativity", "identity", "symmetry", "triangle")
+                for v in report.axiom(axiom).violations]
+
+    assert payload(stacked) == payload(pairwise)
+    assert every_violation(stacked) == every_violation(pairwise)
+
+
+@pytest.mark.parametrize(
+    "name, calls",
+    [("vn_divergence", [90, 90]), ("sym_vn", [90, 90]),
+     ("fidelity", [90, 90, 90, 90]), ("sqrt_fidelity_distance", [90, 90, 90, 90])],
+)
+def test_stacked_audit_decomposes_each_matrix_once(monkeypatch, name, calls):
+    # 30 trials per dimension, 3 matrices (and, for fidelity, 3 pairs) a
+    # trial; the plain function is stubbed out so no recheck decomposes
+    monkeypatch.setitem(METRIC_FNS, name, lambda a, b: 0.0)
+    counts = count_decompositions(monkeypatch)
+    audit_metric(name, trials=60, dims=(2, 3), seed=0)
+    assert counts == calls
+
+
+def test_stacked_audit_rechecks_with_the_plain_function(monkeypatch):
+    assert audit_metric("vn_divergence", trials=20, seed=2).symmetry.violated
+    # a plain function that sees no asymmetry leaves no violation standing,
+    # although the stacked values show one on every trial
+    monkeypatch.setitem(METRIC_FNS, "vn_divergence", lambda a, b: 0.0)
+    report = audit_metric("vn_divergence", trials=20, seed=2)
+    assert report.symmetry.checked == 20
+    assert not report.symmetry.violated
+
+
+def test_vn_symmetry_violations_reproduce_through_the_plain_path():
+    report = audit_metric("vn_divergence", trials=30, seed=2)
+    fn = METRIC_FNS["vn_divergence"]
+    assert len(report.symmetry.violations) > 10
+    for violation in report.symmetry.violations:
+        a, b = violation.matrices
+        assert violation.gap == abs(fn(a, b) - fn(b, a))
 
 
 # ---------------------------------------------------------------------------

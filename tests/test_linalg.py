@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmatch import linalg
@@ -153,6 +153,70 @@ def test_matrix_function_rejects_indefinite():
         linalg.matrix_function(np.diag([1.0, -0.5]).astype(complex), np.sqrt)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 16])
+def test_stacked_calls_equal_per_matrix_calls_to_the_bit(d):
+    rng = np.random.default_rng(d)
+    stack = np.array([[random_psd(d, rng) for _ in range(3)] for _ in range(2)])
+    eig = linalg.hermitian_eig(stack)
+    rebuilt = eig.reconstruct()
+    roots = linalg.matrix_function(stack, np.sqrt)
+    logs = linalg.matrix_function(stack, np.log, eigen_floor=1e-12)
+    assert eig.values.shape == (2, 3, d) and eig.vectors.shape == (2, 3, d, d)
+    for i in np.ndindex(2, 3):
+        alone = linalg.hermitian_eig(stack[i])
+        np.testing.assert_array_equal(eig.values[i], alone.values)
+        np.testing.assert_array_equal(eig.vectors[i], alone.vectors)
+        np.testing.assert_array_equal(rebuilt[i], alone.reconstruct())
+        np.testing.assert_array_equal(
+            roots[i], linalg.matrix_function(stack[i], np.sqrt)
+        )
+        np.testing.assert_array_equal(
+            logs[i], linalg.matrix_function(stack[i], np.log, eigen_floor=1e-12)
+        )
+    np.testing.assert_array_equal(
+        linalg.hermitize(stack)[1, 2], linalg.hermitize(stack[1, 2])
+    )
+
+
+def _spoil(stack, index, fault):
+    if fault == "non-hermitian":
+        stack[index][0, 1] += 1.0
+    elif fault == "non-finite":
+        stack[index][1, 1] = np.nan
+    elif fault == "indefinite":
+        stack[index] = np.diag([1.0, -0.5, 0.2])
+    else:  # eigenvalues the function maps to infinity
+        stack[index] = 100.0 * np.eye(3)
+
+
+def _inf_above_fifty(x):
+    return np.where(x > 50.0, np.inf, x)
+
+
+@pytest.mark.parametrize(
+    "fault, error, message",
+    [
+        ("non-hermitian", DomainError, "{} is not Hermitian"),
+        ("non-finite", NumericError, "non-finite entries in {} passed"),
+        ("indefinite", DomainError, "{} is not positive semidefinite"),
+        ("function", NumericError, "non-finite eigenvalues for {}$"),
+    ],
+)
+@pytest.mark.parametrize(
+    "shape, index, name",
+    [((5,), (3,), "matrix 3"), ((2, 3), (1, 2), "matrix 1, 2"), ((), (), "matrix")],
+)
+def test_stack_errors_name_the_offending_matrix(
+    fault, error, message, shape, index, name
+):
+    rng = np.random.default_rng(4)
+    stack = np.array([random_psd(3, rng) for _ in range(int(np.prod(shape)))])
+    stack = stack.reshape(shape + (3, 3))
+    _spoil(stack, index, fault)
+    with pytest.raises(error, match=message.format(name)):
+        linalg.matrix_function(stack, _inf_above_fifty)
+
+
 def test_add_polar_aligned_is_exact_real_addition():
     rng = np.random.default_rng(7)
     for _ in range(500):
@@ -190,6 +254,9 @@ def test_add_polar_rejects_nan_phase():
     r2=st.floats(0.0, 5.0),
     t2=st.floats(-math.pi, math.pi),
 )
+# nearly opposite equal magnitudes: the half-angle form cancelled to r = 0
+@example(r1=1.0, t1=1.3769461108484481e-11, r2=1.0, t2=math.pi)
+@example(r1=2.0, t1=-math.pi, r2=2.0, t2=1e-9)
 @settings(max_examples=300)
 def test_add_polar_matches_rectangular(r1, t1, r2, t2):
     z = r1 * complex(math.cos(t1), math.sin(t1)) + r2 * complex(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qmatch.embedding import Vocabulary
 from qmatch.errors import ConfigError, NumericError
 from qmatch.evaluation import evaluate
 from qmatch.model import GradientSet, ParameterSet, TrainerConfig
@@ -200,6 +201,22 @@ def test_train_is_deterministic_to_the_byte():
     assert [r.mean_loss for r in a.history] == [r.mean_loss for r in b.history]
     c = train(ds, ds, small_config(epochs=3, seed=4))
     assert params_bytes(a.final_params) != params_bytes(c.final_params)
+
+
+def test_train_encodes_each_text_once(monkeypatch):
+    ds = toy_corpus(num_questions=3)
+    expected = train(ds, None, small_config(epochs=4))
+    calls = []
+    original = Vocabulary.encode
+
+    def counting(self, words):
+        calls.append(tuple(words))
+        return original(self, words)
+
+    monkeypatch.setattr(Vocabulary, "encode", counting)
+    result = train(ds, None, small_config(epochs=4))
+    assert calls and len(calls) == len(set(calls))
+    assert params_bytes(result.final_params) == params_bytes(expected.final_params)
 
 
 def test_train_returns_snapshot_of_best_dev_epoch():
