@@ -3,21 +3,21 @@ empirical axiom auditor.
 
 The auditor samples random density-matrix triples and checks the four
 classical axioms (non-negativity, identity of indiscernibles, symmetry,
-triangle inequality).  Similarity-style measures are audited with
-identity read as self-maximum — s(a,a) >= s(a,b) — and the triangle
-axiom applied to the induced squared distance
-s(a,a) + s(b,b) - 2 s(a,b); divergence/distance-style measures are
-audited directly.  A violation flag is only raised when a concrete
-counterexample is stored and re-verified beyond tolerance.
+triangle inequality) from one table per kind of measure, which gives each
+axiom's gap formula over the pairs of matrices it reads.  Similarity-style
+measures read identity as self-maximum — s(a,a) >= s(a,b) — and apply the
+triangle axiom to the induced squared distance s(a,a) + s(b,b) - 2 s(a,b);
+divergence/distance-style measures are audited directly.  A violation is
+stored only with a concrete counterexample whose gap, recomputed by the
+same formula from plain pairwise calls, is past tolerance too.
 
 An audit of a registered spectral measure draws every trial's matrices
 first and decomposes each matrix once, in one stacked LAPACK call per
 entry of ``dims``: the von Neumann measures reuse each matrix's
 logarithm, and the fidelity measures reuse each matrix's square root and
 stack the per-pair ``sqrt(a) b sqrt(a)`` eigenproblems too.  Every value
-equals the plain pairwise function's to the bit.  Re-verification of a stored
-counterexample always calls the plain function, so it stays independent
-of the stacked path.
+equals the plain pairwise function's to the bit, and the recheck of a
+counterexample stays independent of the stacked path.
 """
 
 from __future__ import annotations
@@ -249,15 +249,32 @@ def _injected_cases(metric_name: str) -> list[tuple[np.ndarray, np.ndarray, np.n
     return [_two_state_family(0.75)]
 
 
-def _record(result: AxiomResult, axiom: str, gap: float, trial: int,
-            matrices: list[np.ndarray], recheck: Callable[[], float],
-            note: str = "") -> None:
-    """Store a violation only if re-evaluation reproduces it past tolerance."""
-    if gap > AUDIT_TOL and recheck() > AUDIT_TOL:
-        result.violations.append(
-            AxiomViolation(axiom=axiom, gap=gap, trial=trial,
-                           matrices=[m.copy() for m in matrices], note=note)
-        )
+# The axioms of each kind: (axiom, the pairs it reads, its gap over those
+# pairs' values in that order, note).  Pair "ab" is fn(a, b) of a trial's
+# matrices (a, b, c); a gap past AUDIT_TOL is a violation.
+_Axiom = tuple[str, tuple[str, ...], Callable[..., float], str]
+
+_SIMILARITY_AXIOMS: tuple[_Axiom, ...] = (
+    ("symmetry", ("ab", "ba"), lambda ab, ba: abs(ab - ba), ""),
+    ("non_negativity", ("ab",), lambda ab: -ab, "similarity went negative"),
+    # identity as self-maximum: nothing may beat a matrix's own score
+    ("identity", ("ab", "aa", "bb"), lambda ab, aa, bb: max(ab - aa, ab - bb),
+     "cross-similarity exceeds self-similarity"),
+    # triangle on the induced squared distance s(x,x) + s(y,y) - 2 s(x,y)
+    ("triangle", ("aa", "bb", "cc", "ab", "ac", "bc"),
+     lambda aa, bb, cc, ab, ac, bc: ((aa + cc - 2.0 * ac) - (aa + bb - 2.0 * ab)
+                                     - (bb + cc - 2.0 * bc)),
+     "induced squared distance fails subadditivity"),
+)
+
+_DISTANCE_AXIOMS: tuple[_Axiom, ...] = (
+    ("symmetry", ("ab", "ba"), lambda ab, ba: abs(ab - ba), ""),
+    ("non_negativity", ("ab",), lambda ab: -ab, ""),
+    # identity: d(a,a) must vanish
+    ("identity", ("aa", "bb"), lambda aa, bb: max(abs(aa), abs(bb)),
+     "nonzero self-distance"),
+    ("triangle", ("ab", "ac", "bc"), lambda ab, ac, bc: ac - ab - bc, ""),
+)
 
 
 def _audit_triple(
@@ -271,53 +288,27 @@ def _audit_triple(
     d: dict[str, float] | None = None,
 ) -> None:
     """Check one trial's axioms.  ``d`` holds the measure values keyed by
-    pair ("ab" is fn(a, b)); without it they come from ``fn``.  Rechecks of
-    a violation always call ``fn``."""
+    pair; without it they come from ``fn``.  A violation is stored only if
+    its gap, recomputed from fresh ``fn`` calls on the same pairs, is past
+    tolerance too."""
+    named = {"a": a, "b": b, "c": c}
+    axioms = _SIMILARITY_AXIOMS if kind == SIMILARITY else _DISTANCE_AXIOMS
+
+    def values(pairs):
+        return [fn(named[x], named[y]) for x, y in pairs]
+
     if d is None:
-        named = {"a": a, "b": b, "c": c}
-        pairs = ("ab", "ba", "aa", "bb", "ac", "bc")
-        if kind == SIMILARITY:
-            pairs += ("cc",)
-        d = {p: fn(named[p[0]], named[p[1]]) for p in pairs}
-
-    report.symmetry.checked += 1
-    gap = abs(d["ab"] - d["ba"])
-    _record(report.symmetry, "symmetry", gap, trial, [a, b],
-            lambda: abs(fn(a, b) - fn(b, a)))
-
-    if kind == SIMILARITY:
-        report.non_negativity.checked += 1
-        _record(report.non_negativity, "non_negativity", -d["ab"], trial, [a, b],
-                lambda: -fn(a, b), note="similarity went negative")
-        # identity as self-maximum: nothing may beat a matrix's own score
-        report.identity.checked += 1
-        gap = max(d["ab"] - d["aa"], d["ab"] - d["bb"])
-        _record(report.identity, "identity", gap, trial, [a, b],
-                lambda: max(fn(a, b) - fn(a, a), fn(a, b) - fn(b, b)),
-                note="cross-similarity exceeds self-similarity")
-        # triangle on the induced squared distance; the recheck recomputes
-        def induced(x, y):
-            return fn(x, x) + fn(y, y) - 2.0 * fn(x, y)
-        report.triangle.checked += 1
-        gap = ((d["aa"] + d["cc"] - 2.0 * d["ac"]) - (d["aa"] + d["bb"] - 2.0 * d["ab"])
-               - (d["bb"] + d["cc"] - 2.0 * d["bc"]))
-        _record(report.triangle, "triangle", gap, trial, [a, b, c],
-                lambda: induced(a, c) - induced(a, b) - induced(b, c),
-                note="induced squared distance fails subadditivity")
-    else:
-        report.non_negativity.checked += 1
-        _record(report.non_negativity, "non_negativity", -d["ab"], trial, [a, b],
-                lambda: -fn(a, b))
-        # identity: d(a,a) must vanish
-        report.identity.checked += 1
-        gap = max(abs(d["aa"]), abs(d["bb"]))
-        _record(report.identity, "identity", gap, trial, [a, b],
-                lambda: max(abs(fn(a, a)), abs(fn(b, b))),
-                note="nonzero self-distance")
-        report.triangle.checked += 1
-        gap = d["ac"] - d["ab"] - d["bc"]
-        _record(report.triangle, "triangle", gap, trial, [a, b, c],
-                lambda: fn(a, c) - fn(a, b) - fn(b, c))
+        pairs = list(dict.fromkeys(p for _, read, _, _ in axioms for p in read))
+        d = dict(zip(pairs, values(pairs)))
+    for axiom, pairs, gap_of, note in axioms:
+        result = report.axiom(axiom)
+        result.checked += 1
+        gap = gap_of(*(d[p] for p in pairs))
+        if gap > AUDIT_TOL and gap_of(*values(pairs)) > AUDIT_TOL:
+            matrices = [named[m].copy() for m in sorted(set("".join(pairs)))]
+            result.violations.append(AxiomViolation(
+                axiom=axiom, gap=gap, trial=trial, matrices=matrices, note=note
+            ))
 
 
 # Ordered pairs of a trial's matrices (a, b, c) = (0, 1, 2): ab, ba, ac, bc

@@ -22,6 +22,8 @@ UNK_TOKEN = "<unk>"
 
 # Norm given to structurally-empty states (padding row, all-zero vectors).
 DEGENERATE_WEIGHT = 1e-8
+# Norms below this have no usable direction.
+ZERO_NORM = 1e-300
 
 _STRIP_CHARS = string.punctuation + string.whitespace
 
@@ -98,6 +100,16 @@ def uniform_state(dim: int) -> np.ndarray:
     return np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)
 
 
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """L2 norm of each row; rows below 1e-150 are scaled by 2**600 first
+    (exact), since the squares of their entries would go subnormal."""
+    norms = np.linalg.norm(x, axis=1)
+    tiny = norms < 1e-150
+    if tiny.any():
+        norms[tiny] = np.linalg.norm(x[tiny] * 2.0**600, axis=1) * 2.0**-600
+    return norms
+
+
 def normalize_word(vector: np.ndarray) -> WordState:
     """Split a raw word vector into a unit state and its norm.
 
@@ -108,12 +120,8 @@ def normalize_word(vector: np.ndarray) -> WordState:
     vector = np.asarray(vector, dtype=np.complex128)
     if vector.ndim != 1 or vector.size == 0:
         raise ShapeError(f"expected a non-empty vector, got shape {vector.shape}")
-    weight = float(np.linalg.norm(vector))
-    if weight < 1e-150:
-        # squares of entries this small are subnormal and lose bits;
-        # scaling by a power of two is exact
-        weight = float(np.linalg.norm(vector * 2.0**600)) * 2.0**-600
-    if weight < 1e-300:
+    weight = float(row_norms(vector[None, :])[0])
+    if weight < ZERO_NORM:
         return WordState(state=uniform_state(vector.size), weight=DEGENERATE_WEIGHT)
     return WordState(state=vector / weight, weight=weight)
 

@@ -14,11 +14,11 @@ dL/dRe(z) + i*dL/dIm(z), which makes the two bilinear rules
 the only complex calculus needed.
 
 ``backward_batch`` differentiates a whole ``forward_batch`` tape in one
-pass; ``batch_grad`` runs one SGD batch of triplets through both, and the
-single-triplet and single-sentence calls are batches of one.  Token
-gradients reach the amplitude and phase rows in sentence order and, within
-a sentence, in token order, so a batch's sums equal those of its triplets
-accumulated one by one in the same order.
+pass, and ``batch_grad`` runs one SGD batch of triplets through both.
+Token gradients reach the amplitude and phase rows in sentence order and,
+within a sentence, in token order, so a batch's sums equal those of its
+triplets accumulated one by one in the same order.  ``triplet_grad`` and
+``backward_sentence`` are batches of one that only tests and the tracer call.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import numpy as np
 
 from .matcher import (
     BatchTape,
-    SentenceTape,
     forward_batch,
     matmul_rows,
     score,
@@ -151,32 +150,14 @@ def backward_batch(
 
 def backward_sentence(
     g_rep: np.ndarray,
-    tape: SentenceTape,
+    tape: BatchTape,
     params: ParameterSet,
     config: TrainerConfig,
     grads: GradientSet,
 ) -> None:
-    """Accumulate dLoss/dParams for one sentence into ``grads``."""
-    backward_batch(g_rep[None, :], tape.batch, [tape.index], params, config, grads)
-
-
-def triplet_forward(
-    question: np.ndarray,
-    positive: np.ndarray,
-    negative: np.ndarray,
-    params: ParameterSet,
-    config: TrainerConfig,
-    train: bool = False,
-    rng: np.random.Generator | None = None,
-) -> tuple[float, float, float, SentenceTape, SentenceTape, SentenceTape]:
-    """Shared-question triplet pass; returns loss, both scores and tapes."""
-    reps, tape = forward_batch(
-        [question, positive, negative], params, config, train, rng
-    )
-    s_pos = score(reps[0], reps[1])
-    s_neg = score(reps[0], reps[2])
-    loss = triplet_loss(s_pos, s_neg, config.margin)
-    return loss, s_pos, s_neg, tape.sentence(0), tape.sentence(1), tape.sentence(2)
+    """Accumulate dLoss/dParams of the tape's sentence 0 into ``grads``.
+    The package never calls it: ``bench/tracing.py`` wraps it by name."""
+    backward_batch(g_rep[None, :], tape, [0], params, config, grads)
 
 
 def batch_grad(
@@ -220,7 +201,8 @@ def triplet_grad(
     rng: np.random.Generator | None = None,
     grads: GradientSet | None = None,
 ) -> tuple[float, GradientSet]:
-    """Loss and accumulated gradients for one (q, a+, a-) triplet."""
+    """Loss and accumulated gradients for one (q, a+, a-) triplet.  Training
+    calls ``batch_grad``; this stays because ``bench/tracing.py`` wraps it."""
     if grads is None:
         grads = GradientSet.zeros_like(params)
     losses, grads = batch_grad(

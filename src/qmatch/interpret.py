@@ -9,7 +9,7 @@ import numpy as np
 
 from .embedding import PAD_TOKEN, UNK_TOKEN, Vocabulary, normalize_word, tokenize
 from .errors import DegenerateInputError
-from .matcher import forward_sentence, score
+from .matcher import forward_batch, score
 from .model import GLOBAL_MIXTURE, ParameterSet, TrainerConfig
 
 
@@ -60,10 +60,10 @@ def _window_features(
     Under the global mixture there is one window, the whole sentence: its
     column is the representation and its weights are uniform.
     """
-    _, tape = forward_sentence(token_ids, params, config)
+    _, tape = forward_batch([token_ids], params, config)
     L = tape.ids.size
     if config.mixture == GLOBAL_MIXTURE:
-        return [(tape.representation[None, :], [np.full(L, 1.0 / L)])]
+        return [(tape.representation, [np.full(L, 1.0 / L)])]
     return [
         (probs, [weights[j, : min(width, L - j)] for j in range(L)])
         for width, probs, weights in zip(

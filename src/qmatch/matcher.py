@@ -20,15 +20,15 @@ Two equivalent routes compute the measurement probabilities:
   (sizes, tokens, width) array, each shifted by its own max norm so no gap
   overflows, and max-pools each sentence's windows.
 
-The batched factored route is the production path: training runs an SGD
-batch per ``forward_batch`` call, the analytic backward pass
-differentiates its tape, and ``interpret`` reads its match maps from the
-same tape.  Evaluation runs the word stage once per split
-(``word_table``) and the window stage once per question
+The batched factored route is the production path and ``BatchTape`` its
+one tape: training runs an SGD batch per ``forward_batch`` call, the
+analytic backward pass differentiates its tape, and ``interpret`` reads
+its match maps from a batch-of-one tape.  Evaluation runs the word stage
+once per split (``word_table``) and the window stage once per question
 (``represent_batch``), with the bits ``forward_batch`` would give.
-``forward_sentence`` and ``represent`` are batches of one, and a
-sentence's result does not depend on the batch it ran in.  The dense route
-is kept as a reference and the test suite pins their agreement.
+``represent`` is a batch of one, and a sentence's result does not depend
+on the batch it ran in.  The dense route is kept as a reference and the
+test suite pins their agreement.
 """
 
 from __future__ import annotations
@@ -38,32 +38,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mixture
-from .embedding import DEGENERATE_WEIGHT, WordState, uniform_state
+from .embedding import (
+    DEGENERATE_WEIGHT,
+    ZERO_NORM,
+    WordState,
+    row_norms,
+    uniform_state,
+)
 from .errors import ConfigError, DegenerateInputError, ShapeError
 from .measurement import MeasurementSet, max_pool, measure_all
 from .model import GLOBAL_MIXTURE, ParameterSet, TrainerConfig
 
-# Row norms below this have no usable direction (see normalize_word).
-_ZERO_NORM = 1e-300
 # Words per word-stage call in word_table: bounds the states and inner
 # products held at once (about 1 MB at n = k = 50) for any split size.
 _TABLE_CHUNK = 512
 
 
 def _keep_probability(
-    rate: float, is_keep_prob: bool, train: bool, rng: np.random.Generator | None
+    config: TrainerConfig, train: bool, rng: np.random.Generator | None
 ) -> float:
-    """Validated keep probability; 1.0 when nothing is dropped."""
-    if is_keep_prob:
-        if not 0.0 < rate <= 1.0:
-            raise ConfigError(f"keep probability must be in (0, 1], got {rate}")
-        keep = rate
-    else:
-        if rate >= 1.0:
-            raise ConfigError(f"drop probability must be < 1, got {rate}")
-        if rate < 0.0:
-            raise ConfigError(f"drop probability must be >= 0, got {rate}")
-        keep = 1.0 - rate
+    """The config's keep probability in train mode; 1.0 in eval mode or
+    when nothing is dropped."""
+    keep = config.keep_probability
     if not train or keep == 1.0:
         return 1.0
     if rng is None:
@@ -73,26 +69,6 @@ def _keep_probability(
 
 def _dropout_mask(shape, keep: float, rng: np.random.Generator) -> np.ndarray:
     return (rng.random(shape) < keep).astype(np.float64) / keep
-
-
-def apply_dropout(
-    x: np.ndarray,
-    rate: float,
-    rng: np.random.Generator | None,
-    train: bool,
-    is_keep_prob: bool = False,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Inverted dropout; returns (output, mask) with mask None in eval mode.
-
-    ``rate`` is the drop probability by default, or the keep probability
-    when ``is_keep_prob`` is set.  Complex inputs get one real mask per
-    element (real and imaginary parts survive or die together).
-    """
-    keep = _keep_probability(rate, is_keep_prob, train, rng)
-    if keep == 1.0:
-        return x, None
-    mask = _dropout_mask(x.shape, keep, rng)
-    return x * mask, mask
 
 
 def matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -148,35 +124,6 @@ class BatchTape:
         counted from the sentence's first token; ties go to the lowest."""
         return self.window_probs[:, self.span(s)].argmax(axis=1)
 
-    def sentence(self, s: int) -> "SentenceTape":
-        span = self.span(s)
-        return SentenceTape(
-            batch=self,
-            index=s,
-            ids=self.ids[span],
-            emb_mask=None if self.emb_mask is None else self.emb_mask[span],
-            window_weights=self.window_weights[:, span],
-            window_probs=self.window_probs[:, span],
-            argmax=self.winners(s),
-            pooled_mask=None if self.pooled_mask is None else self.pooled_mask[s],
-            representation=self.representation[s],
-        )
-
-
-@dataclass
-class SentenceTape:
-    """One sentence's view of a BatchTape, in sentence positions."""
-
-    batch: BatchTape
-    index: int                   # the sentence's position in the batch
-    ids: np.ndarray              # (L,) token ids after truncation
-    emb_mask: np.ndarray | None  # (L, n) dropout mask on amplitude rows
-    window_weights: np.ndarray   # (B, L, W) softmax word weights, 0 off-window
-    window_probs: np.ndarray     # (B, L, k) measurement probabilities
-    argmax: np.ndarray           # (B, k) winning window start per measurement
-    pooled_mask: np.ndarray | None   # dropout mask on the pooled vector
-    representation: np.ndarray       # final (possibly masked) representation
-
 
 def _truncate(token_ids: np.ndarray, config: TrainerConfig) -> np.ndarray:
     ids = np.asarray(token_ids, dtype=np.int64)
@@ -199,16 +146,6 @@ def _lay_out(
     return np.concatenate(sentences), starts, lengths
 
 
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """L2 norm of each row; rows below 1e-150 are scaled by 2**600 first
-    (exact), as in normalize_word, since their squares would go subnormal."""
-    norms = np.linalg.norm(x, axis=1)
-    tiny = norms < 1e-150
-    if tiny.any():
-        norms[tiny] = np.linalg.norm(x[tiny] * 2.0**600, axis=1) * 2.0**-600
-    return norms
-
-
 def _word_stage(amp_eff: np.ndarray, eiph: np.ndarray, measurements: np.ndarray):
     """Word weights, unit states and Born table of polar word rows.
 
@@ -216,8 +153,8 @@ def _word_stage(amp_eff: np.ndarray, eiph: np.ndarray, measurements: np.ndarray)
     on its own input row only (``matmul_rows`` rounds a row alike at any
     row count), so a word gets the same bits in any table.
     """
-    pi = _row_norms(amp_eff)
-    alive = pi >= _ZERO_NORM
+    pi = row_norms(amp_eff)
+    alive = pi >= ZERO_NORM
     states = np.empty(amp_eff.shape, dtype=np.complex128)
     if alive.all():
         states[:] = (amp_eff / pi[:, None]) * eiph
@@ -289,12 +226,9 @@ def forward_batch(
     ids, starts, lengths = _lay_out(id_lists, config)
     T = ids.size
     n = params.dim
-    k = params.k
-    R = k if config.mixture == GLOBAL_MIXTURE else k * len(config.window_sizes)
+    R = config.representation_len
 
-    keep = _keep_probability(
-        config.dropout_rate, config.dropout_is_keep_prob, train, rng
-    )
+    keep = _keep_probability(config, train, rng)
     emb_mask = pooled_mask = None
     if keep < 1.0:
         masks = [
@@ -402,10 +336,11 @@ def forward_sentence(
     config: TrainerConfig,
     train: bool = False,
     rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, SentenceTape]:
-    """Batch-of-one forward pass; returns (representation, tape)."""
+) -> tuple[np.ndarray, BatchTape]:
+    """Batch-of-one forward pass; returns (representation, tape).  The
+    package never calls it: ``bench/tracing.py`` wraps it by name."""
     reps, tape = forward_batch([token_ids], params, config, train, rng)
-    return reps[0], tape.sentence(0)
+    return reps[0], tape
 
 
 def represent(

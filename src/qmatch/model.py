@@ -70,22 +70,26 @@ class TrainerConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.dropout_is_keep_prob:
-            if not 0.0 < self.dropout_rate <= 1.0:
-                raise ConfigError(
-                    f"keep probability must be in (0, 1], got {self.dropout_rate}"
-                )
-        else:
-            if not 0.0 <= self.dropout_rate < 1.0:
-                raise ConfigError(
-                    f"drop probability must be in [0, 1), got {self.dropout_rate}"
-                )
+        self.keep_probability  # raises ConfigError on a bad dropout_rate
         if self.optimizer not in ("sgd", "adam"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.max_sentence_len < 1:
             raise ConfigError(
                 f"max_sentence_len must be >= 1, got {self.max_sentence_len}"
             )
+
+    @property
+    def keep_probability(self) -> float:
+        """``dropout_rate`` read as a drop or a keep probability (per
+        ``dropout_is_keep_prob``), returned as the keep probability."""
+        rate = self.dropout_rate
+        if self.dropout_is_keep_prob:
+            if not 0.0 < rate <= 1.0:
+                raise ConfigError(f"keep probability must be in (0, 1], got {rate}")
+            return rate
+        if not 0.0 <= rate < 1.0:
+            raise ConfigError(f"drop probability must be in [0, 1), got {rate}")
+        return 1.0 - rate
 
     @property
     def representation_len(self) -> int:

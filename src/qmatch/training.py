@@ -59,8 +59,8 @@ class AdamState:
     m_phase: np.ndarray
     v_phase: np.ndarray
     m_meas: np.ndarray      # complex: first moments of re/im packed
-    v_meas: np.ndarray      # float: second moments of re and im summed... kept split
-    v_meas_im: np.ndarray
+    v_meas: np.ndarray      # float: second moments of the real parts
+    v_meas_im: np.ndarray   # float: second moments of the imaginary parts
     step: int = 0
 
     @classmethod

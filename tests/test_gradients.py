@@ -11,14 +11,21 @@ import numpy as np
 import pytest
 
 from qmatch.embedding import Vocabulary
-from qmatch.gradients import batch_grad, cosine_grad, triplet_forward, triplet_grad
-from qmatch.matcher import score
+from qmatch.gradients import batch_grad, cosine_grad, triplet_grad
+from qmatch.matcher import forward_batch, score, triplet_loss
 from qmatch.model import GradientSet, ParameterSet, TrainerConfig, init_parameters
 
 FD_STEP = 1e-5
 REL_TOL = 1e-4
 
 VOCAB = Vocabulary.from_tokens([f"w{i}" for i in range(10)])
+
+
+def forward_triplet(q, p, n, params, config):
+    """(loss, s_pos, s_neg, tape) of one eval-mode forward over q, a+, a-."""
+    reps, tape = forward_batch([q, p, n], params, config)
+    s_pos, s_neg = score(reps[0], reps[1]), score(reps[0], reps[2])
+    return triplet_loss(s_pos, s_neg, config.margin), s_pos, s_neg, tape
 
 
 def make_instance(seed, mixture="local", complex_valued=True, norm=None):
@@ -57,16 +64,14 @@ def make_instance(seed, mixture="local", complex_valued=True, norm=None):
         row = params.amplitude[q[0]]
         row *= norm / np.linalg.norm(row)
     # pick a margin that keeps the hinge strictly open at the base point
-    _, s_pos, s_neg, *_ = triplet_forward(q, p, n, params, config)
+    _, s_pos, s_neg, _ = forward_triplet(q, p, n, params, config)
     config = config.with_overrides(margin=max(0.05, s_pos - s_neg + 0.2))
     return q, p, n, params, config
 
 
 def eval_loss(q, p, n, params, config):
-    loss, _, _, tq, tp, tn = triplet_forward(q, p, n, params, config)
-    pool_state = tuple(
-        int(x) for tape in (tq, tp, tn) for arr in tape.argmax for x in arr
-    )
+    loss, _, _, tape = forward_triplet(q, p, n, params, config)
+    pool_state = tuple(int(x) for s in range(3) for x in tape.winners(s).ravel())
     return loss, (loss > 0.0, pool_state)
 
 
@@ -202,7 +207,7 @@ def test_inactive_hinge_produces_zero_gradient():
     # exceeds any reasonable margin, so the hinge is closed
     p = q.copy()
     n = rng.integers(1, len(VOCAB), size=4)
-    loss, s_pos, s_neg, *_ = triplet_forward(q, p, n, params, config)
+    loss, s_pos, s_neg, _ = forward_triplet(q, p, n, params, config)
     if loss == 0.0:
         loss2, grads = triplet_grad(q, p, n, params, config)
         assert loss2 == 0.0

@@ -7,7 +7,6 @@ from qmatch import matcher
 from qmatch.embedding import Vocabulary
 from qmatch.errors import ConfigError, DegenerateInputError, ShapeError
 from qmatch.matcher import (
-    apply_dropout,
     forward_batch,
     forward_sentence,
     represent,
@@ -55,71 +54,66 @@ def random_ids(length, rng=RNG):
 
 
 # ------------------------------------------------------------------ dropout
+# forward_batch applies inverted dropout to the amplitude rows (emb_mask)
+# and to the pooled vectors (pooled_mask).
+
+
+def dropout_masks(rate, is_keep_prob=False, train=True, rng=None, length=20_000):
+    """forward_batch's masks over one sentence of ``length`` tokens.  The
+    config is not validated, so forward_batch itself must check the rate."""
+    params = make_params(small_config(), scramble=False)
+    config = small_config(
+        dropout_rate=rate, dropout_is_keep_prob=is_keep_prob,
+        max_sentence_len=length,
+    )
+    _, tape = forward_batch(
+        [random_ids(length, np.random.default_rng(1))], params, config,
+        train=train, rng=rng,
+    )
+    return tape.emb_mask, tape.pooled_mask
 
 
 def test_apply_dropout_eval_mode_is_identity():
-    x = RNG.normal(size=(4, 5))
-    out, mask = apply_dropout(x, 0.5, None, train=False)
-    assert mask is None
-    assert out is x
+    assert dropout_masks(0.5, train=False, length=8) == (None, None)
 
 
 def test_apply_dropout_zero_rate_is_identity():
-    x = RNG.normal(size=10)
-    out, mask = apply_dropout(x, 0.0, np.random.default_rng(0), train=True)
-    assert mask is None
-    assert np.array_equal(out, x)
+    assert dropout_masks(0.0, rng=np.random.default_rng(0), length=8) == (None, None)
 
 
 def test_apply_dropout_scales_survivors():
-    x = np.ones(100_000)
-    out, mask = apply_dropout(x, 0.9, np.random.default_rng(11), train=True)
-    survivors = out[out != 0.0]
-    # inverted dropout: survivors are scaled by 1/keep = 10
-    np.testing.assert_allclose(survivors, 10.0)
-    assert abs(survivors.size / x.size - 0.1) < 0.01
-    np.testing.assert_allclose(out, x * mask)
+    emb_mask, pooled_mask = dropout_masks(0.9, rng=np.random.default_rng(11))
+    for mask in (emb_mask, pooled_mask):
+        # inverted dropout: survivors are scaled by 1/keep = 10
+        np.testing.assert_allclose(mask[mask != 0.0], 10.0)
+    assert abs(np.count_nonzero(emb_mask) / emb_mask.size - 0.1) < 0.01
 
 
 def test_apply_dropout_survivor_fraction_matches_rate():
-    x = np.ones(100_000)
-    out, _ = apply_dropout(x, 0.1, np.random.default_rng(3), train=True)
-    kept = np.count_nonzero(out) / x.size
+    emb_mask, _ = dropout_masks(0.1, rng=np.random.default_rng(3))
+    kept = np.count_nonzero(emb_mask) / emb_mask.size
     assert abs(kept - 0.9) < 0.01
     # unbiased in expectation
-    assert abs(out.mean() - 1.0) < 0.02
+    assert abs(emb_mask.mean() - 1.0) < 0.02
 
 
 def test_apply_dropout_keep_prob_reading():
-    x = np.ones(100_000)
-    out, _ = apply_dropout(
-        x, 0.9, np.random.default_rng(5), train=True, is_keep_prob=True
-    )
-    kept = np.count_nonzero(out) / x.size
+    emb_mask, _ = dropout_masks(0.9, is_keep_prob=True, rng=np.random.default_rng(5))
+    kept = np.count_nonzero(emb_mask) / emb_mask.size
     assert abs(kept - 0.9) < 0.01
 
 
-def test_apply_dropout_complex_mask_is_real_per_element():
-    x = np.full(1000, 1.0 + 1.0j)
-    out, mask = apply_dropout(x, 0.5, np.random.default_rng(8), train=True)
-    # real and imaginary parts live or die together
-    assert np.array_equal(out.real == 0.0, out.imag == 0.0)
-    assert mask.dtype == np.float64
-
-
 def test_apply_dropout_rejects_bad_rates():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ConfigError):
-        apply_dropout(np.ones(3), 1.0, rng, train=True)
-    with pytest.raises(ConfigError):
-        apply_dropout(np.ones(3), -0.1, rng, train=True)
-    with pytest.raises(ConfigError):
-        apply_dropout(np.ones(3), 0.0, rng, train=True, is_keep_prob=True)
+    for rate, is_keep_prob in [
+        (1.0, False), (-0.1, False), (np.nan, False), (0.0, True), (np.nan, True)
+    ]:
+        with pytest.raises(ConfigError):
+            dropout_masks(rate, is_keep_prob, rng=np.random.default_rng(0), length=3)
 
 
 def test_apply_dropout_needs_rng_in_train_mode():
     with pytest.raises(ConfigError):
-        apply_dropout(np.ones(3), 0.5, None, train=True)
+        dropout_masks(0.5, rng=None, length=3)
 
 
 # ------------------------------------------------- forward representation
@@ -315,12 +309,12 @@ def test_forward_batch_equals_represent_per_sentence(overrides):
     assert reps.shape == (len(batch), config.representation_len)
     for s, ids in enumerate(batch):
         assert np.array_equal(reps[s], represent(ids, params, config))
-        _, single = forward_sentence(ids, params, config)
-        view = tape.sentence(s)
-        assert np.array_equal(view.ids, single.ids)
-        assert np.array_equal(view.argmax, single.argmax)
-        assert np.array_equal(view.window_weights, single.window_weights)
-        assert np.array_equal(view.window_probs, single.window_probs)
+        _, single = forward_batch([ids], params, config)
+        span = tape.span(s)
+        assert np.array_equal(tape.ids[span], single.ids)
+        assert np.array_equal(tape.winners(s), single.winners(0))
+        assert np.array_equal(tape.window_weights[:, span], single.window_weights)
+        assert np.array_equal(tape.window_probs[:, span], single.window_probs)
 
 
 @pytest.mark.parametrize(
@@ -383,10 +377,10 @@ def test_forward_batch_draws_dropout_masks_sentence_by_sentence():
     )
     rng = np.random.default_rng(9)
     for s, ids in enumerate(batch):
-        rep, single = forward_sentence(ids, params, config, train=True, rng=rng)
-        assert np.array_equal(reps[s], rep)
-        assert np.array_equal(tape.sentence(s).emb_mask, single.emb_mask)
-        assert np.array_equal(tape.pooled_mask[s], single.pooled_mask)
+        rep, single = forward_batch([ids], params, config, train=True, rng=rng)
+        assert np.array_equal(reps[s], rep[0])
+        assert np.array_equal(tape.emb_mask[tape.span(s)], single.emb_mask)
+        assert np.array_equal(tape.pooled_mask[s], single.pooled_mask[0])
 
 
 def test_forward_batch_rejects_empty_input():
