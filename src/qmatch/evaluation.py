@@ -115,30 +115,6 @@ class MetricReport:
                     + "\n"
                 )
 
-    @classmethod
-    def read_jsonl(cls, path: str) -> "MetricReport":
-        summary = None
-        rows = []
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                record = json.loads(line)
-                if record["kind"] == "summary":
-                    summary = record
-                else:
-                    rows.append(
-                        QuestionResult(
-                            question_id=record["question_id"],
-                            average_precision=record["ap"],
-                            reciprocal_rank=record["rr"],
-                        )
-                    )
-        if summary is None:
-            raise DataError(f"{path}: no summary record found")
-        return cls(
-            split=summary["split"], map=summary["map"], mrr=summary["mrr"],
-            per_question=rows,
-        )
-
 
 def evaluate(
     params: ParameterSet,

@@ -7,28 +7,24 @@ the windows.  The pooled blocks are concatenated in ``window_sizes``
 order; question and answer are compared by cosine similarity and trained
 with a triplet hinge loss.
 
-Two equivalent routes compute the measurement probabilities:
+The measurement probabilities come from the factored identity
+<v|rho|v> = sum_i p(w_i) |<v|w_i>|^2, which never builds rho.
+``forward_batch`` runs N sentences at once, in two stages.  The word stage
+gives each distinct word (each token occurrence under embedding dropout)
+its weight, unit state and Born row |<v|w>|^2 in one product; a row's bits
+depend on that word alone.  The window stage puts every window's softmax
+in one (sizes, tokens, width) array, each shifted by its own max norm so
+no gap overflows, and max-pools each sentence's windows.
 
-* ``represent_dense`` composes the mixture/measurement modules and
-  materialises every window's density matrix;
-* ``forward_batch`` uses the factored identity
-  <v|rho|v> = sum_i p(w_i) |<v|w_i>|^2, never building rho.  It runs N
-  sentences at once, in two stages.  The word stage gives each distinct
-  word (each token occurrence under embedding dropout) its weight, unit
-  state and Born row |<v|w>|^2 in one product; a row's bits depend on that
-  word alone.  The window stage puts every window's softmax in one
-  (sizes, tokens, width) array, each shifted by its own max norm so no gap
-  overflows, and max-pools each sentence's windows.
-
-The batched factored route is the production path and ``BatchTape`` its
-one tape: training runs an SGD batch per ``forward_batch`` call, the
-analytic backward pass differentiates its tape, and ``interpret`` reads
-its match maps from a batch-of-one tape.  Evaluation runs the word stage
-once per split (``word_table``) and the window stage once per question
-(``represent_batch``), with the bits ``forward_batch`` would give.
-``represent`` is a batch of one, and a sentence's result does not depend
-on the batch it ran in.  The dense route is kept as a reference and the
-test suite pins their agreement.
+``BatchTape`` is the one tape: training runs an SGD batch per
+``forward_batch`` call, the analytic backward pass differentiates its
+tape, and ``interpret`` reads its match maps from a batch-of-one tape.
+Evaluation runs the word stage once per split (``word_table``) and the
+window stage once per question (``represent_batch``), with the bits
+``forward_batch`` would give.  ``represent`` is a batch of one, and a
+sentence's result does not depend on the batch it ran in.  The explicit
+density-matrix route, ``reference.represent_dense``, is the oracle the
+test suite pins this path against.
 """
 
 from __future__ import annotations
@@ -37,17 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import mixture
-from .embedding import (
-    DEGENERATE_WEIGHT,
-    ZERO_NORM,
-    WordState,
-    row_norms,
-    uniform_state,
-)
+from .embedding import DEGENERATE_WEIGHT, ZERO_NORM, row_norms, uniform_state
 from .errors import ConfigError, DegenerateInputError, ShapeError
-from .measurement import MeasurementSet, max_pool, measure_all
 from .model import GLOBAL_MIXTURE, ParameterSet, TrainerConfig
+
+# The dense oracle lives in ``reference``; bench/workloads.py reads it as
+# ``matcher.represent_dense`` in its correctness gate.
+from .reference import represent_dense  # noqa: F401
 
 # Words per word-stage call in word_table: bounds the states and inner
 # products held at once (about 1 MB at n = k = 50) for any split size.
@@ -349,41 +341,6 @@ def represent(
     """Deterministic (eval mode) sentence representation."""
     reps, _ = forward_batch([token_ids], params, config)
     return reps[0]
-
-
-def _word_states(ids: np.ndarray, params: ParameterSet) -> list[WordState]:
-    from .embedding import assemble_word_vector, normalize_word
-
-    return [
-        normalize_word(assemble_word_vector(params.amplitude[i], params.phase[i]))
-        for i in ids
-    ]
-
-
-def represent_dense(
-    token_ids: np.ndarray, params: ParameterSet, config: TrainerConfig
-) -> np.ndarray:
-    """Reference representation via explicit density matrices.
-
-    Composes slide_windows -> local_mixture -> measure_all -> max_pool
-    per window size (or one global mixture without pooling), exactly the
-    modular dataflow the factored path re-expresses.
-    """
-    ids = _truncate(token_ids, config)
-    states = _word_states(ids, params)
-    mset = MeasurementSet(params.measurements)
-    if config.mixture == GLOBAL_MIXTURE:
-        rho = mixture.global_mixture(states)
-        return measure_all([rho], mset)[:, 0]
-    blocks = []
-    for width in config.window_sizes:
-        windows = [
-            mixture.local_mixture(w) for w in mixture.slide_windows(states, width)
-        ]
-        probs = measure_all(windows, mset)
-        pooled, _ = max_pool(probs)
-        blocks.append(pooled)
-    return np.concatenate(blocks)
 
 
 def score(u: np.ndarray, v: np.ndarray) -> float:

@@ -30,9 +30,9 @@ from qmatch.density_metrics import (
 from qmatch.embedding import assemble_word_vector, normalize_word
 from qmatch.evaluation import evaluate
 from qmatch.linalg import complex_add_polar, hermitian_eig, outer_product
-from qmatch.measurement import MeasurementSet, measure_all
-from qmatch.mixture import global_mixture, local_mixture, slide_windows
+from qmatch.measurement import MeasurementSet
 from qmatch.model import TrainerConfig, init_parameters
+from qmatch.reference import global_mixture, local_mixture, measure_all, slide_windows
 from qmatch.synthetic import order_corpus, topic_corpus, toy_corpus
 from qmatch.training import train
 

@@ -1,20 +1,48 @@
-"""The benchmark's tracer wraps qmatch functions by name; each must exist.
+"""The benchmark reads qmatch names from outside; each must exist.
 
 A traced benchmark run looks every ``(module, attribute)`` of
-``bench/tracing.py``'s ``TARGETS`` up on the package, so deleting or
-renaming one of them breaks ``bench/run.py --trace 1``.  This check makes
-that a test failure instead.
+``bench/tracing.py``'s ``TARGETS`` up on the package, and the workloads
+read ``<module>.<attribute>`` off the modules they import with
+``from qmatch import ...`` (or take names with ``from qmatch.<module>
+import ...``).  Deleting or renaming one of them breaks ``bench/run.py``;
+these checks make that a test failure instead.
 """
 
+import ast
 import importlib
 import pathlib
 import runpy
 
 import pytest
 
-TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 # run_path compiles the file without writing bytecode next to it
-TARGETS = runpy.run_path(str(TRACING))["TARGETS"]
+TARGETS = runpy.run_path(str(BENCH / "tracing.py"))["TARGETS"]
+
+
+def bench_reads():
+    """Sorted ``(qmatch module, attribute)`` pairs that bench/*.py reads."""
+    reads = set()
+    for path in sorted(BENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {}   # local name -> qmatch module
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or node.level:
+                continue
+            for alias in node.names:
+                if node.module == "qmatch":
+                    modules[alias.asname or alias.name] = f"qmatch.{alias.name}"
+                elif (node.module or "").startswith("qmatch."):
+                    reads.add((node.module, alias.name))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                reads.add((modules[node.value.id], node.attr))
+    return sorted(reads)
+
+
+BENCH_READS = bench_reads()
 
 
 @pytest.mark.parametrize(
@@ -27,3 +55,19 @@ def test_tracer_target_resolves(module, attribute):
     for part in attribute.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def test_bench_reads_are_found():
+    # the scan must see the workloads' module reads, or the cases below
+    # would pass by checking nothing
+    assert ("qmatch.matcher", "represent_dense") in BENCH_READS
+    assert len(BENCH_READS) >= 20
+
+
+@pytest.mark.parametrize(
+    "module, attribute",
+    BENCH_READS,
+    ids=[f"{module[len('qmatch.'):]}.{attribute}" for module, attribute in BENCH_READS],
+)
+def test_bench_read_resolves(module, attribute):
+    assert hasattr(importlib.import_module(module), attribute)

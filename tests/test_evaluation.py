@@ -1,5 +1,7 @@
 """Ranking metrics: closed-form oracles, tie handling, end-to-end reports."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -209,15 +211,13 @@ def test_jsonl_round_trip(tmp_path):
     report = sample_report()
     path = tmp_path / "report.jsonl"
     report.write_jsonl(str(path))
-    again = MetricReport.read_jsonl(str(path))
-    assert again == report
-
-
-def test_read_jsonl_requires_summary(tmp_path):
-    path = tmp_path / "broken.jsonl"
-    path.write_text(
-        '{"kind": "question", "question_id": "q0", "ap": 1.0, "rr": 1.0}\n',
-        encoding="utf-8",
-    )
-    with pytest.raises(DataError, match="no summary"):
-        MetricReport.read_jsonl(str(path))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in lines]
+    assert records[0] == {
+        "kind": "summary", "split": "test", "map": 0.8125, "mrr": 0.875,
+        "questions": 2,
+    }
+    assert records[1:] == [
+        {"kind": "question", "question_id": "q0", "ap": 1.0, "rr": 1.0},
+        {"kind": "question", "question_id": "q1", "ap": 0.625, "rr": 0.75},
+    ]

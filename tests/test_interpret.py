@@ -11,8 +11,8 @@ from qmatch.interpret import (
     word_importance,
 )
 from qmatch.matcher import represent, score
-from qmatch.mixture import slide_windows, softmax_weights
 from qmatch.model import TrainerConfig, init_parameters
+from qmatch.reference import slide_windows, softmax_weights
 
 VOCAB = Vocabulary.from_tokens(
     ["apple", "banana", "cherry", "melon", "orange", "pear", "plum", "quince"]

@@ -11,12 +11,12 @@ from qmatch.matcher import (
     forward_sentence,
     represent,
     represent_batch,
-    represent_dense,
     score,
     triplet_loss,
     word_table,
 )
 from qmatch.model import TrainerConfig, init_parameters
+from qmatch.reference import represent_dense
 
 RNG = np.random.default_rng(20260814)
 
@@ -186,10 +186,13 @@ def test_forward_truncates_long_sentences():
 
 
 def test_forward_rejects_empty_sentence():
-    config = small_config()
-    params = make_params(config)
-    with pytest.raises(DegenerateInputError):
-        represent(np.array([], dtype=np.int64), params, config)
+    for config in (small_config(), small_config(mixture="global")):
+        params = make_params(config)
+        for route in (represent, represent_dense):
+            with pytest.raises(DegenerateInputError):
+                route(np.array([], dtype=np.int64), params, config)
+            with pytest.raises(ShapeError):
+                route(np.array([[2, 3]]), params, config)
 
 
 def test_forward_handles_padding_rows():
@@ -315,6 +318,30 @@ def test_forward_batch_equals_represent_per_sentence(overrides):
         assert np.array_equal(tape.winners(s), single.winners(0))
         assert np.array_equal(tape.window_weights[:, span], single.window_weights)
         assert np.array_equal(tape.window_probs[:, span], single.window_probs)
+
+
+def test_winners_ties_go_to_the_lowest_window():
+    # backward_batch routes each pooled gradient into the window winners
+    # names: on an exact tie that is the sentence's first window
+    config = small_config(window_sizes=(1, 2))
+    params = make_params(config)
+    _, tape = forward_batch([np.array([7, 7, 7, 7]), np.array([5])], params, config)
+    probs = tape.window_probs[:, tape.span(0)]
+    assert np.array_equal(probs, np.broadcast_to(probs[:, :1], probs.shape))
+    for s in range(2):
+        assert np.array_equal(tape.winners(s), np.zeros((2, config.num_measurements)))
+
+
+def test_winners_index_the_pooled_values():
+    config = small_config(max_sentence_len=6)
+    params = make_params(config)
+    reps, tape = forward_batch(mixed_batch(), params, config)
+    for s in range(reps.shape[0]):
+        probs = tape.window_probs[:, tape.span(s)]   # (B, L, k)
+        winners = tape.winners(s)                    # (B, k)
+        picked = np.take_along_axis(probs, winners[:, None, :], axis=1)[:, 0]
+        assert np.array_equal(picked, probs.max(axis=1))
+        assert np.array_equal(picked.ravel(), reps[s])
 
 
 @pytest.mark.parametrize(

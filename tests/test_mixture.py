@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 
 from qmatch.embedding import WordState, normalize_word, uniform_state
 from qmatch.errors import ConfigError, DegenerateInputError
-from qmatch.mixture import (
+from qmatch.reference import (
     global_mixture,
     local_mixture,
     slide_windows,
     softmax_weights,
-    validate_density_matrix,
 )
 
 RNG = np.random.default_rng(20260814)
@@ -194,31 +193,6 @@ def test_empty_mixture_rejected():
         global_mixture([])
     with pytest.raises(DegenerateInputError):
         local_mixture([])
-
-
-# -------------------------------------------------------------- validation
-
-
-def test_validate_density_matrix_passes_valid():
-    rho = global_mixture(random_states(3, 4))
-    validate_density_matrix(rho)
-
-
-def test_validate_density_matrix_rejects_bad_trace():
-    with pytest.raises(ValueError, match="trace"):
-        validate_density_matrix(np.eye(2, dtype=complex))
-
-
-def test_validate_density_matrix_rejects_non_hermitian():
-    rho = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
-    with pytest.raises(ValueError, match="Hermitian"):
-        validate_density_matrix(rho)
-
-
-def test_validate_density_matrix_rejects_negative():
-    rho = np.diag([1.5, -0.5]).astype(complex)
-    with pytest.raises(ValueError, match="PSD"):
-        validate_density_matrix(rho)
 
 
 # ------------------------------------------------- windowed invariant sweep
