@@ -1,11 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmatch.embedding import normalize_word
+from qmatch.embedding import Vocabulary, normalize_word
 from qmatch.errors import DomainError, ShapeError
+from qmatch.matcher import forward_batch
 from qmatch.measurement import MeasurementSet, init_measurements
+from qmatch.model import TrainerConfig, init_parameters
 from qmatch.reference import global_mixture, local_mixture, measure_all, slide_windows
 
 RNG = np.random.default_rng(20260814)
@@ -68,6 +72,18 @@ def test_measure_global_phase_invariance():
         assert abs(measure(rho, v) - measure(rho, np.exp(1j * theta) * v)) < 1e-12
 
 
+def test_measure_rejects_non_unit_vector():
+    rho = np.eye(2, dtype=complex) / 2
+    with pytest.raises(DomainError, match="norm"):
+        measure(rho, np.array([1.0, 1.0], dtype=complex))
+
+
+def test_measure_rejects_shape_mismatch():
+    rho = np.eye(3, dtype=complex) / 3
+    with pytest.raises(ShapeError):
+        measure(rho, np.array([1.0, 0.0], dtype=complex))
+
+
 def test_measure_output_clamped_to_unit_interval():
     rho = random_density(4)
     for _ in range(50):
@@ -108,8 +124,6 @@ def test_measure_all_rejects_dim_mismatch():
     mset = MeasurementSet(np.stack([random_unit(4)]))
     with pytest.raises(ShapeError):
         measure_all(windows, mset)
-    with pytest.raises(ShapeError):
-        measure(np.eye(3, dtype=complex) / 3, np.array([1.0, 0.0], dtype=complex))
 
 
 def test_measure_all_rejects_unnormalized_rows():
@@ -117,8 +131,6 @@ def test_measure_all_rejects_unnormalized_rows():
     mset = MeasurementSet(np.stack([2.0 * random_unit(3)]))
     with pytest.raises(DomainError):
         measure_all(windows, mset)
-    with pytest.raises(DomainError, match="norm"):
-        measure(np.eye(2, dtype=complex) / 2, np.array([1.0, 1.0], dtype=complex))
 
 
 def test_complete_orthonormal_set_columns_sum_to_one():
@@ -127,6 +139,39 @@ def test_complete_orthonormal_set_columns_sum_to_one():
         mset = MeasurementSet(random_unitary(dim).T)
         p = measure_all(windows, mset)
         np.testing.assert_allclose(p.sum(axis=0), 1.0, atol=1e-8)
+
+
+# ----------------------------------------------------------------- max_pool
+# The factored pass pools each sentence's windows; BatchTape.winners names
+# the winning window, which backward_batch routes the pooled gradient into.
+
+
+def max_pool(p):
+    """(values, winners) of a (k, L) probability table pooled over the L
+    windows of one sentence, by the production tape's winner rule."""
+    k, length = p.shape
+    config = TrainerConfig(
+        embedding_dim=2, num_measurements=k, window_sizes=(1,), dropout_rate=0.0
+    )
+    params = init_parameters(Vocabulary.from_tokens(["a"]), config)
+    _, tape = forward_batch([np.full(length, 2)], params, config)
+    tape = dataclasses.replace(tape, window_probs=p.T[None, :, :])
+    winners = tape.winners(0)[0]
+    return p[np.arange(k), winners], winners
+
+
+def test_max_pool_direct_example():
+    p = np.array([[0.1, 0.5, 0.2], [0.3, 0.3, 0.3]])
+    values, winners = max_pool(p)
+    np.testing.assert_allclose(values, [0.5, 0.3])
+    assert winners.tolist() == [1, 0]  # tie in row 2 goes to the lowest index
+
+
+def test_max_pool_single_column():
+    p = np.array([[0.7], [0.2], [0.9]])
+    values, winners = max_pool(p)
+    np.testing.assert_allclose(values, [0.7, 0.2, 0.9])
+    assert winners.tolist() == [0, 0, 0]
 
 
 # ------------------------------------------------------------ initialization
