@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embedding import Vocabulary
+from .embedding import Vocabulary, row_norms
 from .errors import ConfigError, ParseError
 from .measurement import UNIT_NORM_ATOL
 from .model import ParameterSet, TrainerConfig
@@ -144,7 +144,7 @@ def load_checkpoint(
             f"{path}: header dimensions disagree with stored config"
         )
     params.check_finite()
-    norms = np.linalg.norm(params.measurements, axis=1)
+    norms = row_norms(params.measurements)
     if np.any(np.abs(norms - 1.0) > UNIT_NORM_ATOL):
         raise ParseError(f"{path}: measurement rows are not unit norm")
     return params, config, vocab

@@ -31,6 +31,7 @@ from .errors import DomainError, ShapeError
 from .linalg import hermitize, matrix_function, outer_product
 
 AUDIT_TOL = 1e-9
+REPORTED_VIOLATIONS = 5    # counterexamples kept (and rechecked) per axiom
 LOG_EIGEN_FLOOR = 1e-12
 
 SIMILARITY = "similarity"
@@ -288,9 +289,9 @@ def _audit_triple(
     d: dict[str, float] | None = None,
 ) -> None:
     """Check one trial's axioms.  ``d`` holds the measure values keyed by
-    pair; without it they come from ``fn``.  A violation is stored only if
-    its gap, recomputed from fresh ``fn`` calls on the same pairs, is past
-    tolerance too."""
+    pair; without it they come from ``fn``.  Up to REPORTED_VIOLATIONS
+    violations an axiom are stored, each only if its gap, recomputed from
+    fresh ``fn`` calls on the same pairs, is past tolerance too."""
     named = {"a": a, "b": b, "c": c}
     axioms = _SIMILARITY_AXIOMS if kind == SIMILARITY else _DISTANCE_AXIOMS
 
@@ -304,7 +305,8 @@ def _audit_triple(
         result = report.axiom(axiom)
         result.checked += 1
         gap = gap_of(*(d[p] for p in pairs))
-        if gap > AUDIT_TOL and gap_of(*values(pairs)) > AUDIT_TOL:
+        if (gap > AUDIT_TOL and len(result.violations) < REPORTED_VIOLATIONS
+                and gap_of(*values(pairs)) > AUDIT_TOL):
             matrices = [named[m].copy() for m in sorted(set("".join(pairs)))]
             result.violations.append(AxiomViolation(
                 axiom=axiom, gap=gap, trial=trial, matrices=matrices, note=note
@@ -499,8 +501,7 @@ def report_to_dict(rep: MetricAuditReport) -> dict:
                         for m in v.matrices
                     ],
                 }
-                # keep reports bounded: the first few reproducers suffice
-                for v in res.violations[:5]
+                for v in res.violations
             ],
         }
     return out

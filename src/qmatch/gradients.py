@@ -60,9 +60,10 @@ def backward_batch(
     """dLoss/dParams of the tape's ``sentences``, in that order.
 
     ``g_reps`` holds one representation gradient per listed sentence.
-    Gradients accumulate into the dense ``grads`` token by token; without
-    ``grads`` they land on a GradientSet over the touched vocabulary rows
-    only, with the same additions in the same order.
+    Gradients accumulate into the dense ``grads`` (``GradientSet.zeros_like``)
+    token by token; without ``grads`` they land on a GradientSet whose
+    ``rows`` are the touched vocabulary rows only, with the same additions
+    in the same order.
     """
     sel = np.asarray(sentences, dtype=np.int64)
     M = sel.size
@@ -119,11 +120,9 @@ def backward_batch(
     g_amp += (g_pi / pi)[:, None] * (mask * amp_eff)
     g_phase = -(g_w.conj() * (amp_eff * eiph)).imag
 
-    alive = tape.alive[rows]
-    if not alive.all():
-        dead = ~alive
-        g_amp[dead] = 0.0
-        g_phase[dead] = 0.0
+    dead = ~tape.alive[rows]
+    g_amp[dead] = 0.0
+    g_phase[dead] = 0.0
 
     if not config.complex_valued:
         g_phase[:] = 0.0

@@ -7,7 +7,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import PAD_TOKEN, UNK_TOKEN, Vocabulary, normalize_word, tokenize
+from .embedding import (
+    PAD_TOKEN,
+    UNK_TOKEN,
+    Vocabulary,
+    normalize_word,
+    row_norms,
+    tokenize,
+)
 from .errors import DegenerateInputError
 from .matcher import forward_batch, score
 from .model import GLOBAL_MIXTURE, ParameterSet, TrainerConfig
@@ -27,7 +34,7 @@ def word_importance(
     Descending by norm; ties broken alphabetically so the ranking is
     reproducible.  A zeroed row always lands at the bottom.
     """
-    norms = np.linalg.norm(params.amplitude, axis=1)
+    norms = row_norms(params.amplitude)
     order = sorted(range(len(vocab)), key=lambda i: (-norms[i], vocab.tokens[i]))
     if top_n is not None:
         order = order[:top_n]

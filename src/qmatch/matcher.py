@@ -147,14 +147,10 @@ def _word_stage(amp_eff: np.ndarray, eiph: np.ndarray, measurements: np.ndarray)
     """
     pi = row_norms(amp_eff)
     alive = pi >= ZERO_NORM
-    states = np.empty(amp_eff.shape, dtype=np.complex128)
-    if alive.all():
-        states[:] = (amp_eff / pi[:, None]) * eiph
-    else:
-        safe = np.where(alive, pi, 1.0)
-        states[:] = (amp_eff / safe[:, None]) * eiph
-        states[~alive] = uniform_state(amp_eff.shape[1])
-        pi = np.where(alive, pi, DEGENERATE_WEIGHT)
+    safe = np.where(alive, pi, 1.0)
+    states = (amp_eff / safe[:, None]) * eiph
+    states[~alive] = uniform_state(amp_eff.shape[1])
+    pi = np.where(alive, pi, DEGENERATE_WEIGHT)
     inner = matmul_rows(states, measurements.conj().T)   # (U, k)
     inner_sq = inner.real**2 + inner.imag**2              # |<v|w>|^2
     return pi, alive, states, inner, inner_sq

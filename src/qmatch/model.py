@@ -16,16 +16,10 @@ import numpy as np
 
 from .embedding import Vocabulary, init_amplitudes_from_glove, init_phases
 from .errors import ConfigError, NumericError
-from .measurement import MeasurementSet, init_measurements
+from .measurement import init_measurements
 
 LOCAL_MIXTURE = "local"
 GLOBAL_MIXTURE = "global"
-
-# Fixed spawn offsets for the per-purpose RNG streams of one run seed.
-_STREAM_AMPLITUDE = 0
-_STREAM_PHASE = 1
-_STREAM_DROPOUT = 2
-_STREAM_SAMPLING = 3
 
 
 @dataclass
@@ -141,9 +135,6 @@ class ParameterSet:
     def k(self) -> int:
         return self.measurements.shape[0]
 
-    def measurement_set(self) -> MeasurementSet:
-        return MeasurementSet(self.measurements)
-
     def check_finite(self) -> None:
         """Raise NumericError naming the first block holding NaN or inf."""
         for name in ("amplitude", "phase", "measurements"):
@@ -162,17 +153,13 @@ class ParameterSet:
 class GradientSet:
     """Loss gradients matching ParameterSet; measurement grads are packed
     complex (real part = d/d Re, imaginary part = d/d Im).  Amplitude and
-    phase grads cover the vocabulary rows ``rows`` (ascending), or every
-    row when ``rows`` is None."""
+    phase grads cover the vocabulary rows ``rows`` (ascending); the dense
+    set of ``zeros_like`` covers every row."""
 
     d_amplitude: np.ndarray
     d_phase: np.ndarray
     d_measurements: np.ndarray
-    rows: np.ndarray | None = None
-
-    def row_index(self) -> np.ndarray | slice:
-        """Index of the covered rows into a vocabulary-sized table."""
-        return slice(None) if self.rows is None else self.rows
+    rows: np.ndarray
 
     @classmethod
     def zeros_like(cls, params: ParameterSet) -> "GradientSet":
@@ -180,6 +167,7 @@ class GradientSet:
             d_amplitude=np.zeros_like(params.amplitude),
             d_phase=np.zeros_like(params.phase),
             d_measurements=np.zeros_like(params.measurements),
+            rows=np.arange(params.vocab_size),
         )
 
     def scale_(self, factor: float) -> None:
@@ -189,13 +177,14 @@ class GradientSet:
 
 
 def seed_streams(seed: int) -> dict[str, np.random.Generator]:
-    """Independent deterministic RNG streams derived from one run seed."""
+    """Independent deterministic RNG streams derived from one run seed, at
+    fixed spawn offsets, so a purpose's draws never depend on another's."""
     children = np.random.SeedSequence(seed).spawn(4)
     return {
-        "amplitude": np.random.default_rng(children[_STREAM_AMPLITUDE]),
-        "phase": np.random.default_rng(children[_STREAM_PHASE]),
-        "dropout": np.random.default_rng(children[_STREAM_DROPOUT]),
-        "sampling": np.random.default_rng(children[_STREAM_SAMPLING]),
+        "amplitude": np.random.default_rng(children[0]),
+        "phase": np.random.default_rng(children[1]),
+        "dropout": np.random.default_rng(children[2]),
+        "sampling": np.random.default_rng(children[3]),
     }
 
 
@@ -205,18 +194,18 @@ def init_parameters(
     """Fresh parameters: pretrained-or-random amplitudes, uniform phases
     (zero in the real ablation), one-hot measurement rows."""
     config.validate()
-    seeds = np.random.SeedSequence(config.seed).spawn(4)
+    streams = seed_streams(config.seed)
     amplitude = init_amplitudes_from_glove(
         vocab,
         dim=config.embedding_dim,
-        seed=np.random.default_rng(seeds[_STREAM_AMPLITUDE]).integers(2**32),
+        seed=streams["amplitude"].integers(2**32),
         glove_path=glove_path,
     )
     if config.complex_valued:
         phase = init_phases(
             len(vocab),
             config.embedding_dim,
-            seed=np.random.default_rng(seeds[_STREAM_PHASE]).integers(2**32),
+            seed=streams["phase"].integers(2**32),
         )
     else:
         phase = np.zeros((len(vocab), config.embedding_dim))

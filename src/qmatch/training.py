@@ -2,10 +2,13 @@
 
 Every epoch resamples triplets, shuffles them, averages gradients over
 each batch (one batched forward and backward pass) and applies one
-optimizer step.  Measurement rows live on the unit sphere via projected
-gradient: step first, renormalize after.  L2 decay applies to the
-amplitude table only.  After each epoch the model is scored on the dev
-split; the best-dev parameters are retained.
+optimizer step.  The optimizers see real coordinates only, a complex
+measurement entry being its real and its imaginary part: SGD steps the
+batch's touched rows, Adam runs one update rule over every block.  L2
+decay applies to every row of the amplitude table and to nothing else.
+Measurement rows live on the unit sphere via projected gradient: step
+first, renormalize after.  After each epoch the model is scored on the
+dev split; the best-dev parameters are retained.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .embedding import Vocabulary
 from .errors import ConfigError
 from .evaluation import MetricReport, evaluate
 from .gradients import batch_grad
+from .measurement import MeasurementSet
 from .model import (
     GradientSet,
     ParameterSet,
@@ -36,44 +40,45 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-def sgd_step(params: ParameterSet, grads: GradientSet, config: TrainerConfig) -> None:
-    """One projected SGD step in place; L2 decay on amplitudes only."""
-    lr = config.learning_rate
-    rows = grads.row_index()
-    step = config.l2_lambda * params.amplitude    # the decay touches every row
-    step[rows] += grads.d_amplitude
-    step *= lr
-    params.amplitude -= step
-    params.phase[rows] -= lr * grads.d_phase
-    params.measurements -= lr * grads.d_measurements
-    mset = params.measurement_set()
+def _project(params: ParameterSet) -> None:
+    """Pull the measurement rows back onto the unit sphere, then fail
+    loudly on a non-finite block."""
+    mset = MeasurementSet(params.measurements)
     mset.renormalize()
     params.measurements = mset.vectors
     params.check_finite()
 
 
+def sgd_step(params: ParameterSet, grads: GradientSet, config: TrainerConfig) -> None:
+    """One projected SGD step in place; L2 decay on amplitudes only."""
+    lr = config.learning_rate
+    step = config.l2_lambda * params.amplitude    # the decay touches every row
+    step[grads.rows] += grads.d_amplitude
+    step *= lr
+    params.amplitude -= step
+    params.phase[grads.rows] -= lr * grads.d_phase
+    params.measurements -= lr * grads.d_measurements
+    _project(params)
+
+
+def _coordinates(params: ParameterSet) -> list[np.ndarray]:
+    """The trainable blocks as real coordinates: amplitude, phase and the
+    measurements' (k, 2n) view of interleaved real and imaginary parts.
+    A view, not a copy, so a step written into it lands on ``params``."""
+    return [params.amplitude, params.phase, params.measurements.view(np.float64)]
+
+
 @dataclass
 class AdamState:
-    m_amplitude: np.ndarray
-    v_amplitude: np.ndarray
-    m_phase: np.ndarray
-    v_phase: np.ndarray
-    m_meas: np.ndarray      # complex: first moments of re/im packed
-    v_meas: np.ndarray      # float: second moments of the real parts
-    v_meas_im: np.ndarray   # float: second moments of the imaginary parts
+    """First and second moments, one (m, v) pair per block of
+    ``_coordinates``: real and imaginary parts are separate coordinates."""
+
+    moments: list[tuple[np.ndarray, np.ndarray]]
     step: int = 0
 
     @classmethod
     def zeros_like(cls, params: ParameterSet) -> "AdamState":
-        return cls(
-            m_amplitude=np.zeros_like(params.amplitude),
-            v_amplitude=np.zeros_like(params.amplitude),
-            m_phase=np.zeros_like(params.phase),
-            v_phase=np.zeros_like(params.phase),
-            m_meas=np.zeros_like(params.measurements),
-            v_meas=np.zeros(params.measurements.shape),
-            v_meas_im=np.zeros(params.measurements.shape),
-        )
+        return cls([(np.zeros_like(x), np.zeros_like(x)) for x in _coordinates(params)])
 
 
 def adam_step(
@@ -82,7 +87,8 @@ def adam_step(
     config: TrainerConfig,
     state: AdamState,
 ) -> None:
-    """Adam with the same L2-on-amplitudes and unit-row projection."""
+    """Adam on every real coordinate, with the same L2-on-amplitudes and
+    unit-row projection as ``sgd_step``."""
     state.step += 1
     t = state.step
     lr = config.learning_rate
@@ -90,39 +96,20 @@ def adam_step(
     corr1 = 1.0 - b1**t
     corr2 = 1.0 - b2**t
 
-    def update(theta, g, m, v):
+    # the moments decay on every row, so the gradients are made dense
+    d_amplitude = config.l2_lambda * params.amplitude
+    d_amplitude[grads.rows] += grads.d_amplitude
+    d_phase = np.zeros_like(params.phase)
+    d_phase[grads.rows] = grads.d_phase
+    d_meas = np.ascontiguousarray(grads.d_measurements, np.complex128).view(np.float64)
+    blocks = zip(_coordinates(params), (d_amplitude, d_phase, d_meas))
+    for (theta, g), (m, v) in zip(blocks, state.moments):
         m *= b1
         m += (1 - b1) * g
         v *= b2
         v += (1 - b2) * g * g
         theta -= lr * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
-
-    # the moments decay on every row, so the gradients are made dense
-    rows = grads.row_index()
-    d_amplitude = np.zeros_like(params.amplitude)
-    d_amplitude[rows] = grads.d_amplitude
-    d_phase = np.zeros_like(params.phase)
-    d_phase[rows] = grads.d_phase
-    update(
-        params.amplitude,
-        d_amplitude + config.l2_lambda * params.amplitude,
-        state.m_amplitude,
-        state.v_amplitude,
-    )
-    update(params.phase, d_phase, state.m_phase, state.v_phase)
-    # complex block: real and imaginary parts are independent coordinates
-    g_re, g_im = grads.d_measurements.real, grads.d_measurements.imag
-    state.m_meas = b1 * state.m_meas + (1 - b1) * grads.d_measurements
-    state.v_meas = b2 * state.v_meas + (1 - b2) * g_re * g_re
-    state.v_meas_im = b2 * state.v_meas_im + (1 - b2) * g_im * g_im
-    step_re = (state.m_meas.real / corr1) / (np.sqrt(state.v_meas / corr2) + ADAM_EPS)
-    step_im = (state.m_meas.imag / corr1) / (np.sqrt(state.v_meas_im / corr2) + ADAM_EPS)
-    params.measurements -= lr * (step_re + 1j * step_im)
-
-    mset = params.measurement_set()
-    mset.renormalize()
-    params.measurements = mset.vectors
-    params.check_finite()
+    _project(params)
 
 
 @dataclass

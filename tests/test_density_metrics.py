@@ -19,6 +19,7 @@ from qmatch.density_metrics import (
     DISTANCE,
     METRIC_FNS,
     METRIC_KINDS,
+    REPORTED_VIOLATIONS,
     audit_metric,
     fidelity,
     identity_counterexample_gap,
@@ -416,10 +417,31 @@ def test_stacked_audit_rechecks_with_the_plain_function(monkeypatch):
 def test_vn_symmetry_violations_reproduce_through_the_plain_path():
     report = audit_metric("vn_divergence", trials=30, seed=2)
     fn = METRIC_FNS["vn_divergence"]
-    assert len(report.symmetry.violations) > 10
+    assert len(report.symmetry.violations) == REPORTED_VIOLATIONS
     for violation in report.symmetry.violations:
         a, b = violation.matrices
         assert violation.gap == abs(fn(a, b) - fn(b, a))
+
+
+def test_audit_stops_rechecking_once_an_axiom_holds_the_reported_violations(
+    monkeypatch,
+):
+    # 255 symmetry and 52 triangle violations: without the cap this audit
+    # rechecks each one, 666 plain calls
+    calls = []
+    plain = METRIC_FNS["vn_divergence"]
+
+    def counting(a, b):
+        calls.append(1)
+        return plain(a, b)
+
+    monkeypatch.setitem(METRIC_FNS, "vn_divergence", counting)
+    report = audit_metric("vn_divergence", trials=300, seed=0)
+    assert report.symmetry.checked == report.triangle.checked == 300
+    assert len(report.symmetry.violations) == REPORTED_VIOLATIONS
+    assert len(report.triangle.violations) == REPORTED_VIOLATIONS
+    # at most 5 rechecks of 2 calls (symmetry) and of 3 calls (triangle)
+    assert len(calls) <= 25
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qmatch.embedding import Vocabulary, normalize_word, tokenize
+from qmatch.embedding import Vocabulary, normalize_word, row_norms, tokenize
 from qmatch.errors import DegenerateInputError
 from qmatch.interpret import (
     match_weight_map,
@@ -62,6 +62,15 @@ def test_word_importance_zeroed_row_ranks_last():
     assert ranking[-1].norm <= ranking[0].norm
     bottom_two = {row.token for row in ranking[-2:]}
     assert "melon" in bottom_two
+
+
+def test_word_importance_reads_a_tiny_row_as_row_norms_does():
+    # a row scaled to 1e-160 squares to subnormals; row_norms rescales first
+    params, _ = setup_model()
+    idx = VOCAB.index["melon"]
+    params.amplitude[idx] *= 1e-160 / np.linalg.norm(params.amplitude[idx])
+    norms = {row.token: row.norm for row in word_importance(params, VOCAB)}
+    assert norms["melon"] == row_norms(params.amplitude[idx : idx + 1])[0]
 
 
 def test_word_importance_top_n_and_tie_order():

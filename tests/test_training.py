@@ -9,6 +9,9 @@ from qmatch.evaluation import evaluate
 from qmatch.model import GradientSet, ParameterSet, TrainerConfig
 from qmatch.synthetic import toy_corpus
 from qmatch.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     DEFAULT_GRID_POOLS,
     AdamState,
     adam_step,
@@ -148,8 +151,9 @@ def test_adam_accumulates_moments():
     adam_step(params, grads, config, state)
     assert state.step == 2
     # m = (1 - b1) * g * (1 + b1) after two equal gradients
-    assert state.m_amplitude[0, 0] == pytest.approx(0.1 * 0.5 * 1.9, rel=1e-12)
-    assert state.v_amplitude[0, 0] == pytest.approx(0.001 * 0.25 * 1.999, rel=1e-9)
+    m_amplitude, v_amplitude = state.moments[0]
+    assert m_amplitude[0, 0] == pytest.approx(0.1 * 0.5 * 1.9, rel=1e-12)
+    assert v_amplitude[0, 0] == pytest.approx(0.001 * 0.25 * 1.999, rel=1e-9)
 
 
 def test_adam_splits_second_moments_by_component():
@@ -158,8 +162,48 @@ def test_adam_splits_second_moments_by_component():
     grads = GradientSet.zeros_like(params)
     grads.d_measurements[0, 0] = 0.0 + 0.4j  # purely imaginary gradient
     adam_step(params, grads, TrainerConfig(optimizer="adam"), state)
-    assert state.v_meas[0, 0] == 0.0
-    assert state.v_meas_im[0, 0] > 0.0
+    _, v_meas = state.moments[2]  # entry (0, 0) is coordinates (0, 0) and (0, 1)
+    assert v_meas[0, 0] == 0.0
+    assert v_meas[0, 1] > 0.0
+
+
+def test_adam_steps_real_and_imaginary_parts_as_separate_coordinates():
+    params = hand_params()
+    grads = GradientSet.zeros_like(params)
+    grads.d_measurements[0] = [0.3 - 0.02j, -0.5j]
+    config = TrainerConfig(learning_rate=0.05, l2_lambda=0.0, optimizer="adam")
+    adam_step(params, grads, config, AdamState.zeros_like(params))
+
+    def first_step(g):
+        # one Adam step from zero moments, per real coordinate
+        m_hat = (1 - ADAM_BETA1) * g / (1 - ADAM_BETA1)
+        v_hat = (1 - ADAM_BETA2) * g * g / (1 - ADAM_BETA2)
+        return 0.05 * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+
+    g = grads.d_measurements[0]
+    start = hand_params().measurements[0]
+    row = (start.real - first_step(g.real)) + 1j * (start.imag - first_step(g.imag))
+    # the real part of entry 1 has no gradient and takes no step
+    assert first_step(g.real)[1] == 0.0
+    np.testing.assert_allclose(
+        params.measurements[0], row / np.linalg.norm(row), rtol=0, atol=1e-15
+    )
+
+
+def test_adam_rejects_a_measurement_block_it_cannot_step_in_place():
+    # Adam steps the measurements through their float64 view; a strided or
+    # single-precision block has none and must raise, not be stepped as a
+    # copy or reinterpreted
+    config = TrainerConfig(optimizer="adam")
+    for measurements in (
+        np.array([[0.6, 0.0, 0.8j, 0.0]])[:, ::2],
+        np.array([[0.6, 0.8j]], dtype=np.complex64),
+    ):
+        params = hand_params()
+        params.measurements = measurements
+        with pytest.raises(ValueError):
+            state = AdamState.zeros_like(params)
+            adam_step(params, GradientSet.zeros_like(params), config, state)
 
 
 # ---------------------------------------------------------------------------
