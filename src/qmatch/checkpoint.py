@@ -21,8 +21,7 @@ import numpy as np
 
 from .embedding import Vocabulary, row_norms
 from .errors import ConfigError, ParseError
-from .measurement import UNIT_NORM_ATOL
-from .model import ParameterSet, TrainerConfig
+from .model import UNIT_NORM_ATOL, ParameterSet, TrainerConfig
 
 MAGIC = "qmatch-checkpoint"
 FORMAT_VERSION = 1
@@ -135,9 +134,7 @@ def load_checkpoint(
         offset += count * 8
     amplitude, phase, meas_re, meas_im = blocks
     params = ParameterSet(
-        amplitude=amplitude.copy(),
-        phase=phase.copy(),
-        measurements=(meas_re + 1j * meas_im).astype(np.complex128),
+        amplitude=amplitude, phase=phase, measurements=meas_re + 1j * meas_im
     )
     if config.embedding_dim != dim or config.num_measurements != k:
         raise ParseError(

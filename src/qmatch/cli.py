@@ -94,8 +94,7 @@ _CONFIG_FLAGS: dict[str, tuple] = {
     "l2_lambda": (float, "L2 decay on amplitude rows"),
     "batch_size": (int, "triplets per optimizer step"),
     "epochs": (int, "training epochs"),
-    "dropout_rate": (float, "dropout probability (or keep prob, see below)"),
-    "dropout_is_keep_prob": (_parse_bool, "read dropout_rate as keep probability"),
+    "dropout_rate": (float, "probability of dropping an entry, in [0, 1)"),
     "optimizer": (str, "'sgd' or 'adam'"),
     "max_sentence_len": (int, "sentences truncate to this many tokens"),
 }

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ShapeError
 from .matcher import (
     BatchTape,
     forward_batch,
@@ -65,6 +66,8 @@ def backward_batch(
     ``rows`` are the touched vocabulary rows only, with the same additions
     in the same order.
     """
+    if grads is not None and grads.rows.size != params.vocab_size:
+        raise ShapeError(f"grads has {grads.rows.size} of {params.vocab_size} rows")
     sel = np.asarray(sentences, dtype=np.int64)
     M = sel.size
     k = params.k

@@ -11,12 +11,11 @@ from .embedding import (
     PAD_TOKEN,
     UNK_TOKEN,
     Vocabulary,
-    normalize_word,
     row_norms,
     tokenize,
 )
 from .errors import DegenerateInputError
-from .matcher import forward_batch, score
+from .matcher import _word_stage, forward_batch, score
 from .model import GLOBAL_MIXTURE, ParameterSet, TrainerConfig
 
 
@@ -145,15 +144,12 @@ def measurement_neighbors(
     """
     skip = {vocab.index[PAD_TOKEN], vocab.index[UNK_TOKEN]}
     word_ids = [i for i in range(len(vocab)) if i not in skip]
-    states = np.stack(
-        [
-            normalize_word(
-                params.amplitude[i] * np.exp(1j * params.phase[i])
-            ).state
-            for i in word_ids
-        ]
+    *_, inner, _ = _word_stage(
+        params.amplitude[word_ids],
+        np.exp(1j * params.phase[word_ids]),
+        params.measurements,
     )
-    sims = np.abs(params.measurements @ states.conj().T)  # (k, |words|)
+    sims = np.abs(inner).T  # (k, |words|)
     out = []
     for m in range(params.k):
         order = sorted(

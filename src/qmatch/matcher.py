@@ -2,10 +2,10 @@
 
 A sentence is encoded by, for each window size l, sliding l-wide windows
 over the word states, mixing each window into a density matrix, applying
-every measurement, and max-pooling each measurement's probability over
-the windows.  The pooled blocks are concatenated in ``window_sizes``
-order; question and answer are compared by cosine similarity and trained
-with a triplet hinge loss.
+every measurement (a unit row of ``params.measurements``), and
+max-pooling each measurement's probability over the windows.  The pooled
+blocks are concatenated in ``window_sizes`` order; question and answer are
+compared by cosine similarity and trained with a triplet hinge loss.
 
 The measurement probabilities come from the factored identity
 <v|rho|v> = sum_i p(w_i) |<v|w_i>|^2, which never builds rho.

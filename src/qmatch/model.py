@@ -15,11 +15,13 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .embedding import Vocabulary, init_amplitudes_from_glove, init_phases
-from .errors import ConfigError, NumericError
-from .measurement import init_measurements
+from .errors import ConfigError, DomainError, NumericError
 
 LOCAL_MIXTURE = "local"
 GLOBAL_MIXTURE = "global"
+
+# How far a measurement row's norm may sit from 1 and still count as unit.
+UNIT_NORM_ATOL = 1e-6
 
 
 @dataclass
@@ -35,7 +37,6 @@ class TrainerConfig:
     batch_size: int = 16
     epochs: int = 20
     dropout_rate: float = 0.9
-    dropout_is_keep_prob: bool = False
     optimizer: str = "sgd"
     max_sentence_len: int = 40
     seed: int = 0
@@ -74,15 +75,10 @@ class TrainerConfig:
 
     @property
     def keep_probability(self) -> float:
-        """``dropout_rate`` read as a drop or a keep probability (per
-        ``dropout_is_keep_prob``), returned as the keep probability."""
+        """1 - ``dropout_rate``; ConfigError unless 0 <= dropout_rate < 1."""
         rate = self.dropout_rate
-        if self.dropout_is_keep_prob:
-            if not 0.0 < rate <= 1.0:
-                raise ConfigError(f"keep probability must be in (0, 1], got {rate}")
-            return rate
         if not 0.0 <= rate < 1.0:
-            raise ConfigError(f"drop probability must be in [0, 1), got {rate}")
+            raise ConfigError(f"dropout_rate must be in [0, 1), got {rate}")
         return 1.0 - rate
 
     @property
@@ -103,11 +99,13 @@ class TrainerConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainerConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        kwargs = dict(data)
+        # stored configs carry the retired keep-probability switch
+        if kwargs.pop("dropout_is_keep_prob", False):
+            kwargs["dropout_rate"] = 1.0 - kwargs.get("dropout_rate", cls.dropout_rate)
+        unknown = set(kwargs) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(data)
         if "window_sizes" in kwargs:
             kwargs["window_sizes"] = tuple(int(w) for w in kwargs["window_sizes"])
         cfg = cls(**kwargs)
@@ -147,6 +145,15 @@ class ParameterSet:
             phase=self.phase.copy(),
             measurements=self.measurements.copy(),
         )
+
+
+def init_measurements(k: int, dim: int) -> np.ndarray:
+    """(k, dim) real one-hot rows e_(i mod dim); orthogonal whenever k <= dim."""
+    if k < 1 or dim < 1:
+        raise DomainError(f"need k >= 1 and dim >= 1, got k={k}, dim={dim}")
+    vectors = np.zeros((k, dim), dtype=np.complex128)
+    vectors[np.arange(k), np.arange(k) % dim] = 1.0
+    return vectors
 
 
 @dataclass
@@ -209,5 +216,5 @@ def init_parameters(
         )
     else:
         phase = np.zeros((len(vocab), config.embedding_dim))
-    mset = init_measurements(config.num_measurements, config.embedding_dim)
-    return ParameterSet(amplitude=amplitude, phase=phase, measurements=mset.vectors)
+    measurements = init_measurements(config.num_measurements, config.embedding_dim)
+    return ParameterSet(amplitude=amplitude, phase=phase, measurements=measurements)

@@ -5,7 +5,8 @@ contributes its rank-one projector, weighted either uniformly (global
 mixture over a whole sentence) or by a softmax over the word norms
 (local mixture, the default for sliding windows).  The resulting matrix
 is Hermitian, unit-trace and positive semidefinite by construction.  A
-unit measurement vector |v> reads the Born probability <v|rho|v> off it.
+measurement, one unit row |v> of the (k, n) ``ParameterSet.measurements``
+array, reads the Born probability <v|rho|v> off it.
 
 ``represent_dense`` composes these steps and materialises every window's
 density matrix.  The production path, ``matcher.forward_batch``, computes
@@ -22,8 +23,7 @@ import numpy as np
 from .embedding import WordState, assemble_word_vector, normalize_word, row_norms
 from .errors import ConfigError, DegenerateInputError, DomainError, ShapeError
 from .linalg import hermitize
-from .measurement import UNIT_NORM_ATOL, MeasurementSet
-from .model import GLOBAL_MIXTURE, ParameterSet, TrainerConfig
+from .model import GLOBAL_MIXTURE, UNIT_NORM_ATOL, ParameterSet, TrainerConfig
 
 
 def slide_windows(items: Sequence, width: int) -> list[Sequence]:
@@ -77,19 +77,22 @@ def local_mixture(states: Sequence[WordState]) -> np.ndarray:
     return _mix(mat, softmax_weights(weights))
 
 
-def measure_all(windows: Sequence[np.ndarray], mset: MeasurementSet) -> np.ndarray:
-    """Probability matrix P with P[k, j] = <v_k|rho_j|v_k>, shape (k, L),
-    clipped to [0, 1]."""
+def measure_all(windows: Sequence[np.ndarray], measurements: np.ndarray) -> np.ndarray:
+    """Probability matrix P with P[k, j] = <v_k|rho_j|v_k> for the unit
+    rows v_k of ``measurements`` (k, n), shape (k, L), clipped to [0, 1]."""
+    v = np.asarray(measurements, dtype=np.complex128)
+    if v.ndim != 2:
+        raise ShapeError(f"measurements must be 2-D, got {v.shape}")
     stack = np.stack([np.asarray(w, dtype=np.complex128) for w in windows])
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise ShapeError(f"windows must stack to (L, n, n), got {stack.shape}")
-    if stack.shape[1] != mset.dim:
+    if stack.shape[1] != v.shape[1]:
         raise ShapeError(
-            f"window dimension {stack.shape[1]} does not match measurements {mset.dim}"
+            f"window dimension {stack.shape[1]} does not match "
+            f"measurements {v.shape[1]}"
         )
-    if np.any(np.abs(row_norms(mset.vectors) - 1.0) > UNIT_NORM_ATOL):
+    if np.any(np.abs(row_norms(v) - 1.0) > UNIT_NORM_ATOL):
         raise DomainError("measurement rows must be unit norm")
-    v = mset.vectors
     probs = np.einsum("ka,jab,kb->kj", v.conj(), stack, v).real
     return np.clip(probs, 0.0, 1.0)
 
@@ -110,11 +113,10 @@ def represent_dense(
         normalize_word(assemble_word_vector(params.amplitude[i], params.phase[i]))
         for i in ids[: config.max_sentence_len]
     ]
-    mset = MeasurementSet(params.measurements)
     if config.mixture == GLOBAL_MIXTURE:
-        return measure_all([global_mixture(states)], mset)[:, 0]
+        return measure_all([global_mixture(states)], params.measurements)[:, 0]
     blocks = []
     for width in config.window_sizes:
         windows = [local_mixture(w) for w in slide_windows(states, width)]
-        blocks.append(measure_all(windows, mset).max(axis=1))
+        blocks.append(measure_all(windows, params.measurements).max(axis=1))
     return np.concatenate(blocks)

@@ -7,8 +7,8 @@ measurement entry being its real and its imaginary part: SGD steps the
 batch's touched rows, Adam runs one update rule over every block.  L2
 decay applies to every row of the amplitude table and to nothing else.
 Measurement rows live on the unit sphere via projected gradient: step
-first, renormalize after.  After each epoch the model is scored on the
-dev split; the best-dev parameters are retained.
+first, then ``_project`` divides each row by its norm.  After each epoch
+the model is scored on the dev split; the best-dev parameters are retained.
 """
 
 from __future__ import annotations
@@ -20,11 +20,10 @@ from typing import Callable
 import numpy as np
 
 from .data import QADataset, Triplet, build_vocab, sample_triplets
-from .embedding import Vocabulary
-from .errors import ConfigError
+from .embedding import ZERO_NORM, Vocabulary, row_norms
+from .errors import ConfigError, DomainError
 from .evaluation import MetricReport, evaluate
 from .gradients import batch_grad
-from .measurement import MeasurementSet
 from .model import (
     GradientSet,
     ParameterSet,
@@ -43,9 +42,10 @@ ADAM_EPS = 1e-8
 def _project(params: ParameterSet) -> None:
     """Pull the measurement rows back onto the unit sphere, then fail
     loudly on a non-finite block."""
-    mset = MeasurementSet(params.measurements)
-    mset.renormalize()
-    params.measurements = mset.vectors
+    norms = row_norms(params.measurements)
+    if np.any(norms < ZERO_NORM):
+        raise DomainError("cannot renormalize a zero measurement vector")
+    params.measurements /= norms[:, None]
     params.check_finite()
 
 

@@ -30,7 +30,6 @@ from qmatch.density_metrics import (
 from qmatch.embedding import assemble_word_vector, normalize_word
 from qmatch.evaluation import evaluate
 from qmatch.linalg import complex_add_polar, hermitian_eig, outer_product
-from qmatch.measurement import MeasurementSet
 from qmatch.model import TrainerConfig, init_parameters
 from qmatch.reference import global_mixture, local_mixture, measure_all, slide_windows
 from qmatch.synthetic import order_corpus, topic_corpus, toy_corpus
@@ -104,7 +103,7 @@ def test_complete_measurement_sets_sum_to_one():
         rho = local_mixture(states)
         z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         unitary, _ = np.linalg.qr(z)
-        probs = measure_all([rho], MeasurementSet(unitary))
+        probs = measure_all([rho], unitary)
         worst = max(worst, abs(float(probs.sum()) - 1.0))
     ok = worst <= 1e-8
     _report(

@@ -186,6 +186,28 @@ def test_load_rejects_non_unit_measurement_rows(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("keep_prob", [False, True])
+def test_load_reads_the_retired_keep_probability_switch(tmp_path, keep_prob):
+    # checkpoints written before the switch was retired carry it in their
+    # config; true meant dropout_rate was the keep probability
+    params, config, vocab = setup_state()
+    config = config.with_overrides(dropout_rate=0.3)
+    path = tmp_path / "model.qmatch"
+    save_checkpoint(path, params, config, vocab)
+    head, rest = path.read_bytes().split(b"\n\n", 1)
+    lines = head.decode("utf-8").splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith("config: "))
+    stored = json.loads(lines[i][len("config: "):])
+    stored["dropout_is_keep_prob"] = keep_prob
+    lines[i] = "config: " + json.dumps(stored, sort_keys=True)
+    old = tmp_path / "old.qmatch"
+    old.write_bytes("\n".join(lines).encode("utf-8") + b"\n\n" + rest)
+    loaded_params, loaded_config, _ = load_checkpoint(old)
+    rate = 1.0 - 0.3 if keep_prob else 0.3
+    assert loaded_config == config.with_overrides(dropout_rate=rate)
+    np.testing.assert_array_equal(loaded_params.measurements, params.measurements)
+
+
 def test_load_missing_file_raises():
     with pytest.raises(FileNotFoundError):
         load_checkpoint("/nonexistent/never.qmatch")

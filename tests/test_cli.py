@@ -1,5 +1,6 @@
 """Command-line interface: artifacts, exit codes, reproducibility."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -16,9 +17,12 @@ from qmatch.cli import (
     EVAL_REPORT_NAME,
     GRID_RESULTS_NAME,
     TRAIN_LOG_NAME,
+    _CONFIG_FLAGS,
+    _STRUCTURAL,
     main,
 )
 from qmatch.data import write_canonical_tsv
+from qmatch.model import TrainerConfig
 from qmatch.synthetic import toy_corpus
 
 
@@ -190,6 +194,13 @@ def test_eval_allows_nonstructural_overrides(trained, toy_tsv, tmp_path):
         ]
     )
     assert rc == 0
+
+
+def test_config_flags_name_every_trainer_config_field():
+    # a setting half removed from TrainerConfig or from the flags fails here
+    names = sorted(f.name for f in dataclasses.fields(TrainerConfig))
+    assert sorted([*_CONFIG_FLAGS, "seed"]) == names
+    assert set(_STRUCTURAL) <= set(names)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from qmatch.embedding import Vocabulary
+from qmatch.errors import ShapeError
 from qmatch.gradients import batch_grad, cosine_grad, triplet_grad
 from qmatch.matcher import forward_batch, score, triplet_loss
 from qmatch.model import GradientSet, ParameterSet, TrainerConfig, init_parameters
@@ -300,3 +301,19 @@ def test_batch_grad_equals_triplet_grad_accumulated(dropout_rate):
     assert np.array_equal(sparse.d_amplitude, dense.d_amplitude[sparse.rows])
     assert np.array_equal(sparse.d_phase, dense.d_phase[sparse.rows])
     assert np.array_equal(sparse.d_measurements, dense.d_measurements)
+
+
+def test_backward_batch_rejects_sparse_grads():
+    # grads rows are indexed by vocabulary id, so accumulating into a
+    # sparse set (rows 2-9 here) would put ids 2, 3 and 4 on the rows of
+    # ids 4, 5 and 6
+    _, params, config = batch_instance(0.0)
+    config = config.with_overrides(margin=10.0)   # every hinge is open
+    first = [(np.arange(2, 6), np.arange(6, 8), np.arange(8, 10))]
+    _, sparse = batch_grad(first, params, config)
+    assert sparse.rows.tolist() == list(range(2, 10))
+    before = sparse.d_amplitude.copy()
+    second = [(np.array([2]), np.array([3]), np.array([4]))]
+    with pytest.raises(ShapeError, match="8 of 12 rows"):
+        batch_grad(second, params, config, grads=sparse)
+    assert np.array_equal(sparse.d_amplitude, before)

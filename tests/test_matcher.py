@@ -58,14 +58,11 @@ def random_ids(length, rng=RNG):
 # and to the pooled vectors (pooled_mask).
 
 
-def dropout_masks(rate, is_keep_prob=False, train=True, rng=None, length=20_000):
+def dropout_masks(rate, train=True, rng=None, length=20_000):
     """forward_batch's masks over one sentence of ``length`` tokens.  The
     config is not validated, so forward_batch itself must check the rate."""
     params = make_params(small_config(), scramble=False)
-    config = small_config(
-        dropout_rate=rate, dropout_is_keep_prob=is_keep_prob,
-        max_sentence_len=length,
-    )
+    config = small_config(dropout_rate=rate, max_sentence_len=length)
     _, tape = forward_batch(
         [random_ids(length, np.random.default_rng(1))], params, config,
         train=train, rng=rng,
@@ -97,18 +94,10 @@ def test_apply_dropout_survivor_fraction_matches_rate():
     assert abs(emb_mask.mean() - 1.0) < 0.02
 
 
-def test_apply_dropout_keep_prob_reading():
-    emb_mask, _ = dropout_masks(0.9, is_keep_prob=True, rng=np.random.default_rng(5))
-    kept = np.count_nonzero(emb_mask) / emb_mask.size
-    assert abs(kept - 0.9) < 0.01
-
-
 def test_apply_dropout_rejects_bad_rates():
-    for rate, is_keep_prob in [
-        (1.0, False), (-0.1, False), (np.nan, False), (0.0, True), (np.nan, True)
-    ]:
+    for rate in (1.0, -0.1, np.nan):
         with pytest.raises(ConfigError):
-            dropout_masks(rate, is_keep_prob, rng=np.random.default_rng(0), length=3)
+            dropout_masks(rate, rng=np.random.default_rng(0), length=3)
 
 
 def test_apply_dropout_needs_rng_in_train_mode():

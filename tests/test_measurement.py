@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from qmatch.embedding import Vocabulary, normalize_word
 from qmatch.errors import DomainError, ShapeError
 from qmatch.matcher import forward_batch
-from qmatch.measurement import MeasurementSet, init_measurements
-from qmatch.model import TrainerConfig, init_parameters
+from qmatch.model import ParameterSet, TrainerConfig, init_measurements, init_parameters
 from qmatch.reference import global_mixture, local_mixture, measure_all, slide_windows
+from qmatch.training import _project
 
 RNG = np.random.default_rng(20260814)
 
@@ -36,8 +36,8 @@ def random_unitary(dim, rng=RNG):
 
 
 def measure(rho, v):
-    """Born probability <v|rho|v> through a one-row measurement set."""
-    return float(measure_all([rho], MeasurementSet(v[None, :]))[0, 0])
+    """Born probability <v|rho|v> through a one-row measurement block."""
+    return float(measure_all([rho], v[None, :])[0, 0])
 
 
 # ------------------------------------------------------------------ measure
@@ -97,22 +97,21 @@ def test_measure_output_clamped_to_unit_interval():
 def test_measure_all_single_element_matches_measure():
     rho = random_density(3)
     v = random_unit(3)
-    mset = MeasurementSet(v[None, :])
-    p = measure_all([rho], mset)
+    p = measure_all([rho], v[None, :])
     assert p.shape == (1, 1)
     assert abs(p[0, 0] - np.vdot(v, rho @ v).real) < 1e-12
 
 
 def test_measure_all_shape_contract():
     windows = [random_density(4) for _ in range(6)]
-    mset = MeasurementSet(np.stack([random_unit(4) for _ in range(3)]))
-    assert measure_all(windows, mset).shape == (3, 6)
+    vs = np.stack([random_unit(4) for _ in range(3)])
+    assert measure_all(windows, vs).shape == (3, 6)
 
 
 def test_measure_all_matches_elementwise_loop():
     windows = [random_density(3) for _ in range(5)]
     vs = np.stack([random_unit(3) for _ in range(4)])
-    got = measure_all(windows, MeasurementSet(vs))
+    got = measure_all(windows, vs)
     for k in range(4):
         for j in range(5):
             born = np.vdot(vs[k], windows[j] @ vs[k]).real
@@ -121,23 +120,26 @@ def test_measure_all_matches_elementwise_loop():
 
 def test_measure_all_rejects_dim_mismatch():
     windows = [random_density(3)]
-    mset = MeasurementSet(np.stack([random_unit(4)]))
     with pytest.raises(ShapeError):
-        measure_all(windows, mset)
+        measure_all(windows, np.stack([random_unit(4)]))
+
+
+def test_measure_all_rejects_a_measurement_block_that_is_not_2d():
+    windows = [random_density(3)]
+    with pytest.raises(ShapeError, match="2-D"):
+        measure_all(windows, random_unit(3))
 
 
 def test_measure_all_rejects_unnormalized_rows():
     windows = [random_density(3)]
-    mset = MeasurementSet(np.stack([2.0 * random_unit(3)]))
     with pytest.raises(DomainError):
-        measure_all(windows, mset)
+        measure_all(windows, np.stack([2.0 * random_unit(3)]))
 
 
 def test_complete_orthonormal_set_columns_sum_to_one():
     for dim in (2, 5, 9):
         windows = [random_density(dim) for _ in range(4)]
-        mset = MeasurementSet(random_unitary(dim).T)
-        p = measure_all(windows, mset)
+        p = measure_all(windows, random_unitary(dim).T)
         np.testing.assert_allclose(p.sum(axis=0), 1.0, atol=1e-8)
 
 
@@ -178,53 +180,60 @@ def test_max_pool_single_column():
 
 
 def test_init_measurements_one_hot_rows():
-    mset = init_measurements(3, 5)
+    vs = init_measurements(3, 5)
     expected = np.zeros((3, 5))
     expected[0, 0] = expected[1, 1] = expected[2, 2] = 1.0
-    np.testing.assert_array_equal(mset.vectors.real, expected)
-    assert np.all(mset.vectors.imag == 0.0)
+    np.testing.assert_array_equal(vs.real, expected)
+    assert np.all(vs.imag == 0.0)
 
 
 def test_init_measurements_orthogonal_when_k_le_dim():
-    mset = init_measurements(5, 5)
-    gram = mset.vectors @ mset.vectors.conj().T
+    vs = init_measurements(5, 5)
+    gram = vs @ vs.conj().T
     np.testing.assert_allclose(gram, np.eye(5), atol=1e-15)
 
 
 def test_init_measurements_wraps_when_k_exceeds_dim():
-    mset = init_measurements(7, 5)
-    hot = mset.vectors.real.argmax(axis=1)
+    hot = init_measurements(7, 5).real.argmax(axis=1)
     assert hot.tolist() == [0, 1, 2, 3, 4, 0, 1]
 
 
 def test_init_measurements_rejects_bad_sizes():
-    with pytest.raises(DomainError):
-        init_measurements(0, 5)
+    for k, dim in ((0, 5), (3, 0)):
+        with pytest.raises(DomainError):
+            init_measurements(k, dim)
+
+
+def project(measurements):
+    """``measurements`` after training's projection step, which renormalises
+    them in place."""
+    dim = measurements.shape[1]
+    params = ParameterSet(
+        amplitude=np.ones((1, dim)), phase=np.zeros((1, dim)),
+        measurements=measurements,
+    )
+    _project(params)
+    assert params.measurements is measurements
+    return measurements
 
 
 def test_renormalize_restores_unit_rows():
-    mset = init_measurements(4, 4)
-    mset.vectors = mset.vectors * 3.7 + 0.1j
-    mset.renormalize()
-    np.testing.assert_allclose(np.linalg.norm(mset.vectors, axis=1), 1.0, atol=1e-9)
+    vs = project(init_measurements(4, 4) * 3.7 + 0.1j)
+    np.testing.assert_allclose(np.linalg.norm(vs, axis=1), 1.0, atol=1e-9)
 
 
 def test_renormalize_keeps_bits_and_rescues_tiny_rows():
     rng = np.random.default_rng(5)
     raw = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
-    mset = MeasurementSet(raw.copy())
-    mset.renormalize()
-    assert np.array_equal(mset.vectors, raw / np.linalg.norm(raw, axis=1)[:, None])
+    vs = project(raw.copy())
+    assert np.array_equal(vs, raw / np.linalg.norm(raw, axis=1)[:, None])
     # squares of a 1e-200 row underflow; the shared row norm rescales them
-    tiny = MeasurementSet(1e-200 * raw)
-    tiny.renormalize()
-    np.testing.assert_allclose(tiny.vectors, mset.vectors, rtol=1e-14)
+    np.testing.assert_allclose(project(1e-200 * raw), vs, rtol=1e-14)
 
 
 def test_renormalize_rejects_zero_row():
-    mset = MeasurementSet(np.zeros((2, 3), dtype=complex))
     with pytest.raises(DomainError):
-        mset.renormalize()
+        project(np.zeros((2, 3), dtype=complex))
 
 
 # -------------------------------------------------------- windowed pipeline
@@ -237,8 +246,7 @@ def test_windowed_probability_pipeline_end_to_end():
         for _ in range(6)
     ]
     windows = [local_mixture(w) for w in slide_windows(sentence, 3)]
-    mset = init_measurements(4, 4)
-    probs = measure_all(windows, mset)
+    probs = measure_all(windows, init_measurements(4, 4))
     assert probs.shape == (4, 6)
     # complete orthonormal set: every window's outcome distribution sums to 1
     np.testing.assert_allclose(probs.sum(axis=0), 1.0, atol=1e-8)
