@@ -99,6 +99,8 @@ def load_checkpoint(
         raise ParseError(f"{path}: missing checkpoint field {exc}") from exc
     except ValueError as exc:
         raise ParseError(f"{path}: bad checkpoint field ({exc})") from exc
+    except ConfigError as exc:
+        raise ParseError(f"{path}: bad stored config ({exc})") from exc
 
     vocab_line, sep, payload = rest.partition(b"\n")
     if not sep:

@@ -17,7 +17,9 @@ entry of ``dims``: the von Neumann measures reuse each matrix's
 logarithm, and the fidelity measures reuse each matrix's square root and
 stack the per-pair ``sqrt(a) b sqrt(a)`` eigenproblems too.  Every value
 equals the plain pairwise function's to the bit, and the recheck of a
-counterexample stays independent of the stacked path.
+counterexample stays independent of the stacked path.  The matrices
+themselves are drawn in bulk (``random_densities``), each bit-identical
+to a draw of it alone.
 """
 
 from __future__ import annotations
@@ -166,16 +168,50 @@ def sqrt_fidelity_distance(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
     return float(np.sqrt(max(0.0, 1.0 - fidelity(rho_a, rho_b))))
 
 
+def _norms(vec: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each complex vector of a stack, to the bit, as
+    ``(..., 1, 1)``.  The dot products must read the strided ``.real`` and
+    ``.imag`` views of the complex array, as ``norm`` does: on contiguous
+    copies OpenBLAS takes another kernel, which rounds some norms
+    differently (seen at d = 4 and 9)."""
+    re, im = vec.real, vec.imag
+    return np.sqrt(re[..., None, :] @ re[..., :, None]
+                   + im[..., None, :] @ im[..., :, None])
+
+
+def random_densities(rng: np.random.Generator, dims: list[int]) -> list[np.ndarray]:
+    """One mixture of 1..d random pure states with Dirichlet(1,..,1)
+    weights per entry d of ``dims``.  The generator is read matrix by
+    matrix (the number of states, the weights, then each state's real and
+    imaginary parts); the arithmetic runs once per group of matrices with
+    the same dimension and number of states, with ``outer_product``'s
+    formula, and each matrix equals a draw of it alone to the bit."""
+    groups: dict[tuple[int, int], list] = {}
+    for i, dim in enumerate(dims):
+        m = int(rng.integers(1, dim + 1))
+        weights = rng.dirichlet(np.ones(m))
+        groups.setdefault((dim, m), []).append(
+            (i, weights, rng.standard_normal((m, 2, dim))))
+    out: list = [None] * len(dims)
+    for (dim, m), members in groups.items():
+        index, weights, z = zip(*members)
+        weights, z = np.array(weights), np.array(z)
+        vec = z[..., 0, :] + 1j * z[..., 1, :]
+        vec /= _norms(vec)[..., 0]
+        re, im = vec.real[..., :, None], vec.imag[..., :, None]
+        re_t, im_t = vec.real[..., None, :], vec.imag[..., None, :]
+        proj = (re * re_t + im * im_t) + 1j * (im * re_t - re * im_t)
+        rho = np.zeros((len(members), dim, dim), dtype=np.complex128)
+        for k in range(m):
+            rho += weights[:, k, None, None] * proj[:, k]
+        for i, r in zip(index, hermitize(rho)):
+            out[i] = r
+    return out
+
+
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Mixture of 1..dim random pure states with Dirichlet(1,..,1) weights."""
-    m = int(rng.integers(1, dim + 1))
-    weights = rng.dirichlet(np.ones(m))
-    rho = np.zeros((dim, dim), dtype=np.complex128)
-    for w in weights:
-        vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        vec /= np.linalg.norm(vec)
-        rho += w * outer_product(vec)
-    return hermitize(rho)
+    return random_densities(rng, [dim])[0]
 
 
 @dataclass
@@ -425,11 +461,10 @@ def audit_metric(
     )
     for a, b, c in _injected_cases(name):
         _audit_triple(report, fn, kind, -1, a, b, c)
-    rng = np.random.default_rng(seed)
-    triples = [
-        tuple(random_density(rng, int(dims[trial % len(dims)])) for _ in range(3))
-        for trial in range(trials)
-    ]
+    mats = random_densities(np.random.default_rng(seed), [
+        int(dims[trial % len(dims)]) for trial in range(trials) for _ in range(3)
+    ])
+    triples = list(zip(mats[0::3], mats[1::3], mats[2::3]))
     stacked = not callable(metric) and name in _STACKED
     values = (_stacked_values(name, triples, len(dims)) if stacked
               else [None] * trials)

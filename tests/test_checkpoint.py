@@ -186,6 +186,30 @@ def test_load_rejects_non_unit_measurement_rows(tmp_path):
         load_checkpoint(path)
 
 
+def edit_stored_config(path, out, **changes):
+    """Copy the checkpoint at ``path`` to ``out`` with its stored config
+    changed as given."""
+    head, rest = path.read_bytes().split(b"\n\n", 1)
+    lines = head.decode("utf-8").splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith("config: "))
+    stored = json.loads(lines[i][len("config: "):])
+    stored.update(changes)
+    lines[i] = "config: " + json.dumps(stored, sort_keys=True)
+    out.write_bytes("\n".join(lines).encode("utf-8") + b"\n\n" + rest)
+
+
+def test_load_names_the_file_of_an_out_of_range_config(tmp_path):
+    params, config, vocab = setup_state()
+    path = tmp_path / "model.qmatch"
+    save_checkpoint(path, params, config, vocab)
+    bad = tmp_path / "margin.qmatch"
+    edit_stored_config(path, bad, margin=-1.0)
+    with pytest.raises(ParseError, match="margin.qmatch: bad stored config") as info:
+        load_checkpoint(bad)
+    assert "margin must be positive" in str(info.value)
+    assert isinstance(info.value.__cause__, ConfigError)
+
+
 @pytest.mark.parametrize("keep_prob", [False, True])
 def test_load_reads_the_retired_keep_probability_switch(tmp_path, keep_prob):
     # checkpoints written before the switch was retired carry it in their
@@ -194,14 +218,8 @@ def test_load_reads_the_retired_keep_probability_switch(tmp_path, keep_prob):
     config = config.with_overrides(dropout_rate=0.3)
     path = tmp_path / "model.qmatch"
     save_checkpoint(path, params, config, vocab)
-    head, rest = path.read_bytes().split(b"\n\n", 1)
-    lines = head.decode("utf-8").splitlines()
-    i = next(i for i, line in enumerate(lines) if line.startswith("config: "))
-    stored = json.loads(lines[i][len("config: "):])
-    stored["dropout_is_keep_prob"] = keep_prob
-    lines[i] = "config: " + json.dumps(stored, sort_keys=True)
     old = tmp_path / "old.qmatch"
-    old.write_bytes("\n".join(lines).encode("utf-8") + b"\n\n" + rest)
+    edit_stored_config(path, old, dropout_is_keep_prob=keep_prob)
     loaded_params, loaded_config, _ = load_checkpoint(old)
     rate = 1.0 - 0.3 if keep_prob else 0.3
     assert loaded_config == config.with_overrides(dropout_rate=rate)

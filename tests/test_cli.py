@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -181,6 +182,16 @@ def test_eval_rejects_structural_flag_conflicts(trained, toy_tsv, capsys):
     )
     assert rc == 2
     assert "conflicts" in capsys.readouterr().err
+
+
+def test_eval_out_of_range_stored_config_exits_2(trained, toy_tsv, tmp_path, capsys):
+    head, rest = trained.read_bytes().split(b"\n\n", 1)
+    bad = tmp_path / "margin.qmatch"
+    bad.write_bytes(re.sub(rb'"margin": [^,}]+', b'"margin": -1.0', head)
+                    + b"\n\n" + rest)
+    rc = main(["eval", "--checkpoint", str(bad), "--dataset", str(toy_tsv)])
+    assert rc == 2
+    assert f"{bad}: bad stored config" in capsys.readouterr().err
 
 
 def test_eval_allows_nonstructural_overrides(trained, toy_tsv, tmp_path):

@@ -23,6 +23,7 @@ from qmatch.density_metrics import (
     audit_metric,
     fidelity,
     identity_counterexample_gap,
+    random_densities,
     random_density,
     render_audit_table,
     report_to_dict,
@@ -281,6 +282,40 @@ def test_random_density_is_deterministic():
     a = random_density(np.random.default_rng(33), 4)
     b = random_density(np.random.default_rng(33), 4)
     np.testing.assert_array_equal(a, b)
+
+
+def per_state_density(rng, dim):
+    # the draw as one plain loop over pure states: the bulk draw's oracle
+    m = int(rng.integers(1, dim + 1))
+    weights = rng.dirichlet(np.ones(m))
+    rho = np.zeros((dim, dim), dtype=np.complex128)
+    for w in weights:
+        vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        vec /= np.linalg.norm(vec)
+        rho += w * outer_product(vec)
+    return 0.5 * (rho + rho.conj().T)
+
+
+def test_bulk_draws_equal_single_draws_to_the_bit():
+    dims = [2, 4, 9, 3, 9, 4, 2, 9, 5, 4] * 30
+    rngs = [np.random.default_rng(404) for _ in range(3)]
+    bulk = random_densities(rngs[0], dims)
+    single = [random_density(rngs[1], d) for d in dims]
+    oracle = [per_state_density(rngs[2], d) for d in dims]
+    assert [r.tobytes() for r in bulk] == [r.tobytes() for r in single]
+    assert [r.tobytes() for r in bulk] == [r.tobytes() for r in oracle]
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+    assert rngs[0].bit_generator.state == rngs[2].bit_generator.state
+
+
+@pytest.mark.parametrize("dim", [4, 9])
+def test_stacked_norms_equal_numpy_norm_to_the_bit(dim):
+    # dot products over contiguous copies of the real and imaginary parts
+    # round differently from np.linalg.norm for some vectors at d = 4, 9
+    z = np.random.default_rng(dim).standard_normal((3000, 2, dim))
+    vec = z[:, 0] + 1j * z[:, 1]
+    norms = density_metrics._norms(vec)[:, 0, 0]
+    assert norms.tobytes() == np.array([np.linalg.norm(v) for v in vec]).tobytes()
 
 
 # ---------------------------------------------------------------------------
