@@ -10,7 +10,8 @@ mark of those coin flips.  The windowed model has to clear that bar by
 actually learning which key pairs sit adjacent.
 
 The complex-vs-real comparison at matched embedding dimension is much
-tighter at this scale; expect a small edge, not the full-scale gap.
+tighter at this scale; expect a small edge, not the full-scale gap.  The
+acceptance suite runs ``ablation_maps`` as defined here.
 """
 
 import argparse
@@ -23,19 +24,8 @@ from qmatch.synthetic import order_corpus
 from qmatch.training import train
 
 
-def run(config: TrainerConfig, train_set, dev_set, vocab) -> float:
-    result = train(train_set, dev_set, config, vocab=vocab)
-    assert result.best_dev_map is not None
-    return result.best_dev_map
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seeds", type=int, nargs="+",
-                        default=[0, 1, 2, 3, 4])
-    parser.add_argument("--epochs", type=int, default=200)
-    args = parser.parse_args()
-
+def ablation_maps(seeds=range(5), epochs: int = 200) -> dict[str, list[float]]:
+    """Best dev MAP per seed of each variant, keyed by the variant name."""
     train_set, dev_set = order_corpus(num_pairs=12, train_questions=72,
                                       dev_questions=60)
     vocab = build_vocab([train_set])
@@ -45,7 +35,7 @@ def main() -> None:
         window_sizes=(2,),
         learning_rate=0.1,
         batch_size=8,
-        epochs=args.epochs,
+        epochs=epochs,
         dropout_rate=0.0,
     )
     variants = {
@@ -53,13 +43,24 @@ def main() -> None:
         "local/real": base.with_overrides(complex_valued=False),
         "global/complex": base.with_overrides(mixture="global"),
     }
-    results: dict[str, list[float]] = {}
-    for name, cfg in variants.items():
-        maps = [
-            run(cfg.with_overrides(seed=s), train_set, dev_set, vocab)
-            for s in args.seeds
+    return {
+        name: [
+            train(train_set, dev_set, cfg.with_overrides(seed=s), vocab=vocab).best_dev_map
+            for s in seeds
         ]
-        results[name] = maps
+        for name, cfg in variants.items()
+    }
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--seeds", type=int, nargs="+",
+                        default=[0, 1, 2, 3, 4])
+    parser.add_argument("--epochs", type=int, default=200)
+    args = parser.parse_args()
+
+    results = ablation_maps(args.seeds, args.epochs)
+    for name, maps in results.items():
         print(f"{name:15s} per-seed MAP {['%.3f' % m for m in maps]} "
               f"mean {np.mean(maps):.4f}")
 

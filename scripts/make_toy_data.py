@@ -13,17 +13,17 @@ def main() -> None:
     parser.add_argument("--corpus", choices=("toy", "topic", "order"),
                         default="topic")
     parser.add_argument("--out", type=Path, default=Path("data"))
-    parser.add_argument("--seed", type=int, default=11)
+    parser.add_argument("--seed", type=int, default=None,
+                        help="corpus seed (default: the corpus's own)")
     args = parser.parse_args()
 
     args.out.mkdir(parents=True, exist_ok=True)
+    seed = {} if args.seed is None else {"seed": args.seed}
     if args.corpus == "toy":
         splits = {"toy": toy_corpus()}
-    elif args.corpus == "topic":
-        train, dev = topic_corpus(seed=args.seed)
-        splits = {"train": train, "dev": dev}
     else:
-        train, dev = order_corpus(seed=args.seed)
+        corpus = topic_corpus if args.corpus == "topic" else order_corpus
+        train, dev = corpus(**seed)
         splits = {"train": train, "dev": dev}
 
     for name, dataset in splits.items():

@@ -78,7 +78,10 @@ def load_checkpoint(
     head, sep, rest = raw.partition(b"\n\n")
     if not sep:
         raise ParseError(f"{path}: missing checkpoint header terminator")
-    lines = head.decode("utf-8").splitlines()
+    try:
+        lines = head.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: checkpoint header is not UTF-8 ({exc})") from exc
     if not lines or not lines[0].startswith(MAGIC):
         raise ParseError(f"{path}: not a checkpoint file")
     version = lines[0][len(MAGIC):].strip()
@@ -105,7 +108,12 @@ def load_checkpoint(
     vocab_line, sep, payload = rest.partition(b"\n")
     if not sep:
         raise ParseError(f"{path}: truncated vocabulary record")
-    tokens = json.loads(vocab_line.decode("utf-8"))
+    try:
+        tokens = json.loads(vocab_line.decode("utf-8"))
+    except ValueError as exc:   # not UTF-8, or not JSON
+        raise ParseError(f"{path}: bad vocabulary record ({exc})") from exc
+    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+        raise ParseError(f"{path}: vocabulary record is not a list of strings")
     if len(tokens) != vocab_size:
         raise ParseError(
             f"{path}: header claims {vocab_size} tokens, found {len(tokens)}"

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +55,29 @@ FORMAT_PRESETS = {
 _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False}
 
 
+@contextmanager
+def _open_text(path: str):
+    """``path`` opened as UTF-8 text.  A byte that does not decode raises a
+    ParseError naming the first line that is not UTF-8; the reader decodes
+    ahead in chunks, so the caller's line count cannot say which it is."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            with open(path, "rb") as raw:
+                # bytes.splitlines breaks where text mode's universal newlines do
+                lines = raw.read().splitlines()
+            for lineno, line in enumerate(lines, start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ParseError(
+                        f"{path}:{lineno}: not valid UTF-8 ({exc.reason} at "
+                        f"byte {exc.start} of the line)"
+                    ) from None
+            raise
+
+
 def read_format_descriptor(path: str) -> DatasetFormat:
     """Parse a key=value text file into a DatasetFormat.
 
@@ -61,7 +85,7 @@ def read_format_descriptor(path: str) -> DatasetFormat:
     (integers) and has_header (true/false).  '#' starts a comment.
     """
     values: dict[str, object] = {}
-    with open(path, encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -186,7 +210,7 @@ def load_tsv(
     groups: dict[str, QuestionGroup] = {}
     order: list[str] = []
     question, q_joined = None, ""   # the last question text seen, its tokens
-    with open(path, encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             if fmt.has_header and lineno == 1:
                 continue

@@ -4,7 +4,8 @@ Every test prints one ``[acceptance] <name>: PASS/FAIL (...)`` line
 (visible under ``pytest -s``) before asserting, so the verdicts survive
 in the log either way.  Checks with a wall-clock budget assert it too.
 The three multi-run checks carry the ``slow`` marker: ``pytest -m "not
-slow"`` gives a quick tier, and the full suite still runs them.
+slow"`` gives a quick tier, and the full suite still runs them.  The
+toy-overfit, lift and ablation checks run the experiments of ``scripts/``.
 
 The loader check against the original TREC QA / WikiQA distributions is
 optional: point ``QMATCH_TRECQA_TRAIN`` at the raw four-column training
@@ -20,7 +21,8 @@ import numpy as np
 import pytest
 
 import test_gradients as fd
-from qmatch.data import FORMAT_PRESETS, build_vocab, load_tsv
+from test_scripts import script
+from qmatch.data import FORMAT_PRESETS, load_tsv
 from qmatch.density_metrics import (
     audit_metric,
     identity_counterexample_gap,
@@ -28,12 +30,8 @@ from qmatch.density_metrics import (
     trace_inner_product,
 )
 from qmatch.embedding import assemble_word_vector, normalize_word
-from qmatch.evaluation import evaluate
 from qmatch.linalg import complex_add_polar, hermitian_eig, outer_product
-from qmatch.model import TrainerConfig, init_parameters
 from qmatch.reference import global_mixture, local_mixture, measure_all, slide_windows
-from qmatch.synthetic import order_corpus, topic_corpus, toy_corpus
-from qmatch.training import train
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -286,21 +284,7 @@ def test_loader_reproduces_reference_counts():
 def test_toy_overfit_reaches_perfect_ranking():
     """A separable toy set must be ranked perfectly within 50 epochs."""
     t0 = time.perf_counter()
-    toy = toy_corpus(8)
-    vocab = build_vocab([toy])
-    config = TrainerConfig(
-        embedding_dim=8,
-        num_measurements=6,
-        window_sizes=(1, 2),
-        learning_rate=0.1,
-        l2_lambda=1e-7,
-        batch_size=8,
-        epochs=50,
-        dropout_rate=0.0,
-        seed=3,
-    )
-    result = train(toy, toy, config, vocab=vocab)
-    report = evaluate(result.params, toy, config, vocab)
+    result, report = script("train_toy", "toy_overfit")(epochs=50, seed=3)
     elapsed = time.perf_counter() - t0
     ok = (
         result.best_dev_map == 1.0
@@ -320,27 +304,8 @@ def test_toy_overfit_reaches_perfect_ranking():
 def test_training_beats_random_baseline_across_seeds():
     """Trained dev MAP must clear the frozen random baseline by 0.10."""
     t0 = time.perf_counter()
-    train_set, dev_set = topic_corpus(
-        train_questions=100, dev_questions=25, topic_words=12, filler_words=30
-    )
-    vocab = build_vocab([train_set])
-    lifts = []
-    for seed in range(10):
-        config = TrainerConfig(
-            embedding_dim=24,
-            num_measurements=30,
-            window_sizes=(1, 2),
-            learning_rate=0.1,
-            batch_size=8,
-            epochs=60,
-            dropout_rate=0.0,
-            seed=seed,
-        )
-        baseline = evaluate(
-            init_parameters(vocab, config), dev_set, config, vocab
-        ).map
-        trained = train(train_set, dev_set, config, vocab=vocab).best_dev_map
-        lifts.append(trained - baseline)
+    maps = script("scaled_signal", "lift_per_seed")(seeds=range(10), epochs=60)
+    lifts = [trained - baseline for baseline, trained in maps]
     elapsed = time.perf_counter() - t0
     wins = sum(lift >= 0.10 for lift in lifts)
     ok = wins >= 8 and elapsed < 1200.0
@@ -383,31 +348,8 @@ def test_metric_audit_reproduces_axiom_pattern():
 def test_ablation_orderings_hold():
     """Windowed beats whole-sentence; complex at least matches real."""
     t0 = time.perf_counter()
-    train_set, dev_set = order_corpus(
-        num_pairs=12, train_questions=72, dev_questions=60
-    )
-    vocab = build_vocab([train_set])
-    base = TrainerConfig(
-        embedding_dim=8,
-        num_measurements=30,
-        window_sizes=(2,),
-        learning_rate=0.1,
-        batch_size=8,
-        epochs=200,
-        dropout_rate=0.0,
-    )
-    variants = {
-        "local/complex": base,
-        "local/real": base.with_overrides(complex_valued=False),
-        "global/complex": base.with_overrides(mixture="global"),
-    }
-    means = {}
-    for name, cfg in variants.items():
-        maps = [
-            train(train_set, dev_set, cfg.with_overrides(seed=s), vocab=vocab).best_dev_map
-            for s in range(5)
-        ]
-        means[name] = float(np.mean(maps))
+    maps = script("ablation", "ablation_maps")(seeds=range(5), epochs=200)
+    means = {name: float(np.mean(runs)) for name, runs in maps.items()}
     elapsed = time.perf_counter() - t0
     local_beats_global = means["local/complex"] >= means["global/complex"]
     complex_beats_real = means["local/complex"] >= means["local/real"]

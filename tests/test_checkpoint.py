@@ -28,11 +28,17 @@ def setup_state(seed=9):
     return params, config, vocab
 
 
-def test_round_trip_restores_everything(tmp_path):
-    params, config, vocab = setup_state()
+@pytest.fixture()
+def saved(tmp_path):
+    """``setup_state()`` saved as ``model.qmatch``."""
     path = tmp_path / "model.qmatch"
-    save_checkpoint(path, params, config, vocab)
-    loaded_params, loaded_config, loaded_vocab = load_checkpoint(path)
+    save_checkpoint(path, *setup_state())
+    return path
+
+
+def test_round_trip_restores_everything(saved):
+    params, config, vocab = setup_state()
+    loaded_params, loaded_config, loaded_vocab = load_checkpoint(saved)
     np.testing.assert_array_equal(loaded_params.amplitude, params.amplitude)
     np.testing.assert_array_equal(loaded_params.phase, params.phase)
     np.testing.assert_array_equal(loaded_params.measurements, params.measurements)
@@ -50,11 +56,9 @@ def test_saves_are_byte_identical(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_failed_save_leaves_existing_checkpoint_intact(tmp_path, monkeypatch):
+def test_failed_save_leaves_existing_checkpoint_intact(tmp_path, saved, monkeypatch):
     params, config, vocab = setup_state()
-    path = tmp_path / "model.qmatch"
-    save_checkpoint(path, params, config, vocab)
-    before = path.read_bytes()
+    before = saved.read_bytes()
 
     def failing_blocks(p):
         yield p.amplitude
@@ -64,16 +68,14 @@ def test_failed_save_leaves_existing_checkpoint_intact(tmp_path, monkeypatch):
     changed = params.copy()
     changed.amplitude += 1.0
     with pytest.raises(OSError, match="disk full"):
-        save_checkpoint(path, changed, config, vocab)
-    assert path.read_bytes() == before
+        save_checkpoint(saved, changed, config, vocab)
+    assert saved.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.qmatch"]
 
 
-def test_header_is_readable_text(tmp_path):
-    params, config, vocab = setup_state()
-    path = tmp_path / "model.qmatch"
-    save_checkpoint(path, params, config, vocab)
-    head = path.read_bytes().split(b"\n\n", 1)[0].decode("utf-8")
+def test_header_is_readable_text(saved):
+    _, config, vocab = setup_state()
+    head = saved.read_bytes().split(b"\n\n", 1)[0].decode("utf-8")
     lines = head.splitlines()
     assert lines[0] == f"{MAGIC} v{FORMAT_VERSION}"
     assert f"vocab_size: {len(vocab)}" in lines
@@ -90,40 +92,23 @@ def test_save_rejects_vocab_parameter_mismatch(tmp_path):
         save_checkpoint(tmp_path / "x.qmatch", params, config, other_vocab)
 
 
-def corrupt(path, out, mutate):
-    data = bytearray(path.read_bytes())
-    mutate(data)
-    out.write_bytes(bytes(data))
-    return out
-
-
-def test_load_rejects_wrong_magic(tmp_path):
-    params, config, vocab = setup_state()
-    path = tmp_path / "model.qmatch"
-    save_checkpoint(path, params, config, vocab)
-    bad = corrupt(path, tmp_path / "bad.qmatch", lambda d: d.__setitem__(0, ord("x")))
+def test_load_rejects_wrong_magic(tmp_path, saved):
+    bad = tmp_path / "bad.qmatch"
+    bad.write_bytes(b"x" + saved.read_bytes()[1:])
     with pytest.raises(ParseError, match="not a checkpoint"):
         load_checkpoint(bad)
 
 
-def test_load_rejects_future_version(tmp_path):
-    params, config, vocab = setup_state()
-    path = tmp_path / "model.qmatch"
-    save_checkpoint(path, params, config, vocab)
-    data = path.read_bytes().replace(b" v1\n", b" v9\n", 1)
+def test_load_rejects_future_version(tmp_path, saved):
     bad = tmp_path / "future.qmatch"
-    bad.write_bytes(data)
+    bad.write_bytes(saved.read_bytes().replace(b" v1\n", b" v9\n", 1))
     with pytest.raises(ParseError, match="unsupported checkpoint version"):
         load_checkpoint(bad)
 
 
-def test_load_rejects_truncated_payload(tmp_path):
-    params, config, vocab = setup_state()
-    path = tmp_path / "model.qmatch"
-    save_checkpoint(path, params, config, vocab)
-    data = path.read_bytes()
+def test_load_rejects_truncated_payload(tmp_path, saved):
     bad = tmp_path / "short.qmatch"
-    bad.write_bytes(data[:-16])
+    bad.write_bytes(saved.read_bytes()[:-16])
     with pytest.raises(ParseError, match="payload"):
         load_checkpoint(bad)
 
@@ -142,11 +127,8 @@ def test_load_rejects_missing_fields(tmp_path):
         load_checkpoint(bad)
 
 
-def test_load_rejects_token_count_mismatch(tmp_path):
-    params, config, vocab = setup_state()
-    path = tmp_path / "model.qmatch"
-    save_checkpoint(path, params, config, vocab)
-    data = path.read_bytes()
+def test_load_rejects_token_count_mismatch(tmp_path, saved):
+    data = saved.read_bytes()
     head, rest = data.split(b"\n\n", 1)
     vocab_line, payload = rest.split(b"\n", 1)
     tokens = json.loads(vocab_line)
@@ -157,12 +139,29 @@ def test_load_rejects_token_count_mismatch(tmp_path):
         load_checkpoint(bad)
 
 
-def test_load_rejects_duplicate_tokens(tmp_path):
-    params, config, vocab = setup_state()
-    path = tmp_path / "model.qmatch"
-    save_checkpoint(path, params, config, vocab)
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        (b'"red"', b'"red', "bad vocabulary record"),
+        (b'"red"', b'"r\xffd"', "bad vocabulary record"),
+        (b"\n\n[", b"\n\n7\n[", "vocabulary record is not a list of strings"),
+        (b'"red"', b"7", "vocabulary record is not a list of strings"),
+        (b"dim", b"d\xffm", "checkpoint header is not UTF-8"),
+    ],
+    ids=["not-json", "not-utf8", "not-a-list", "not-all-strings", "header-not-utf8"],
+)
+def test_load_names_the_file_of_a_corrupt_vocabulary_or_header(
+    tmp_path, saved, old, new, message
+):
+    bad = tmp_path / "bad.qmatch"
+    bad.write_bytes(saved.read_bytes().replace(old, new, 1))
+    with pytest.raises(ParseError, match=f"bad.qmatch: {message}"):
+        load_checkpoint(bad)
+
+
+def test_load_rejects_duplicate_tokens(tmp_path, saved):
     bad = tmp_path / "dup.qmatch"
-    bad.write_bytes(path.read_bytes().replace(b'"green"', b'"red"', 1))
+    bad.write_bytes(saved.read_bytes().replace(b'"green"', b'"red"', 1))
     with pytest.raises(ParseError, match="duplicate vocabulary token 'red'"):
         load_checkpoint(bad)
 
@@ -198,12 +197,9 @@ def edit_stored_config(path, out, **changes):
     out.write_bytes("\n".join(lines).encode("utf-8") + b"\n\n" + rest)
 
 
-def test_load_names_the_file_of_an_out_of_range_config(tmp_path):
-    params, config, vocab = setup_state()
-    path = tmp_path / "model.qmatch"
-    save_checkpoint(path, params, config, vocab)
+def test_load_names_the_file_of_an_out_of_range_config(tmp_path, saved):
     bad = tmp_path / "margin.qmatch"
-    edit_stored_config(path, bad, margin=-1.0)
+    edit_stored_config(saved, bad, margin=-1.0)
     with pytest.raises(ParseError, match="margin.qmatch: bad stored config") as info:
         load_checkpoint(bad)
     assert "margin must be positive" in str(info.value)
@@ -231,12 +227,9 @@ def test_load_missing_file_raises():
         load_checkpoint("/nonexistent/never.qmatch")
 
 
-def test_loaded_parameters_are_writable(tmp_path):
+def test_loaded_parameters_are_writable(saved):
     # frombuffer views are read-only; training must get its own memory
-    params, config, vocab = setup_state()
-    path = tmp_path / "model.qmatch"
-    save_checkpoint(path, params, config, vocab)
-    loaded, _, _ = load_checkpoint(path)
+    loaded, _, _ = load_checkpoint(saved)
     loaded.amplitude[0, 0] = 42.0
     loaded.measurements[0, 0] = 0.5 + 0.5j
     assert loaded.amplitude[0, 0] == 42.0

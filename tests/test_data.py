@@ -167,6 +167,24 @@ def test_load_rejects_short_rows(tmp_path):
         load_tsv(str(path), CANONICAL_FORMAT)
 
 
+@pytest.mark.parametrize(
+    "read, line",
+    [
+        (lambda path: load_tsv(path, CANONICAL_FORMAT), "q{0}\twhat is {1}\tit is {0}\t1\n"),
+        (read_format_descriptor, "# comment {0} on {1}\n"),
+    ],
+    ids=["load_tsv", "read_format_descriptor"],
+)
+def test_readers_name_the_first_line_that_is_not_utf8(tmp_path, read, line):
+    # 500 good lines fill more than the reader's first 8 KB decoding chunk,
+    # so the reader's own line count would name an earlier line
+    good = "".join(line.format(i, "tea") for i in range(500)).encode("utf-8")
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(good + line.format(500, "caf\xe9").encode("latin-1") + good)
+    with pytest.raises(ParseError, match="latin1.txt:501: not valid UTF-8"):
+        read(str(path))
+
+
 def test_load_rejects_unknown_labels(tmp_path):
     path = tmp_path / "badlabel.tsv"
     path.write_text("q1\tSome question\tSome answer\t2\n", encoding="utf-8")
