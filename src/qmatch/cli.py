@@ -1,10 +1,13 @@
 """Command-line entry points.
 
 Subcommands: train, eval, grid-search, inspect-words, inspect-match,
-inspect-measurements, metric-audit.  Hyperparameters come from an
-optional JSON config file; explicit flags win over the file.  Exit
-codes: 0 success, 2 configuration/parse/missing-path problems, 3 data
-problems, 4 numeric or domain failures, 1 anything unexpected.
+inspect-measurements, metric-audit.  ``train`` and ``grid-search``
+take hyperparameters from an optional JSON config file, and explicit
+flags win over the file.  ``eval`` and the ``inspect-*`` commands run
+with the config stored in their checkpoint and take no hyperparameter
+flags.  Exit codes: 0 success, 2 configuration/parse/missing-path
+problems, 3 data problems, 4 numeric or domain failures, 1 anything
+unexpected.
 
 ``QMATCH_THREADS`` caps the BLAS thread pools; it is applied before
 numpy is first imported, which is why the numeric modules are imported
@@ -75,6 +78,12 @@ def _parse_bool(text: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
 
 
+def _parse_positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _parse_int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(",") if part.strip())
@@ -97,6 +106,7 @@ _CONFIG_FLAGS: dict[str, tuple] = {
     "dropout_rate": (float, "probability of dropping an entry, in [0, 1)"),
     "optimizer": (str, "'sgd' or 'adam'"),
     "max_sentence_len": (int, "sentences truncate to this many tokens"),
+    "seed": (int, "run seed"),
 }
 
 
@@ -110,7 +120,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         "--config", type=str, default=None,
         help="JSON file of hyperparameters (flags override it)",
     )
-    parser.add_argument("--seed", type=int, default=None, help="run seed")
 
 
 def _require_path(path: str | None, what: str) -> Path:
@@ -128,17 +137,6 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _flag_overrides(args) -> dict:
-    overrides = {
-        name: getattr(args, name)
-        for name in _CONFIG_FLAGS
-        if getattr(args, name, None) is not None
-    }
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    return overrides
-
-
 def _build_config(args):
     from .model import TrainerConfig
 
@@ -151,7 +149,11 @@ def _build_config(args):
         config = TrainerConfig.from_dict(data)
     else:
         config = TrainerConfig()
-    config = config.with_overrides(**_flag_overrides(args))
+    config = config.with_overrides(**{
+        name: getattr(args, name)
+        for name in _CONFIG_FLAGS
+        if getattr(args, name) is not None
+    })
     config.validate()
     return config
 
@@ -166,29 +168,10 @@ def _load_dataset(path_str: str, format_spec: str, split: str):
     return dataset
 
 
-# Model-structural fields that must agree with a loaded checkpoint.
-_STRUCTURAL = (
-    "embedding_dim", "num_measurements", "window_sizes",
-    "mixture", "complex_valued", "max_sentence_len",
-)
-
-
 def _load_checkpoint_for(args):
     from .checkpoint import load_checkpoint
 
-    path = _require_path(args.checkpoint, "checkpoint")
-    params, config, vocab = load_checkpoint(path)
-    overrides = _flag_overrides(args)
-    for key in _STRUCTURAL:
-        if key in overrides and overrides[key] != getattr(config, key):
-            raise ConfigError(
-                f"flag --{key.replace('_', '-')}={overrides[key]!r} conflicts "
-                f"with checkpoint value {getattr(config, key)!r}"
-            )
-    if overrides:
-        config = config.with_overrides(**overrides)
-        config.validate()
-    return params, config, vocab
+    return load_checkpoint(_require_path(args.checkpoint, "checkpoint"))
 
 
 def cmd_train(args) -> int:
@@ -346,14 +329,14 @@ def cmd_metric_audit(args) -> int:
     )
 
     names = (
-        [n.strip() for n in args.metrics.split(",") if n.strip()]
-        if args.metrics
-        else sorted(METRIC_FNS)
+        sorted(METRIC_FNS)
+        if args.metrics is None
+        else [n.strip() for n in args.metrics.split(",") if n.strip()]
     )
-    dims = args.dims if args.dims else (2, 3, 4)
-    seed = args.seed if args.seed is not None else 0
+    if not names or not args.dims:
+        raise ConfigError("--metrics and --dims must each name at least one entry")
     reports = [
-        audit_metric(name, trials=args.trials, dims=tuple(dims), seed=seed)
+        audit_metric(name, trials=args.trials, dims=args.dims, seed=args.seed)
         for name in names
     ]
     table = render_audit_table(reports)
@@ -393,7 +376,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--format", default="canonical")
     p_eval.add_argument("--split", default="eval", help="split name for reports")
     p_eval.add_argument("--out", default=None, help="output directory")
-    _add_config_flags(p_eval)
     p_eval.set_defaults(func=cmd_eval)
 
     p_grid = sub.add_parser("grid-search", help="hyperparameter sweep on dev MAP")
@@ -410,9 +392,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_words = sub.add_parser("inspect-words",
                              help="rank words by learned amplitude norm")
     p_words.add_argument("--checkpoint", required=True)
-    p_words.add_argument("--top-n", dest="top_n", type=int, default=50)
+    p_words.add_argument("--top-n", type=_parse_positive_int, default=50)
     p_words.add_argument("--out", default=None, help="output file (default stdout)")
-    _add_config_flags(p_words)
     p_words.set_defaults(func=cmd_inspect_words)
 
     p_match = sub.add_parser("inspect-match",
@@ -421,25 +402,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p_match.add_argument("--question", required=True)
     p_match.add_argument("--answer", required=True)
     p_match.add_argument("--out", default=None, help="output file (default stdout)")
-    _add_config_flags(p_match)
     p_match.set_defaults(func=cmd_inspect_match)
 
     p_meas = sub.add_parser("inspect-measurements",
                             help="nearest words to each measurement vector")
     p_meas.add_argument("--checkpoint", required=True)
-    p_meas.add_argument("--top-n", dest="top_n", type=int, default=10)
+    p_meas.add_argument("--top-n", type=_parse_positive_int, default=10)
     p_meas.add_argument("--out", default=None, help="output file (default stdout)")
-    _add_config_flags(p_meas)
     p_meas.set_defaults(func=cmd_inspect_measurements)
 
     p_audit = sub.add_parser("metric-audit",
                              help="empirical axiom audit of density-matrix metrics")
     p_audit.add_argument("--trials", type=int, default=10_000)
-    p_audit.add_argument("--dims", type=_parse_int_list, default=None,
+    p_audit.add_argument("--dims", type=_parse_int_list, default=(2, 3, 4),
                          help="comma-separated matrix dimensions (default 2,3,4)")
     p_audit.add_argument("--metrics", default=None,
                          help="comma-separated metric names (default: all)")
-    p_audit.add_argument("--seed", type=int, default=None)
+    p_audit.add_argument("--seed", type=int, default=0)
     p_audit.add_argument("--out", default=None)
     p_audit.set_defaults(func=cmd_metric_audit)
 

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedding import Vocabulary, tokenize
+from .embedding import Vocabulary, _open_text, tokenize
 from .errors import DataError, ParseError
 
 log = logging.getLogger(__name__)
@@ -53,29 +52,6 @@ FORMAT_PRESETS = {
 }
 
 _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False}
-
-
-@contextmanager
-def _open_text(path: str):
-    """``path`` opened as UTF-8 text.  A byte that does not decode raises a
-    ParseError naming the first line that is not UTF-8; the reader decodes
-    ahead in chunks, so the caller's line count cannot say which it is."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            yield fh
-        except UnicodeDecodeError:
-            with open(path, "rb") as raw:
-                # bytes.splitlines breaks where text mode's universal newlines do
-                lines = raw.read().splitlines()
-            for lineno, line in enumerate(lines, start=1):
-                try:
-                    line.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise ParseError(
-                        f"{path}:{lineno}: not valid UTF-8 ({exc.reason} at "
-                        f"byte {exc.start} of the line)"
-                    ) from None
-            raise
 
 
 def read_format_descriptor(path: str) -> DatasetFormat:

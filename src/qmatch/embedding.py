@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import string
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,14 +137,38 @@ def _pad_row(dim: int) -> np.ndarray:
     return np.full(dim, DEGENERATE_WEIGHT / math.sqrt(dim), dtype=np.float64)
 
 
+@contextmanager
+def _open_text(path: str):
+    """``path`` opened as UTF-8 text.  A byte that does not decode raises a
+    ParseError naming the first line that is not UTF-8; the reader decodes
+    ahead in chunks, so the caller's line count cannot say which it is."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            with open(path, "rb") as raw:
+                # bytes.splitlines breaks where text mode's universal newlines do
+                lines = raw.read().splitlines()
+            for lineno, line in enumerate(lines, start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ParseError(
+                        f"{path}:{lineno}: not valid UTF-8 ({exc.reason} at "
+                        f"byte {exc.start} of the line)"
+                    ) from None
+            raise
+
+
 def read_glove_vectors(path: str, dim: int) -> dict[str, np.ndarray]:
     """Parse a whitespace-separated embedding text file.
 
-    Each line holds a token followed by ``dim`` floats.  Malformed lines
-    raise ParseError naming the file and 1-based line number.
+    Each line holds a token followed by ``dim`` finite floats.  Malformed
+    lines, and lines that are not UTF-8, raise ParseError naming the file
+    and 1-based line number.
     """
     vectors: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.rstrip("\n").split()
             if not parts:
@@ -155,9 +180,12 @@ def read_glove_vectors(path: str, dim: int) -> dict[str, np.ndarray]:
                     f"{token!r}, found {len(values)}"
                 )
             try:
-                vectors[token] = np.array([float(x) for x in values], dtype=np.float64)
+                vector = np.array([float(x) for x in values], dtype=np.float64)
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: non-numeric value ({exc})") from None
+            if not np.isfinite(vector).all():
+                raise ParseError(f"{path}:{lineno}: non-finite value for {token!r}")
+            vectors[token] = vector
     return vectors
 
 

@@ -147,8 +147,12 @@ def test_load_rejects_token_count_mismatch(tmp_path, saved):
         (b"\n\n[", b"\n\n7\n[", "vocabulary record is not a list of strings"),
         (b'"red"', b"7", "vocabulary record is not a list of strings"),
         (b"dim", b"d\xffm", "checkpoint header is not UTF-8"),
+        (b'"<unk>"', b'"unk"', "vocabulary does not start with <pad>, <unk>"),
+        (b'"<pad>", "<unk>"', b'"<unk>", "<pad>"',
+         "vocabulary does not start with <pad>, <unk>"),
     ],
-    ids=["not-json", "not-utf8", "not-a-list", "not-all-strings", "header-not-utf8"],
+    ids=["not-json", "not-utf8", "not-a-list", "not-all-strings", "header-not-utf8",
+         "no-unk", "pad-unk-swapped"],
 )
 def test_load_names_the_file_of_a_corrupt_vocabulary_or_header(
     tmp_path, saved, old, new, message

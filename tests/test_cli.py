@@ -19,7 +19,6 @@ from qmatch.cli import (
     GRID_RESULTS_NAME,
     TRAIN_LOG_NAME,
     _CONFIG_FLAGS,
-    _STRUCTURAL,
     main,
 )
 from qmatch.data import write_canonical_tsv
@@ -171,17 +170,24 @@ def test_eval_non_finite_checkpoint_exits_4(trained, toy_tsv, tmp_path, capsys):
     assert "'measurements'" in capsys.readouterr().err
 
 
-def test_eval_rejects_structural_flag_conflicts(trained, toy_tsv, capsys):
-    rc = main(
-        [
-            "eval",
-            "--checkpoint", str(trained),
-            "--dataset", str(toy_tsv),
-            "--embedding-dim", "12",
-        ]
-    )
-    assert rc == 2
-    assert "conflicts" in capsys.readouterr().err
+CHECKPOINT_COMMANDS = {
+    "eval": ["--dataset", "toy.tsv"],
+    "inspect-words": [],
+    "inspect-match": ["--question", "ask", "--answer", "echo"],
+    "inspect-measurements": [],
+}
+
+
+@pytest.mark.parametrize("flag", [["--config", "c.json"], ["--seed", "7"],
+                                  ["--embedding-dim", "12"]],
+                         ids=["config", "seed", "embedding-dim"])
+@pytest.mark.parametrize("command", sorted(CHECKPOINT_COMMANDS))
+def test_checkpoint_commands_take_no_config_flags(command, flag, capsys):
+    # these commands run with the config stored in the checkpoint
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--checkpoint", "c.qmatch", *CHECKPOINT_COMMANDS[command], *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 def test_eval_out_of_range_stored_config_exits_2(trained, toy_tsv, tmp_path, capsys):
@@ -194,24 +200,10 @@ def test_eval_out_of_range_stored_config_exits_2(trained, toy_tsv, tmp_path, cap
     assert f"{bad}: bad stored config" in capsys.readouterr().err
 
 
-def test_eval_allows_nonstructural_overrides(trained, toy_tsv, tmp_path):
-    rc = main(
-        [
-            "eval",
-            "--checkpoint", str(trained),
-            "--dataset", str(toy_tsv),
-            "--batch-size", "2",
-            "--out", str(tmp_path / "eval2"),
-        ]
-    )
-    assert rc == 0
-
-
 def test_config_flags_name_every_trainer_config_field():
     # a setting half removed from TrainerConfig or from the flags fails here
     names = sorted(f.name for f in dataclasses.fields(TrainerConfig))
-    assert sorted([*_CONFIG_FLAGS, "seed"]) == names
-    assert set(_STRUCTURAL) <= set(names)
+    assert sorted(_CONFIG_FLAGS) == names
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +298,15 @@ def test_inspect_measurements_lists_neighbors(trained, capsys):
     assert len(lines) - 1 == 4 * 3  # k measurements x top_n
 
 
+@pytest.mark.parametrize("top_n", ["0", "-2"])
+@pytest.mark.parametrize("command", ["inspect-words", "inspect-measurements"])
+def test_inspect_top_n_below_one_exits_2(trained, command, top_n, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--checkpoint", str(trained), "--top-n", top_n])
+    assert exc.value.code == 2
+    assert "expected an integer >= 1" in capsys.readouterr().err
+
+
 def test_inspect_output_file(trained, tmp_path):
     out_file = tmp_path / "words.tsv"
     rc = main(
@@ -352,6 +353,15 @@ def test_metric_audit_unknown_metric_exits_4(tmp_path, capsys):
     )
     assert rc == 4
     assert "unknown metric" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--metrics", ","], ["--dims", ""]],
+                         ids=["metrics", "dims"])
+def test_metric_audit_empty_list_exits_2(flag, tmp_path, capsys):
+    rc = main(["metric-audit", "--trials", "5", *flag, "--out", str(tmp_path)])
+    assert rc == 2
+    assert "must each name at least one entry" in capsys.readouterr().err
+    assert not (tmp_path / AUDIT_TABLE_NAME).exists()
 
 
 # ---------------------------------------------------------------------------

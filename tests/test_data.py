@@ -20,7 +20,7 @@ from qmatch.data import (
     sample_triplets,
     write_canonical_tsv,
 )
-from qmatch.embedding import tokenize
+from qmatch.embedding import read_glove_vectors, tokenize
 from qmatch.errors import DataError, ParseError
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -172,8 +172,9 @@ def test_load_rejects_short_rows(tmp_path):
     [
         (lambda path: load_tsv(path, CANONICAL_FORMAT), "q{0}\twhat is {1}\tit is {0}\t1\n"),
         (read_format_descriptor, "# comment {0} on {1}\n"),
+        (lambda path: read_glove_vectors(path, 2), "{1}{0} 0.125 0.0625\n"),
     ],
-    ids=["load_tsv", "read_format_descriptor"],
+    ids=["load_tsv", "read_format_descriptor", "read_glove_vectors"],
 )
 def test_readers_name_the_first_line_that_is_not_utf8(tmp_path, read, line):
     # 500 good lines fill more than the reader's first 8 KB decoding chunk,

@@ -186,6 +186,14 @@ def test_read_glove_vectors_non_numeric(tmp_path):
         read_glove_vectors(str(path), 3)
 
 
+@pytest.mark.parametrize("value", ["nan", "-inf", "1e999"])
+def test_read_glove_vectors_rejects_non_finite_values(tmp_path, value):
+    path = tmp_path / "vectors.txt"
+    path.write_text(f"cat 0.1 0.2 0.3\ndog 1.0 {value} 2.0\n")
+    with pytest.raises(ParseError, match=r"vectors\.txt:2: non-finite value for 'dog'"):
+        read_glove_vectors(str(path), 3)
+
+
 def test_init_amplitudes_pad_row_is_degenerate():
     vocab = Vocabulary.from_tokens(["alpha", "beta"])
     table = init_amplitudes_from_glove(vocab, 6, seed=1)
