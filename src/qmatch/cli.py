@@ -91,6 +91,13 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated ints: {exc}")
 
 
+def _parse_dims(text: str) -> tuple[int, ...]:
+    dims = _parse_int_list(text)
+    if any(d < 2 for d in dims):
+        raise argparse.ArgumentTypeError(f"expected dimensions >= 2, got {text!r}")
+    return dims
+
+
 # TrainerConfig fields exposed as flags: (flag type, help)
 _CONFIG_FLAGS: dict[str, tuple] = {
     "embedding_dim": (int, "amplitude/phase embedding dimension"),
@@ -413,8 +420,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_audit = sub.add_parser("metric-audit",
                              help="empirical axiom audit of density-matrix metrics")
-    p_audit.add_argument("--trials", type=int, default=10_000)
-    p_audit.add_argument("--dims", type=_parse_int_list, default=(2, 3, 4),
+    p_audit.add_argument("--trials", type=_parse_positive_int, default=10_000)
+    p_audit.add_argument("--dims", type=_parse_dims, default=(2, 3, 4),
                          help="comma-separated matrix dimensions (default 2,3,4)")
     p_audit.add_argument("--metrics", default=None,
                          help="comma-separated metric names (default: all)")

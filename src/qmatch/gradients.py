@@ -26,28 +26,45 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
-from .matcher import (
-    BatchTape,
-    forward_batch,
-    matmul_rows,
-    score,
-    triplet_loss,
-)
+from .matcher import BatchTape, forward_batch, matmul_rows, triplet_loss
 from .model import GLOBAL_MIXTURE, GradientSet, ParameterSet, TrainerConfig
 
 
+def _cosines(u: np.ndarray, v: np.ndarray):
+    """Row-pair cosines over the last axis, as ``matcher.score`` gives them
+    one pair at a time: (cosines, |u|, |v|, zero), the norms kept as (..., 1)
+    columns and ``zero`` marking pairs with a row of norm below 1e-12,
+    whose cosine is 0 and whose norms read 1."""
+    nu = np.linalg.norm(u, axis=-1, keepdims=True)
+    nv = np.linalg.norm(v, axis=-1, keepdims=True)
+    zero = (nu < 1e-12) | (nv < 1e-12)
+    nu[zero] = 1.0
+    nv[zero] = 1.0
+    s = np.einsum("...d,...d->...", u, v)[..., None] / (nu * nv)
+    s[zero] = 0.0
+    return s, nu, nv, zero
+
+
 def cosine_grad(
-    u: np.ndarray, v: np.ndarray, g_s: float
+    u: np.ndarray, v: np.ndarray, g_s
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient of g_s * cosine(u, v) wrt u and v (zero at zero vectors)."""
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu < 1e-12 or nv < 1e-12:
-        return np.zeros_like(u), np.zeros_like(v)
-    s = float(np.dot(u, v) / (nu * nv))
+    """Gradient of g_s * cosine(u, v) wrt u and v, row pair by row pair over
+    the last axis (zero for a pair with a zero row); ``g_s`` is a number or
+    one per pair."""
+    s, nu, nv, zero = _cosines(u, v)
+    g_s = np.where(zero, 0.0, np.asarray(g_s, dtype=np.float64)[..., None])
     g_u = g_s * (v / (nu * nv) - s * u / (nu * nu))
     g_v = g_s * (u / (nu * nv) - s * v / (nv * nv))
     return g_u, g_v
+
+
+def _row_sums(rows: np.ndarray, values: np.ndarray, count: int) -> np.ndarray:
+    """``np.add.at`` of ``values`` into ``count`` zero rows at ``rows``, as one
+    bincount: each entry takes the same additions in the same order."""
+    n = values.shape[1]
+    flat = (rows[:, None] * n + np.arange(n)).ravel()
+    sums = np.bincount(flat, values.ravel(), minlength=count * n)
+    return sums.astype(np.float64, copy=False).reshape(count, n)  # int64 when empty
 
 
 def backward_batch(
@@ -134,13 +151,14 @@ def backward_batch(
     if grads is None:
         touched, ids = np.unique(ids, return_inverse=True)
         grads = GradientSet(
-            d_amplitude=np.zeros((touched.size, params.dim)),
-            d_phase=np.zeros((touched.size, params.dim)),
+            d_amplitude=_row_sums(ids, g_amp, touched.size),
+            d_phase=_row_sums(ids, g_phase, touched.size),
             d_measurements=np.zeros_like(params.measurements),
             rows=touched,
         )
-    np.add.at(grads.d_amplitude, ids, g_amp)
-    np.add.at(grads.d_phase, ids, g_phase)
+    else:
+        np.add.at(grads.d_amplitude, ids, g_amp)
+        np.add.at(grads.d_phase, ids, g_phase)
     for start, length in zip(offsets, lengths):
         span = slice(start, start + length)
         g_meas = g_inner[span].conj().T @ states[span]
@@ -178,19 +196,16 @@ def batch_grad(
     """
     sentences = [ids for triplet in triplets for ids in triplet]
     reps, tape = forward_batch(sentences, params, config, train, rng)
-    losses, active, g_reps = [], [], []
-    for t in range(len(triplets)):
-        rep_q, rep_p, rep_n = reps[3 * t : 3 * t + 3]
-        loss = triplet_loss(score(rep_q, rep_p), score(rep_q, rep_n), config.margin)
-        losses.append(loss)
-        if loss > 0.0:
-            # d loss = -d s_pos + d s_neg while the hinge is active
-            g_q_pos, g_p = cosine_grad(rep_q, rep_p, -1.0)
-            g_q_neg, g_n = cosine_grad(rep_q, rep_n, +1.0)
-            active += [3 * t, 3 * t + 1, 3 * t + 2]
-            g_reps += [g_q_pos + g_q_neg, g_p, g_n]
-    g_reps = np.array(g_reps).reshape(len(active), reps.shape[1])
-    return losses, backward_batch(g_reps, tape, active, params, config, grads)
+    q, p, n = reps.reshape(len(triplets), 3, -1).transpose(1, 0, 2)
+    losses = triplet_loss(_cosines(q, p)[0], _cosines(q, n)[0], config.margin)
+    act = np.flatnonzero(losses > 0.0)
+    # d loss = -d s_pos + d s_neg while the hinge is active
+    g_q_pos, g_p = cosine_grad(q[act], p[act], -1.0)
+    g_q_neg, g_n = cosine_grad(q[act], n[act], +1.0)
+    g_reps = np.stack([g_q_pos + g_q_neg, g_p, g_n], axis=1).reshape(-1, reps.shape[1])
+    active = (3 * act[:, None] + np.arange(3)).ravel()
+    grads = backward_batch(g_reps, tape, active, params, config, grads)
+    return losses.ravel().tolist(), grads
 
 
 def triplet_grad(

@@ -187,11 +187,18 @@ def _window_stage(
     reach = tokens[:, None] + offsets                    # (T, W)
     window_pos = np.minimum(reach, ends[:, None] - 1)
     inside = (reach < ends[:, None]) & (offsets < sizes[:, None, None])
-    # softmax over each window's norms, shifted by that window's max
+    # softmax over each window's norms, shifted by that window's max; max
+    # and sum run offset by offset, in the order a short reduction takes
     window_rows = rows[window_pos]
     logits = np.where(inside, pi[window_rows], -np.inf)  # (B, T, W)
-    e = np.exp(logits - logits.max(axis=2, keepdims=True))
-    weights = e / e.sum(axis=2, keepdims=True)
+    top = logits[:, :, 0].copy()
+    for o in offsets[1:]:
+        np.maximum(top, logits[:, :, o], out=top)
+    e = np.exp(logits - top[:, :, None])
+    total = e[:, :, 0].copy()
+    for o in offsets[1:]:
+        total += e[:, :, o]
+    weights = e / total[:, :, None]
     probs = (weights[:, :, None, :] @ inner_sq[window_rows])[:, :, 0, :]
     # max-pool each sentence's windows
     pooled = np.maximum.reduceat(probs, starts, axis=1)
@@ -352,6 +359,7 @@ def score(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.dot(u, v) / (nu * nv))
 
 
-def triplet_loss(s_pos: float, s_neg: float, margin: float) -> float:
-    """Hinge on the ranking gap: max(0, margin - s_pos + s_neg)."""
-    return max(0.0, margin - s_pos + s_neg)
+def triplet_loss(s_pos, s_neg, margin: float):
+    """Hinge on the ranking gap, max(0, margin - s_pos + s_neg), for one
+    score pair or elementwise over arrays; a NaN score gives a NaN loss."""
+    return np.maximum(0.0, margin - s_pos + s_neg)

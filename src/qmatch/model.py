@@ -133,10 +133,14 @@ class ParameterSet:
     def k(self) -> int:
         return self.measurements.shape[0]
 
-    def check_finite(self) -> None:
-        """Raise NumericError naming the first block holding NaN or inf."""
+    def check_finite(self, rows: np.ndarray | None = None) -> None:
+        """Raise NumericError naming the first block holding NaN or inf.
+        With ``rows``, only those amplitude and phase rows are read."""
         for name in ("amplitude", "phase", "measurements"):
-            if not np.isfinite(getattr(self, name)).all():
+            block = getattr(self, name)
+            if rows is not None and name != "measurements":
+                block = block[rows]
+            if not np.isfinite(block).all():
                 raise NumericError(f"non-finite values in parameter block {name!r}")
 
     def copy(self) -> "ParameterSet":

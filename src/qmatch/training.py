@@ -5,10 +5,17 @@ each batch (one batched forward and backward pass) and applies one
 optimizer step.  The optimizers see real coordinates only, a complex
 measurement entry being its real and its imaginary part: SGD steps the
 batch's touched rows, Adam runs one update rule over every block.  L2
-decay applies to every row of the amplitude table and to nothing else.
+decay applies to the amplitude table and to nothing else.  Adam decays
+every row on every step.  SGD decays lazily: each step multiplies a row
+by f = 1 - lr * l2_lambda, and a row the batches leave alone for several
+steps takes those factors at once, as f**steps, when a batch next reads
+it.  Every row catches up at each epoch end, so the dev ``evaluate``, the
+best-parameter copy and the returned parameters see the dense decay.
 Measurement rows live on the unit sphere via projected gradient: step
-first, then ``_project`` divides each row by its norm.  After each epoch
-the model is scored on the dev split; the best-dev parameters are retained.
+first, then ``_project`` divides each row by its norm and checks the
+stepped rows are finite; each epoch end checks every row.  After each
+epoch the model is scored on the dev split; the best-dev parameters are
+retained.
 """
 
 from __future__ import annotations
@@ -39,26 +46,55 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-def _project(params: ParameterSet) -> None:
+def _project(params: ParameterSet, rows: np.ndarray | None = None) -> None:
     """Pull the measurement rows back onto the unit sphere, then fail
-    loudly on a non-finite block."""
+    loudly on a non-finite block (in the amplitude and phase ``rows``
+    only, when given)."""
     norms = row_norms(params.measurements)
     if np.any(norms < ZERO_NORM):
         raise DomainError("cannot renormalize a zero measurement vector")
     params.measurements /= norms[:, None]
-    params.check_finite()
+    params.check_finite(rows)
 
 
-def sgd_step(params: ParameterSet, grads: GradientSet, config: TrainerConfig) -> None:
-    """One projected SGD step in place; L2 decay on amplitudes only."""
+@dataclass
+class SGDState:
+    """Lazy L2 decay: after ``step`` SGD steps, amplitude row r holds the
+    decay of its first ``synced[r]`` steps."""
+
+    synced: np.ndarray
+    step: int = 0
+
+    @classmethod
+    def zeros_like(cls, params: ParameterSet) -> "SGDState":
+        return cls(np.zeros(params.vocab_size, dtype=np.int64))
+
+    def catch_up(
+        self, params: ParameterSet, config: TrainerConfig, rows: np.ndarray | None = None
+    ) -> None:
+        """Apply the decay the amplitude ``rows`` (default: every row; a
+        repeated row counts once) have missed, as ``amp * f**lag`` with
+        f = 1 - lr * l2_lambda."""
+        rows = slice(None) if rows is None else rows
+        decay = 1.0 - config.learning_rate * config.l2_lambda
+        params.amplitude[rows] *= (decay ** (self.step - self.synced[rows]))[:, None]
+        self.synced[rows] = self.step
+
+
+def sgd_step(
+    params: ParameterSet, grads: GradientSet, config: TrainerConfig, state: SGDState
+) -> None:
+    """One projected SGD step in place on the batch's rows: each amplitude
+    row becomes ``amp * f**lag - lr * g``, its pending L2 decay included.
+    Rows outside ``grads.rows`` keep theirs pending in ``state``."""
     lr = config.learning_rate
-    step = config.l2_lambda * params.amplitude    # the decay touches every row
-    step[grads.rows] += grads.d_amplitude
-    step *= lr
-    params.amplitude -= step
-    params.phase[grads.rows] -= lr * grads.d_phase
+    rows = grads.rows
+    state.step += 1
+    state.catch_up(params, config, rows)
+    params.amplitude[rows] -= lr * grads.d_amplitude
+    params.phase[rows] -= lr * grads.d_phase
     params.measurements -= lr * grads.d_measurements
-    _project(params)
+    _project(params, rows)
 
 
 def _coordinates(params: ParameterSet) -> list[np.ndarray]:
@@ -88,7 +124,8 @@ def adam_step(
     state: AdamState,
 ) -> None:
     """Adam on every real coordinate, with the same L2-on-amplitudes and
-    unit-row projection as ``sgd_step``."""
+    unit-row projection as ``sgd_step``, but dense: every row decays and
+    is checked on every step."""
     state.step += 1
     t = state.step
     lr = config.learning_rate
@@ -165,7 +202,11 @@ def train(
     streams = seed_streams(config.seed)
     sampling = streams["sampling"]
     dropout = streams["dropout"]
-    adam = AdamState.zeros_like(params) if config.optimizer == "adam" else None
+    adam = sgd = None
+    if config.optimizer == "adam":
+        adam = AdamState.zeros_like(params)
+    else:
+        sgd = SGDState.zeros_like(params)
 
     best_params = params.copy()
     best_map: float | None = None
@@ -181,10 +222,12 @@ def train(
         order = sampling.permutation(len(triplets))
         losses = []
         for batch_no, start in enumerate(range(0, len(order), config.batch_size)):
-            batch = order[start : start + config.batch_size]
+            batch = [triplets[idx] for idx in order[start : start + config.batch_size]]
+            if sgd is not None:   # the forward pass reads decayed rows
+                read = np.concatenate([ids for triplet in batch for ids in triplet])
+                sgd.catch_up(params, config, read)
             batch_losses, grads = batch_grad(
-                [triplets[idx] for idx in batch], params, config, train=True,
-                rng=dropout,
+                batch, params, config, train=True, rng=dropout
             )
             batch_loss = 0.0
             for loss in batch_losses:
@@ -192,7 +235,7 @@ def train(
             grads.scale_(1.0 / len(batch))
             batch_loss /= len(batch)
             if adam is None:
-                sgd_step(params, grads, config)
+                sgd_step(params, grads, config, sgd)
             else:
                 adam_step(params, grads, config, adam)
             losses.append(batch_loss)
@@ -206,6 +249,9 @@ def train(
                     }
                 )
 
+        if sgd is not None:
+            sgd.catch_up(params, config)
+        params.check_finite()
         mean_loss = float(np.mean(losses)) if losses else 0.0
         dev_map = dev_mrr = None
         if dev_set is not None:

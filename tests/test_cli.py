@@ -364,6 +364,24 @@ def test_metric_audit_empty_list_exits_2(flag, tmp_path, capsys):
     assert not (tmp_path / AUDIT_TABLE_NAME).exists()
 
 
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        (["--trials", "0"], "expected an integer >= 1, got '0'"),
+        (["--trials", "-3"], "expected an integer >= 1, got '-3'"),
+        (["--dims", "1"], "expected dimensions >= 2, got '1'"),
+        (["--dims", "2,0,3"], "expected dimensions >= 2, got '2,0,3'"),
+    ],
+    ids=["trials-0", "trials-negative", "dims-1", "dims-0"],
+)
+def test_metric_audit_bad_trials_or_dims_exit_2(flag, message, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["metric-audit", *flag, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / AUDIT_TABLE_NAME).exists()
+
+
 # ---------------------------------------------------------------------------
 # exit codes and wiring
 

@@ -193,6 +193,52 @@ def test_cosine_grad_zero_vector_yields_zero():
     assert np.all(g_v == 0.0)
 
 
+def one_pair_cosine_grad(u, v, g_s):
+    """The one-pair formula on ``score``'s norms and dot product."""
+    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    if nu < 1e-12 or nv < 1e-12:
+        return np.zeros_like(u), np.zeros_like(v)
+    s = score(u, v)
+    return (g_s * (v / (nu * nv) - s * u / (nu * nu)),
+            g_s * (u / (nu * nv) - s * v / (nv * nv)))
+
+
+def test_cosine_grad_on_stacked_rows_equals_one_pair_at_a_time():
+    rng = np.random.default_rng(12)
+    u = rng.uniform(0.0, 1.0, size=(20, 12))
+    v = rng.uniform(0.0, 1.0, size=(20, 12))
+    u[3] = 0.0
+    v[5] *= 1e-13          # under the zero-norm guard
+    g_s = rng.normal(size=20)
+    g_u, g_v = cosine_grad(u, v, g_s)
+    for i in range(20):
+        want_u, want_v = one_pair_cosine_grad(u[i], v[i], g_s[i])
+        np.testing.assert_allclose(g_u[i], want_u, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(g_v[i], want_v, rtol=0, atol=1e-15)
+    for i in (3, 5):
+        assert np.all(g_u[i] == 0.0) and np.all(g_v[i] == 0.0)
+
+
+def test_batch_grad_losses_equal_the_one_triplet_hinge():
+    triplets, params, config = batch_instance(0.0)
+    losses, _ = batch_grad(triplets, params, config)
+    for loss, (q, p, n) in zip(losses, triplets):
+        want, *_ = forward_triplet(q, p, n, params, config)
+        assert abs(loss - want) <= 1e-15
+
+
+def test_nan_representation_gives_a_nan_loss():
+    triplets, params, config = batch_instance(0.0)
+    word = triplets[1][2][0]                   # a word of triplet 1's negative
+    params.phase[word] = np.nan
+    losses, grads = batch_grad(triplets, params, config)
+    holds = [any(word in ids for ids in t) for t in triplets]
+    assert holds[1] and not all(holds)
+    assert np.array_equal(np.isnan(losses), holds)
+    # the NaN triplet is not an open hinge, so no gradient flows from it
+    assert np.isfinite(grads.d_measurements).all()
+
+
 # -------------------------------------------------------------- hinge edges
 
 

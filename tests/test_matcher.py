@@ -361,6 +361,26 @@ def test_window_stage_over_a_word_table_equals_forward_batch(overrides):
     assert table.alive[table.rows(np.array([0, 5]))].all()
 
 
+@pytest.mark.parametrize("widest", range(1, 8))
+def test_window_weights_equal_the_reduction_softmax(widest):
+    # the window stage takes each softmax's max and sum offset by offset;
+    # up to seven offsets that is the order numpy's axis reduction adds in
+    config = small_config(window_sizes=tuple(range(widest, 0, -1)))
+    params = make_params(config)
+    rng = np.random.default_rng(widest)
+    params.amplitude *= rng.uniform(0.1, 30.0, size=(len(VOCAB), 1))
+    batch = mixed_batch() + [random_ids(13, rng)]
+    _, tape = forward_batch(batch, params, config)
+    sizes = np.asarray(config.window_sizes)
+    T = tape.rows.size
+    ends = np.repeat(tape.starts + tape.lengths, tape.lengths)
+    reach = np.arange(T)[:, None] + np.arange(widest)
+    inside = (reach < ends[:, None]) & (np.arange(widest) < sizes[:, None, None])
+    logits = np.where(inside, tape.pi[tape.rows[tape.window_pos]], -np.inf)
+    e = np.exp(logits - logits.max(axis=2, keepdims=True))
+    assert np.array_equal(tape.window_weights, e / e.sum(axis=2, keepdims=True))
+
+
 def test_word_table_rows_do_not_depend_on_its_chunks(monkeypatch):
     config = small_config()
     params = make_params(config)

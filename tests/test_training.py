@@ -7,13 +7,15 @@ from qmatch.embedding import Vocabulary
 from qmatch.errors import ConfigError, NumericError
 from qmatch.evaluation import evaluate
 from qmatch.model import GradientSet, ParameterSet, TrainerConfig
-from qmatch.synthetic import toy_corpus
+from qmatch import training
+from qmatch.synthetic import topic_corpus, toy_corpus
 from qmatch.training import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
     DEFAULT_GRID_POOLS,
     AdamState,
+    SGDState,
     adam_step,
     enumerate_grid,
     grid_search,
@@ -64,8 +66,12 @@ def test_sgd_step_on_touched_rows_equals_dense_step():
     )
     config = TrainerConfig(learning_rate=0.1, l2_lambda=0.01)
     a, b = hand_params(), hand_params()
-    sgd_step(a, dense, config)
-    sgd_step(b, sparse, config)
+    state_a, state_b = SGDState.zeros_like(a), SGDState.zeros_like(b)
+    sgd_step(a, dense, config, state_a)
+    sgd_step(b, sparse, config, state_b)
+    # row 1 keeps its decay pending until it catches up
+    assert params_bytes(a) != params_bytes(b)
+    state_b.catch_up(b, config)
     assert params_bytes(a) == params_bytes(b)
     a, b = hand_params(), hand_params()
     adam_step(a, dense, config, AdamState.zeros_like(a))
@@ -76,7 +82,7 @@ def test_sgd_step_on_touched_rows_equals_dense_step():
 def test_sgd_step_arithmetic_by_hand():
     params = hand_params()
     config = TrainerConfig(learning_rate=0.1, l2_lambda=0.01)
-    sgd_step(params, hand_grads(params), config)
+    sgd_step(params, hand_grads(params), config, SGDState.zeros_like(params))
     # amplitude[0,0]: 1.0 - 0.1 * (0.5 + 0.01 * 1.0) = 0.949
     assert params.amplitude[0, 0] == pytest.approx(0.949, abs=1e-15)
     # decayed but gradient-free: 2.0 * (1 - 0.1 * 0.01) = 1.998
@@ -94,7 +100,9 @@ def test_sgd_l2_decay_touches_only_amplitudes():
     before_phase = params.phase.copy()
     before_meas = params.measurements.copy()
     config = TrainerConfig(learning_rate=0.2, l2_lambda=0.1)
-    sgd_step(params, GradientSet.zeros_like(params), config)
+    sgd_step(
+        params, GradientSet.zeros_like(params), config, SGDState.zeros_like(params)
+    )
     np.testing.assert_array_equal(params.phase, before_phase)
     np.testing.assert_allclose(params.measurements, before_meas, atol=1e-15)
     np.testing.assert_allclose(
@@ -107,7 +115,7 @@ def test_sgd_keeps_measurement_rows_unit_norm():
     params = hand_params()
     grads = GradientSet.zeros_like(params)
     grads.d_measurements = rng.normal(size=(1, 2)) + 1j * rng.normal(size=(1, 2))
-    sgd_step(params, grads, TrainerConfig(learning_rate=0.5))
+    sgd_step(params, grads, TrainerConfig(learning_rate=0.5), SGDState.zeros_like(params))
     np.testing.assert_allclose(
         np.linalg.norm(params.measurements, axis=1), 1.0, atol=1e-12
     )
@@ -118,7 +126,124 @@ def test_sgd_rejects_nonfinite_updates():
     grads = hand_grads(params)
     grads.d_amplitude[0, 0] = np.inf
     with pytest.raises(NumericError, match="amplitude"):
-        sgd_step(params, grads, TrainerConfig())
+        sgd_step(params, grads, TrainerConfig(), SGDState.zeros_like(params))
+
+
+def test_lazy_decay_equals_the_dense_decay():
+    # rows skipped by several steps take their decay as f**lag when touched
+    rng = np.random.default_rng(6)
+    vocab_size, dim = 9, 3
+    start = ParameterSet(
+        amplitude=rng.normal(size=(vocab_size, dim)),
+        phase=rng.normal(size=(vocab_size, dim)),
+        measurements=np.array([[0.6 + 0.0j, 0.8j, 0.0]]),
+    )
+    config = TrainerConfig(learning_rate=0.1, l2_lambda=0.05)
+    row_sets = [[0, 1], [2], [0, 5, 8], [], [1, 2, 3], [7], [0, 8], [4, 5]]
+    steps = []
+    for rows in row_sets:
+        rows = np.array(rows, dtype=np.int64)
+        steps.append(GradientSet(
+            d_amplitude=rng.normal(size=(rows.size, dim)),
+            d_phase=rng.normal(size=(rows.size, dim)),
+            d_measurements=rng.normal(size=(1, dim)) + 1j * rng.normal(size=(1, dim)),
+            rows=rows,
+        ))
+
+    lazy, state = start.copy(), SGDState.zeros_like(start)
+    for grads in steps:
+        sgd_step(lazy, grads, config, state)
+    state.catch_up(lazy, config)
+
+    dense = start.copy()
+    f = 1.0 - config.learning_rate * config.l2_lambda
+    for grads in steps:
+        g = np.zeros_like(dense.amplitude)
+        g[grads.rows] = grads.d_amplitude
+        dense.amplitude = dense.amplitude * f - config.learning_rate * g
+        dense.phase[grads.rows] -= config.learning_rate * grads.d_phase
+        dense.measurements -= config.learning_rate * grads.d_measurements
+        dense.measurements /= np.linalg.norm(dense.measurements, axis=1)[:, None]
+
+    assert state.step == len(steps) and np.all(state.synced == len(steps))
+    np.testing.assert_allclose(lazy.amplitude, dense.amplitude, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(lazy.phase, dense.phase, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(
+        lazy.measurements, dense.measurements, rtol=1e-13, atol=0
+    )
+    # row 6 was never touched: it took all eight decays at the final catch-up
+    np.testing.assert_allclose(
+        lazy.amplitude[6], start.amplitude[6] * f**8, rtol=1e-13, atol=0
+    )
+
+
+def test_train_with_lazy_decay_matches_a_dense_decay_run(monkeypatch):
+    # every pending decay is applied by the time dev evaluation and the
+    # returned parameters read the table; with batches of four triplets,
+    # 18 or 19 of the 32 rows still have decay pending at an epoch's end
+    train_set, dev_set = topic_corpus(
+        num_topics=2, train_questions=6, dev_questions=4, topic_words=10,
+        filler_words=10,
+    )
+    config = small_config(epochs=2, l2_lambda=1e-3, batch_size=4)
+    lazy = train(train_set, dev_set, config)
+
+    def dense_step(params, grads, config, state):
+        lr = config.learning_rate
+        g = np.zeros_like(params.amplitude)
+        g[grads.rows] = grads.d_amplitude
+        f = 1.0 - lr * config.l2_lambda
+        params.amplitude[...] = params.amplitude * f - lr * g
+        params.phase[grads.rows] -= lr * grads.d_phase
+        params.measurements -= lr * grads.d_measurements
+        training._project(params)
+
+    monkeypatch.setattr(training, "sgd_step", dense_step)
+    monkeypatch.setattr(SGDState, "catch_up", lambda self, *args: None)
+    dense = train(train_set, dev_set, config)
+    for got, want in ((lazy.params, dense.params), (lazy.final_params, dense.final_params)):
+        np.testing.assert_allclose(got.amplitude, want.amplitude, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(got.phase, want.phase, rtol=1e-13, atol=0)
+    assert [r.dev_map for r in lazy.history] == [r.dev_map for r in dense.history]
+
+
+def test_sgd_step_checks_only_the_touched_rows():
+    params = hand_params()
+    params.amplitude[1, 0] = np.nan
+    grads = GradientSet(
+        d_amplitude=np.zeros((2, 2)),
+        d_phase=np.zeros((2, 2)),
+        d_measurements=np.zeros((1, 2), dtype=np.complex128),
+        rows=np.array([0, 2]),
+    )
+    state = SGDState.zeros_like(params)
+    sgd_step(params, grads, TrainerConfig(), state)
+    with pytest.raises(NumericError, match="'amplitude'"):
+        params.check_finite()
+
+
+def test_train_epoch_end_check_finds_a_nan_in_an_untouched_row(monkeypatch):
+    # the padding row is in no sentence, so no SGD step touches or checks it
+    ds = toy_corpus(num_questions=3)
+    real_init = training.init_parameters
+
+    def planted(vocab, config, glove_path=None):
+        params = real_init(vocab, config, glove_path=glove_path)
+        params.amplitude[0, 1] = np.nan
+        return params
+
+    real_project = training._project
+    checked = []
+
+    def recording(params, rows=None):
+        checked.append(rows)
+        real_project(params, rows)
+
+    monkeypatch.setattr(training, "init_parameters", planted)
+    monkeypatch.setattr(training, "_project", recording)
+    with pytest.raises(NumericError, match="'amplitude'"):
+        train(ds, ds, small_config(epochs=2))
+    assert checked and all(rows is not None and 0 not in rows for rows in checked)
 
 
 # ---------------------------------------------------------------------------
