@@ -4,10 +4,10 @@
 
 Positives and negatives in this corpus are word-for-word permutations of
 each other, so a representation that ignores order cannot separate them.
-The global mixture's residual MAP is a rank-tie artifact: identical scores
-fall back to answer-id order, and best-epoch selection skims the high-water
-mark of those coin flips.  The windowed model has to clear that bar by
-actually learning which key pairs sit adjacent.
+The global mixture gives a permuted sentence the same bits, so every
+positive ties its negatives and ranks by answer id alone: its MAP is that
+tie floor (0.775 on every seed).  The windowed model has to clear that bar
+by actually learning which key pairs sit adjacent.
 
 The complex-vs-real comparison at matched embedding dimension is much
 tighter at this scale; expect a small edge, not the full-scale gap.  The

@@ -63,7 +63,7 @@ def save_checkpoint(
             fh.write(vocab_line.encode("utf-8"))
             fh.write(b"\n")
             for block in _blocks(params):
-                fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
+                fh.write(np.ascontiguousarray(block, dtype="<f8"))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -75,9 +75,11 @@ def load_checkpoint(
 ) -> tuple[ParameterSet, TrainerConfig, Vocabulary]:
     path = Path(path)
     raw = path.read_bytes()
-    head, sep, rest = raw.partition(b"\n\n")
-    if not sep:
+    # slice by offsets, so the parameter payload is never copied out of raw
+    head_end = raw.find(b"\n\n")
+    if head_end < 0:
         raise ParseError(f"{path}: missing checkpoint header terminator")
+    head = raw[:head_end]
     try:
         lines = head.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
@@ -105,9 +107,11 @@ def load_checkpoint(
     except ConfigError as exc:
         raise ParseError(f"{path}: bad stored config ({exc})") from exc
 
-    vocab_line, sep, payload = rest.partition(b"\n")
-    if not sep:
+    vocab_end = raw.find(b"\n", head_end + 2)
+    if vocab_end < 0:
         raise ParseError(f"{path}: truncated vocabulary record")
+    vocab_line = raw[head_end + 2 : vocab_end]
+    payload = memoryview(raw)[vocab_end + 1 :]
     try:
         tokens = json.loads(vocab_line.decode("utf-8"))
     except ValueError as exc:   # not UTF-8, or not JSON

@@ -1,7 +1,9 @@
 """Ranking metrics (MAP / MRR) over candidate-answer lists.
 
-Candidates are ranked by descending model score with ties broken by
-ascending answer id, which makes every evaluation deterministic.
+Candidates are ranked by descending model score (the cosine of the
+question's and the candidate's representations, ``matcher.cosines``) with
+ties broken by ascending answer id, which makes every evaluation
+deterministic.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 from .data import QADataset
 from .embedding import Vocabulary
 from .errors import DataError, NumericError
-from .matcher import represent_batch, score, word_table
+from .matcher import cosines, represent_batch, word_table
 from .model import ParameterSet, TrainerConfig
 
 
@@ -127,10 +129,11 @@ def evaluate(
     The split's sentences are encoded once and one word table (each
     distinct word's weight and Born row) is built over all of them; then
     each question is ranked with one window pass over the question and its
-    candidates.  A word's table row does not depend on the other words in
-    the table, so ranking a question alone computes exactly what the
-    whole-split pass computes.  Raises NumericError naming the question if
-    a representation or score is not finite.
+    candidates and one ``cosines`` call, which gives each candidate the
+    bits ``matcher.score`` gives it.  A word's table row does not depend
+    on the other words in the table, so ranking a question alone computes
+    exactly what the whole-split pass computes.  Raises NumericError naming
+    the question if a representation or score is not finite.
     """
     if not dataset.questions:
         raise DataError(f"split {dataset.split!r} has no questions to evaluate")
@@ -142,31 +145,29 @@ def evaluate(
         [ids for sentences in encoded for ids in sentences], params, config
     )
     results = []
-    aps = []
-    rrs = []
     for q, sentences in zip(dataset.questions, encoded):
         reps = represent_batch(sentences, table, config)
-        scores = [score(reps[0], rep_a) for rep_a in reps[1:]]
+        scores = cosines(reps[0], reps[1:])[0][:, 0]
         if not (np.isfinite(reps).all() and np.isfinite(scores).all()):
             raise NumericError(
                 f"non-finite representation or score for question {q.question_id!r}"
             )
-        ids = [c.answer_id for c in q.candidates]
-        labels = [c.label for c in q.candidates]
-        ranked = rank_candidates(scores, ids, labels)
-        ordered_labels = [r.label for r in ranked]
-        ap = average_precision(ordered_labels)
-        rr = reciprocal_rank(ordered_labels)
-        aps.append(ap)
-        rrs.append(rr)
+        ranked = rank_candidates(
+            scores.tolist(),
+            [c.answer_id for c in q.candidates],
+            [c.label for c in q.candidates],
+        )
+        labels = [r.label for r in ranked]
         results.append(
             QuestionResult(
-                question_id=q.question_id, average_precision=ap, reciprocal_rank=rr
+                question_id=q.question_id,
+                average_precision=average_precision(labels),
+                reciprocal_rank=reciprocal_rank(labels),
             )
         )
     return MetricReport(
         split=dataset.split,
-        map=float(np.mean(aps)),
-        mrr=float(np.mean(rrs)),
+        map=float(np.mean([r.average_precision for r in results])),
+        mrr=float(np.mean([r.reciprocal_rank for r in results])),
         per_question=results,
     )

@@ -14,35 +14,20 @@ dL/dRe(z) + i*dL/dIm(z), which makes the two bilinear rules
 the only complex calculus needed.
 
 ``backward_batch`` differentiates a whole ``forward_batch`` tape in one
-pass, and ``batch_grad`` runs one SGD batch of triplets through both.
-Token gradients reach the amplitude and phase rows in sentence order and,
-within a sentence, in token order, so a batch's sums equal those of its
-triplets accumulated one by one in the same order.  ``triplet_grad`` and
-``backward_sentence`` are batches of one that only tests and the tracer call.
+pass, and ``batch_grad`` runs one SGD batch of triplets through both; the
+hinge head scores the batch's row pairs with ``matcher.cosines``, the
+cosine ranking uses.  A gradient set covers the touched vocabulary rows
+only; token gradients reach each row in sentence order and, within a
+sentence, in token order.  ``triplet_grad`` and ``backward_sentence`` are
+batches of one that only the tracer calls.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError
-from .matcher import BatchTape, forward_batch, matmul_rows, triplet_loss
+from .matcher import BatchTape, cosines, forward_batch, matmul_rows, triplet_loss
 from .model import GLOBAL_MIXTURE, GradientSet, ParameterSet, TrainerConfig
-
-
-def _cosines(u: np.ndarray, v: np.ndarray):
-    """Row-pair cosines over the last axis, as ``matcher.score`` gives them
-    one pair at a time: (cosines, |u|, |v|, zero), the norms kept as (..., 1)
-    columns and ``zero`` marking pairs with a row of norm below 1e-12,
-    whose cosine is 0 and whose norms read 1."""
-    nu = np.linalg.norm(u, axis=-1, keepdims=True)
-    nv = np.linalg.norm(v, axis=-1, keepdims=True)
-    zero = (nu < 1e-12) | (nv < 1e-12)
-    nu[zero] = 1.0
-    nv[zero] = 1.0
-    s = np.einsum("...d,...d->...", u, v)[..., None] / (nu * nv)
-    s[zero] = 0.0
-    return s, nu, nv, zero
 
 
 def cosine_grad(
@@ -51,7 +36,7 @@ def cosine_grad(
     """Gradient of g_s * cosine(u, v) wrt u and v, row pair by row pair over
     the last axis (zero for a pair with a zero row); ``g_s`` is a number or
     one per pair."""
-    s, nu, nv, zero = _cosines(u, v)
+    s, nu, nv, zero = cosines(u, v)
     g_s = np.where(zero, 0.0, np.asarray(g_s, dtype=np.float64)[..., None])
     g_u = g_s * (v / (nu * nv) - s * u / (nu * nu))
     g_v = g_s * (u / (nu * nv) - s * v / (nv * nv))
@@ -59,8 +44,8 @@ def cosine_grad(
 
 
 def _row_sums(rows: np.ndarray, values: np.ndarray, count: int) -> np.ndarray:
-    """``np.add.at`` of ``values`` into ``count`` zero rows at ``rows``, as one
-    bincount: each entry takes the same additions in the same order."""
+    """(count, n) sums of ``values`` by row index ``rows``, as one bincount:
+    each row adds its values in their order."""
     n = values.shape[1]
     flat = (rows[:, None] * n + np.arange(n)).ravel()
     sums = np.bincount(flat, values.ravel(), minlength=count * n)
@@ -73,18 +58,14 @@ def backward_batch(
     sentences,
     params: ParameterSet,
     config: TrainerConfig,
-    grads: GradientSet | None = None,
 ) -> GradientSet:
     """dLoss/dParams of the tape's ``sentences``, in that order.
 
-    ``g_reps`` holds one representation gradient per listed sentence.
-    Gradients accumulate into the dense ``grads`` (``GradientSet.zeros_like``)
-    token by token; without ``grads`` they land on a GradientSet whose
-    ``rows`` are the touched vocabulary rows only, with the same additions
-    in the same order.
+    ``g_reps`` holds one representation gradient per listed sentence.  The
+    amplitude and phase gradients cover the touched vocabulary rows only
+    (``rows``, ascending); each row sums its tokens' terms in sentence
+    order and, within a sentence, in token order.
     """
-    if grads is not None and grads.rows.size != params.vocab_size:
-        raise ShapeError(f"grads has {grads.rows.size} of {params.vocab_size} rows")
     sel = np.asarray(sentences, dtype=np.int64)
     M = sel.size
     k = params.k
@@ -147,18 +128,13 @@ def backward_batch(
     if not config.complex_valued:
         g_phase[:] = 0.0
 
-    ids = tape.ids[tokens]
-    if grads is None:
-        touched, ids = np.unique(ids, return_inverse=True)
-        grads = GradientSet(
-            d_amplitude=_row_sums(ids, g_amp, touched.size),
-            d_phase=_row_sums(ids, g_phase, touched.size),
-            d_measurements=np.zeros_like(params.measurements),
-            rows=touched,
-        )
-    else:
-        np.add.at(grads.d_amplitude, ids, g_amp)
-        np.add.at(grads.d_phase, ids, g_phase)
+    touched, ids = np.unique(tape.ids[tokens], return_inverse=True)
+    grads = GradientSet(
+        d_amplitude=_row_sums(ids, g_amp, touched.size),
+        d_phase=_row_sums(ids, g_phase, touched.size),
+        d_measurements=np.zeros_like(params.measurements),
+        rows=touched,
+    )
     for start, length in zip(offsets, lengths):
         span = slice(start, start + length)
         g_meas = g_inner[span].conj().T @ states[span]
@@ -173,11 +149,10 @@ def backward_sentence(
     tape: BatchTape,
     params: ParameterSet,
     config: TrainerConfig,
-    grads: GradientSet,
-) -> None:
-    """Accumulate dLoss/dParams of the tape's sentence 0 into ``grads``.
-    The package never calls it: ``bench/tracing.py`` wraps it by name."""
-    backward_batch(g_rep[None, :], tape, [0], params, config, grads)
+) -> GradientSet:
+    """dLoss/dParams of the tape's sentence 0.  The package never calls it:
+    ``bench/tracing.py`` wraps it by name."""
+    return backward_batch(g_rep[None, :], tape, [0], params, config)
 
 
 def batch_grad(
@@ -186,25 +161,24 @@ def batch_grad(
     config: TrainerConfig,
     train: bool = False,
     rng: np.random.Generator | None = None,
-    grads: GradientSet | None = None,
 ) -> tuple[list[float], GradientSet]:
     """Losses and gradients of (q, a+, a-) triplets: one forward, one backward.
 
     The sentences run in q, a+, a- order per triplet.  The hinge
     subgradient at the kink is taken as zero, so an inactive triplet
-    contributes nothing.  ``grads`` works as in ``backward_batch``.
+    contributes nothing.
     """
     sentences = [ids for triplet in triplets for ids in triplet]
     reps, tape = forward_batch(sentences, params, config, train, rng)
     q, p, n = reps.reshape(len(triplets), 3, -1).transpose(1, 0, 2)
-    losses = triplet_loss(_cosines(q, p)[0], _cosines(q, n)[0], config.margin)
+    losses = triplet_loss(cosines(q, p)[0], cosines(q, n)[0], config.margin)
     act = np.flatnonzero(losses > 0.0)
     # d loss = -d s_pos + d s_neg while the hinge is active
     g_q_pos, g_p = cosine_grad(q[act], p[act], -1.0)
     g_q_neg, g_n = cosine_grad(q[act], n[act], +1.0)
     g_reps = np.stack([g_q_pos + g_q_neg, g_p, g_n], axis=1).reshape(-1, reps.shape[1])
     active = (3 * act[:, None] + np.arange(3)).ravel()
-    grads = backward_batch(g_reps, tape, active, params, config, grads)
+    grads = backward_batch(g_reps, tape, active, params, config)
     return losses.ravel().tolist(), grads
 
 
@@ -216,13 +190,10 @@ def triplet_grad(
     config: TrainerConfig,
     train: bool = False,
     rng: np.random.Generator | None = None,
-    grads: GradientSet | None = None,
 ) -> tuple[float, GradientSet]:
-    """Loss and accumulated gradients for one (q, a+, a-) triplet.  Training
-    calls ``batch_grad``; this stays because ``bench/tracing.py`` wraps it."""
-    if grads is None:
-        grads = GradientSet.zeros_like(params)
+    """Loss and gradients of one (q, a+, a-) triplet.  Training calls
+    ``batch_grad``; this stays because ``bench/tracing.py`` wraps it."""
     losses, grads = batch_grad(
-        [(question, positive, negative)], params, config, train, rng, grads
+        [(question, positive, negative)], params, config, train, rng
     )
     return losses[0], grads

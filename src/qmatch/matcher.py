@@ -4,8 +4,11 @@ A sentence is encoded by, for each window size l, sliding l-wide windows
 over the word states, mixing each window into a density matrix, applying
 every measurement (a unit row of ``params.measurements``), and
 max-pooling each measurement's probability over the windows.  The pooled
-blocks are concatenated in ``window_sizes`` order; question and answer are
-compared by cosine similarity and trained with a triplet hinge loss.
+blocks are concatenated in ``window_sizes`` order.  Question and answer
+are compared by cosine similarity and trained with a triplet hinge loss;
+``cosines`` is the one cosine: the training hinge applies it to stacked
+row pairs, evaluation to a question against its candidates, and ``score``
+is its one-pair view.
 
 The measurement probabilities come from the factored identity
 <v|rho|v> = sum_i p(w_i) |<v|w_i>|^2, which never builds rho.
@@ -14,7 +17,10 @@ gives each distinct word (each token occurrence under embedding dropout)
 its weight, unit state and Born row |<v|w>|^2 in one product; a row's bits
 depend on that word alone.  The window stage puts every window's softmax
 in one (sizes, tokens, width) array, each shifted by its own max norm so
-no gap overflows, and max-pools each sentence's windows.
+no gap overflows, and max-pools each sentence's windows.  The global
+mixture (one order-blind mixed system per sentence) averages the
+sentence's Born rows in ascending table-row order, so a permuted sentence
+gets the same bits.
 
 ``BatchTape`` is the one tape: training runs an SGD batch per
 ``forward_batch`` call, the analytic backward pass differentiates its
@@ -173,8 +179,11 @@ def _window_stage(
     T = rows.size
     k = inner_sq.shape[1]
     if config.mixture == GLOBAL_MIXTURE:
-        # one mean per sentence: np.add.reduceat would sum in another order
-        tok_sq = inner_sq[rows]
+        # one mean per sentence over its rows in ascending table-row order,
+        # so a permuted sentence gets the same bits (lexsort, as np.unique
+        # would import numpy.ma); np.add.reduceat would sum in another order
+        sentence = np.repeat(np.arange(lengths.size), lengths)
+        tok_sq = inner_sq[rows[np.lexsort((rows, sentence))]]
         pooled = np.stack(
             [tok_sq[a : a + L].mean(axis=0) for a, L in zip(starts, lengths)]
         )
@@ -346,17 +355,29 @@ def represent(
     return reps[0]
 
 
+def cosines(u: np.ndarray, v: np.ndarray):
+    """Cosine similarities of row pairs over the last axis (u and v
+    broadcast): (cosines, |u|, |v|, zero), each of shape (..., 1).
+    ``zero`` marks pairs with a row of norm below 1e-12, whose cosine is 0
+    and whose norms read 1.  A row pair gets the same bits in any stack of
+    rows."""
+    nu = np.linalg.norm(u, axis=-1, keepdims=True)
+    nv = np.linalg.norm(v, axis=-1, keepdims=True)
+    zero = (nu < 1e-12) | (nv < 1e-12)
+    nu = np.where(zero, 1.0, nu)
+    nv = np.where(zero, 1.0, nv)
+    s = np.einsum("...d,...d->...", u, v)[..., None] / (nu * nv)
+    return np.where(zero, 0.0, s), nu, nv, zero
+
+
 def score(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity; zero whenever either representation is zero."""
+    """Cosine similarity of two representations, as ``cosines`` gives it;
+    zero whenever either representation is zero."""
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ShapeError(f"representations differ in shape: {u.shape} vs {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu < 1e-12 or nv < 1e-12:
-        return 0.0
-    return float(np.dot(u, v) / (nu * nv))
+    if u.shape != v.shape or u.ndim != 1:
+        raise ShapeError(f"need two 1-D representations, got {u.shape}, {v.shape}")
+    return float(cosines(u, v)[0][0])
 
 
 def triplet_loss(s_pos, s_neg, margin: float):

@@ -11,10 +11,9 @@ import numpy as np
 import pytest
 
 from qmatch.embedding import Vocabulary
-from qmatch.errors import ShapeError
 from qmatch.gradients import batch_grad, cosine_grad, triplet_grad
 from qmatch.matcher import forward_batch, score, triplet_loss
-from qmatch.model import GradientSet, ParameterSet, TrainerConfig, init_parameters
+from qmatch.model import TrainerConfig, init_parameters
 
 FD_STEP = 1e-5
 REL_TOL = 1e-4
@@ -106,18 +105,29 @@ def compare_class(name, analytic, fd, valid):
     assert rel <= REL_TOL, f"{name}: relative error {rel:.2e}"
 
 
+def dense_rows(grads, params):
+    """The amplitude and phase gradients on every vocabulary row (zero on
+    the rows the gradient set does not touch)."""
+    d_amplitude = np.zeros_like(params.amplitude)
+    d_phase = np.zeros_like(params.phase)
+    d_amplitude[grads.rows] = grads.d_amplitude
+    d_phase[grads.rows] = grads.d_phase
+    return d_amplitude, d_phase
+
+
 def run_fd_check(seed, mixture="local", complex_valued=True, norm=None):
     q, p, n, params, config = make_instance(seed, mixture, complex_valued, norm)
-    loss, grads = triplet_grad(q, p, n, params, config)
+    (loss,), grads = batch_grad([(q, p, n)], params, config)
     assert loss > 0.0
+    d_amplitude, d_phase = dense_rows(grads, params)
     _, base_sig = eval_loss(q, p, n, params, config)
 
     fd_amp, ok_amp = fd_class(params.amplitude, q, p, n, params, config, base_sig)
-    compare_class("amplitude", grads.d_amplitude, fd_amp, ok_amp)
+    compare_class("amplitude", d_amplitude, fd_amp, ok_amp)
 
     if complex_valued:
         fd_ph, ok_ph = fd_class(params.phase, q, p, n, params, config, base_sig)
-        compare_class("phase", grads.d_phase, fd_ph, ok_ph)
+        compare_class("phase", d_phase, fd_ph, ok_ph)
 
         fd_re, ok_re = fd_class(
             params.measurements.real, q, p, n, params, config, base_sig
@@ -273,14 +283,14 @@ def test_triplet_grad_deterministic():
 
 
 def test_gradient_set_accumulation_arithmetic():
+    # a batch holding the triplet twice sums two equal gradients
     q, p, n, params, config = make_instance(11)
-    _, g1 = triplet_grad(q, p, n, params, config)
-    acc = GradientSet.zeros_like(params)
-    _, _ = triplet_grad(q, p, n, params, config, grads=acc)
-    _, _ = triplet_grad(q, p, n, params, config, grads=acc)
-    acc.scale_(0.5)
-    np.testing.assert_allclose(acc.d_amplitude, g1.d_amplitude, atol=1e-14)
-    np.testing.assert_allclose(acc.d_measurements, g1.d_measurements, atol=1e-14)
+    _, g1 = batch_grad([(q, p, n)], params, config)
+    _, g2 = batch_grad([(q, p, n), (q, p, n)], params, config)
+    g2.scale_(0.5)
+    assert np.array_equal(g2.rows, g1.rows)
+    np.testing.assert_allclose(g2.d_amplitude, g1.d_amplitude, atol=1e-14)
+    np.testing.assert_allclose(g2.d_measurements, g1.d_measurements, atol=1e-14)
 
 
 def test_identical_answers_cancel_exactly():
@@ -327,39 +337,48 @@ def batch_instance(dropout_rate):
 
 
 @pytest.mark.parametrize("dropout_rate", (0.0, 0.5), ids=["eval", "dropout"])
-def test_batch_grad_equals_triplet_grad_accumulated(dropout_rate):
+def test_batch_grad_losses_and_rows_equal_one_triplet_at_a_time(dropout_rate):
+    # dropout masks are drawn sentence by sentence, so one-triplet batches
+    # on one generator draw the batch's masks
     triplets, params, config = batch_instance(dropout_rate)
     train = dropout_rate > 0.0
-    losses, sparse = batch_grad(
+    losses, grads = batch_grad(
         triplets, params, config, train=train, rng=np.random.default_rng(4)
     )
     rng = np.random.default_rng(4)
-    dense = GradientSet.zeros_like(params)
-    expected = [
-        triplet_grad(*t, params, config, train=train, rng=rng, grads=dense)[0]
-        for t in triplets
-    ]
-    assert losses == expected
+    alone = [batch_grad([t], params, config, train=train, rng=rng) for t in triplets]
+    assert losses == [loss for (loss,), _ in alone]
     assert 0.0 in losses and max(losses) > 0.0
-    assert np.array_equal(sparse.rows, np.unique(sparse.rows))
-    untouched = np.setdiff1d(np.arange(len(VOCAB)), sparse.rows)
-    assert np.all(dense.d_amplitude[untouched] == 0.0)
-    assert np.array_equal(sparse.d_amplitude, dense.d_amplitude[sparse.rows])
-    assert np.array_equal(sparse.d_phase, dense.d_phase[sparse.rows])
-    assert np.array_equal(sparse.d_measurements, dense.d_measurements)
+    # sorted, unique, and the words of the open triplets only
+    assert np.array_equal(grads.rows, np.unique(grads.rows))
+    open_rows = np.concatenate([g.rows for (loss,), g in alone if loss > 0.0])
+    assert np.array_equal(grads.rows, np.unique(open_rows))
 
 
-def test_backward_batch_rejects_sparse_grads():
-    # grads rows are indexed by vocabulary id, so accumulating into a
-    # sparse set (rows 2-9 here) would put ids 2, 3 and 4 on the rows of
-    # ids 4, 5 and 6
-    _, params, config = batch_instance(0.0)
-    config = config.with_overrides(margin=10.0)   # every hinge is open
-    first = [(np.arange(2, 6), np.arange(6, 8), np.arange(8, 10))]
-    _, sparse = batch_grad(first, params, config)
-    assert sparse.rows.tolist() == list(range(2, 10))
-    before = sparse.d_amplitude.copy()
-    second = [(np.array([2]), np.array([3]), np.array([4]))]
-    with pytest.raises(ShapeError, match="8 of 12 rows"):
-        batch_grad(second, params, config, grads=sparse)
-    assert np.array_equal(sparse.d_amplitude, before)
+@pytest.mark.parametrize(
+    "dropout_rate, picks",
+    [(0.0, [1, 2, 3]), (0.5, [0, 1, 2])],
+    ids=["eval", "dropout"],
+)
+def test_batch_grad_with_one_open_hinge_is_that_triplets_gradient(
+    dropout_rate, picks
+):
+    # closed hinges add nothing, so the batch's gradient is the open
+    # triplet's own, bit for bit, once its masks replay the batch's stream
+    triplets, params, config = batch_instance(dropout_rate)
+    train = dropout_rate > 0.0
+    batch = [triplets[i] for i in picks]
+    losses, grads = batch_grad(
+        batch, params, config, train=train, rng=np.random.default_rng(4)
+    )
+    (t,) = np.flatnonzero(losses)
+    assert t > 0                      # a closed hinge runs first
+    rng = np.random.default_rng(4)
+    forward_batch([ids for triplet in batch[:t] for ids in triplet],
+                  params, config, train, rng)
+    (loss,), alone = batch_grad([batch[t]], params, config, train=train, rng=rng)
+    assert loss == losses[t]
+    assert np.array_equal(grads.rows, alone.rows)
+    assert np.array_equal(grads.d_amplitude, alone.d_amplitude)
+    assert np.array_equal(grads.d_phase, alone.d_phase)
+    assert np.array_equal(grads.d_measurements, alone.d_measurements)

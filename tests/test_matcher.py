@@ -7,6 +7,7 @@ from qmatch import matcher
 from qmatch.embedding import Vocabulary
 from qmatch.errors import ConfigError, DegenerateInputError, ShapeError
 from qmatch.matcher import (
+    cosines,
     forward_batch,
     forward_sentence,
     represent,
@@ -309,6 +310,24 @@ def test_forward_batch_equals_represent_per_sentence(overrides):
         assert np.array_equal(tape.window_probs[:, span], single.window_probs)
 
 
+def test_global_mixture_is_blind_to_token_order():
+    # the global mixture is one matrix for any order of a sentence's words,
+    # so a permuted sentence must get the same bits, from either path
+    config = small_config(mixture="global", window_sizes=(1,))
+    params = make_params(config)
+    rng = np.random.default_rng(5)
+    sentences = [random_ids(int(rng.integers(2, 12)), rng) for _ in range(200)]
+    permuted = [rng.permutation(ids) for ids in sentences]
+    reps, _ = forward_batch(sentences, params, config)
+    table = word_table(sentences, params, config)
+    assert np.array_equal(forward_batch(permuted, params, config)[0], reps)
+    assert np.array_equal(represent_batch(permuted, table, config), reps)
+    for ids, ids_permuted in zip(sentences[:20], permuted[:20]):
+        assert np.array_equal(
+            represent(ids_permuted, params, config), represent(ids, params, config)
+        )
+
+
 def test_winners_ties_go_to_the_lowest_window():
     # backward_batch routes each pooled gradient into the window winners
     # names: on an exact tie that is the sentence's first window
@@ -450,6 +469,26 @@ def test_score_zero_vector_scores_zero():
 def test_score_shape_mismatch():
     with pytest.raises(ShapeError):
         score(np.ones(3), np.ones(4))
+    with pytest.raises(ShapeError):
+        score(np.ones((2, 3)), np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("dim", (1, 5, 30, 129))
+def test_score_is_cosines_of_one_pair_bit_for_bit(dim):
+    # evaluate ranks a question's candidates with one cosines call; ranking
+    # them one score call at a time must give the same bits, zero and NaN
+    # rows included
+    rng = np.random.default_rng(dim)
+    question = rng.uniform(size=dim)
+    candidates = rng.uniform(size=(9, dim)) ** 3
+    candidates[2] = 0.0
+    candidates[5, -1] = np.nan
+    stacked, *_ = cosines(question, candidates)
+    np.testing.assert_array_equal(
+        stacked[:, 0], [score(question, c) for c in candidates]
+    )
+    assert stacked[2, 0] == 0.0 and np.isnan(stacked[5, 0])
+    assert score(np.zeros(dim), candidates[0]) == 0.0
 
 
 def test_score_scale_invariance():
