@@ -209,11 +209,6 @@ def random_densities(rng: np.random.Generator, dims: list[int]) -> list[np.ndarr
     return out
 
 
-def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Mixture of 1..dim random pure states with Dirichlet(1,..,1) weights."""
-    return random_densities(rng, [dim])[0]
-
-
 @dataclass
 class AxiomViolation:
     axiom: str
@@ -475,7 +470,7 @@ def audit_metric(
 
 # Informative cost notes for the report table (matrix dimension d).
 _COMPLEXITY_NOTES = {
-    "trace_inner_product": "O(d^2) via elementwise product",
+    "trace_inner_product": "O(d^3), one matrix product per pair",
     "vn_divergence": "O(d^3), one decomposition per matrix (log)",
     "sym_vn": "O(d^3), one decomposition per matrix (log), both directions",
     "fidelity": "O(d^3), one decomposition per matrix (sqrt) and pair",

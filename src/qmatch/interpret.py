@@ -15,8 +15,21 @@ from .embedding import (
     tokenize,
 )
 from .errors import DegenerateInputError
-from .matcher import _word_stage, forward_batch, score
+from .matcher import _word_stage, cosines, forward_batch
 from .model import GLOBAL_MIXTURE, ParameterSet, TrainerConfig
+
+
+def _alphabetical(tokens: list[str]) -> np.ndarray:
+    """Each token's position in alphabetical order."""
+    ranks = np.empty(len(tokens), dtype=np.int64)
+    ranks[sorted(range(len(tokens)), key=tokens.__getitem__)] = np.arange(len(tokens))
+    return ranks
+
+
+def _rank(values: np.ndarray, alphabetical: np.ndarray) -> np.ndarray:
+    """Indices ordering ``values`` descending along the last axis, ties by
+    their tokens' ``alphabetical`` positions."""
+    return np.lexsort((np.broadcast_to(alphabetical, values.shape), -values))
 
 
 @dataclass
@@ -34,9 +47,7 @@ def word_importance(
     reproducible.  A zeroed row always lands at the bottom.
     """
     norms = row_norms(params.amplitude)
-    order = sorted(range(len(vocab)), key=lambda i: (-norms[i], vocab.tokens[i]))
-    if top_n is not None:
-        order = order[:top_n]
+    order = _rank(norms, _alphabetical(vocab.tokens))[:top_n]
     return [WordImportance(token=vocab.tokens[i], norm=float(norms[i])) for i in order]
 
 
@@ -55,29 +66,6 @@ class MatchWeightMap:
     similarity: float       # cosine between the two windows' feature columns
 
 
-def _window_features(
-    token_ids: np.ndarray, params: ParameterSet, config: TrainerConfig
-) -> list[tuple[np.ndarray, list[np.ndarray]]]:
-    """Per window size, the model's window columns and word weights.
-
-    Read from the eval-mode forward tape, so windows cover only the
-    sentence truncated at ``max_sentence_len``.  Each entry is
-    (probabilities of shape (L, k), one weight row per window start).
-    Under the global mixture there is one window, the whole sentence: its
-    column is the representation and its weights are uniform.
-    """
-    _, tape = forward_batch([token_ids], params, config)
-    L = tape.ids.size
-    if config.mixture == GLOBAL_MIXTURE:
-        return [(tape.representation, [np.full(L, 1.0 / L)])]
-    return [
-        (probs, [weights[j, : min(width, L - j)] for j in range(L)])
-        for width, probs, weights in zip(
-            config.window_sizes, tape.window_probs, tape.window_weights
-        )
-    ]
-
-
 def match_weight_map(
     params: ParameterSet,
     config: TrainerConfig,
@@ -88,42 +76,51 @@ def match_weight_map(
     """Best-matching window pair between a question and an answer.
 
     Scores every window pair per window size by the cosine of its
-    measurement-probability columns and keeps the argmax; ties resolve
-    to the smallest (size, question start, answer start).  Columns and
-    word weights come from the model's own forward pass, so each
-    window's weights sum to one.
+    measurement-probability columns, read from one eval-mode forward pass
+    over both sentences, so windows cover only the sentences truncated at
+    ``max_sentence_len`` and each window's word weights sum to one.
+    Under the global mixture each sentence is one window: its column is
+    the representation and its weights are uniform.  Scanning the pairs
+    by (size, question start, answer start), a pair replaces the best only
+    when its cosine is more than 1e-15 higher, so near-ties (windows whose
+    reordered words round a few ulps apart) go to the first.
     """
     q_tokens, a_tokens = tokenize(question), tokenize(answer)
     if not q_tokens or not a_tokens:
         raise DegenerateInputError("question and answer must both contain tokens")
-    q_feats = _window_features(vocab.encode(q_tokens), params, config)
-    a_feats = _window_features(vocab.encode(a_tokens), params, config)
-    if config.mixture == GLOBAL_MIXTURE:
-        # one window spanning each full sentence: its weight row is that long
-        widths = [max(len(q_feats[0][1][0]), len(a_feats[0][1][0]))]
+    reps, tape = forward_batch(
+        [vocab.encode(q_tokens), vocab.encode(a_tokens)], params, config
+    )
+    is_global = config.mixture == GLOBAL_MIXTURE
+    if is_global:
+        widths = [int(tape.lengths.max())]
+        q_cols, a_cols = reps[None, :1], reps[None, 1:]
     else:
-        widths = list(config.window_sizes)
+        widths = config.window_sizes
+        q_cols, a_cols = (tape.window_probs[:, tape.span(s)] for s in (0, 1))
+    sims = cosines(q_cols[:, :, None], a_cols[:, None])[0][..., 0]  # (B, Lq, La)
 
-    best: MatchWeightMap | None = None
-    for width, (q_probs, q_weights), (a_probs, a_weights) in zip(
-        widths, q_feats, a_feats
-    ):
-        for jq, q_w in enumerate(q_weights):
-            for ja, a_w in enumerate(a_weights):
-                sim = score(q_probs[jq], a_probs[ja])
-                if best is None or sim > best.similarity + 1e-15:
-                    best = MatchWeightMap(
-                        window_size=width,
-                        question_window=WindowWeights(
-                            start=jq, tokens=q_tokens[jq : jq + len(q_w)], weights=q_w
-                        ),
-                        answer_window=WindowWeights(
-                            start=ja, tokens=a_tokens[ja : ja + len(a_w)], weights=a_w
-                        ),
-                        similarity=sim,
-                    )
-    assert best is not None
-    return best
+    flat = sims.ravel().tolist()
+    best = 0
+    for i, sim in enumerate(flat):
+        if sim > flat[best] + 1e-15:
+            best = i
+    size, jq, ja = np.unravel_index(best, sims.shape)
+
+    def window(s: int, tokens: list[str], j: int) -> WindowWeights:
+        L = int(tape.lengths[s])
+        if is_global:
+            w = np.full(L, 1.0 / L)
+        else:
+            w = tape.window_weights[size, tape.span(s)][j, : min(widths[size], L - j)]
+        return WindowWeights(start=int(j), tokens=tokens[j : j + w.size], weights=w)
+
+    return MatchWeightMap(
+        window_size=widths[size],
+        question_window=window(0, q_tokens, jq),
+        answer_window=window(1, a_tokens, ja),
+        similarity=flat[best],
+    )
 
 
 @dataclass
@@ -139,28 +136,23 @@ def measurement_neighbors(
     """The most similar vocabulary words to each measurement vector.
 
     Similarity is the modulus of the Hermitian inner product between the
-    measurement and the word's unit state (phase-invariant).  Padding
-    and unknown-word rows are excluded.
+    measurement and the word's unit state (phase-invariant); ties list
+    alphabetically.  Padding and unknown-word rows are excluded.
     """
     skip = {vocab.index[PAD_TOKEN], vocab.index[UNK_TOKEN]}
-    word_ids = [i for i in range(len(vocab)) if i not in skip]
+    word_ids = np.array([i for i in range(len(vocab)) if i not in skip])
     *_, inner, _ = _word_stage(
         params.amplitude[word_ids],
         np.exp(1j * params.phase[word_ids]),
         params.measurements,
     )
     sims = np.abs(inner).T  # (k, |words|)
-    out = []
-    for m in range(params.k):
-        order = sorted(
-            range(len(word_ids)),
-            key=lambda j: (-sims[m, j], vocab.tokens[word_ids[j]]),
-        )[:top_n]
-        out.append(
-            MeasurementNeighbors(
-                measurement=m,
-                tokens=[vocab.tokens[word_ids[j]] for j in order],
-                similarities=[float(sims[m, j]) for j in order],
-            )
+    order = _rank(sims, _alphabetical(vocab.tokens)[word_ids])[:, :top_n]
+    return [
+        MeasurementNeighbors(
+            measurement=m,
+            tokens=[vocab.tokens[i] for i in word_ids[row]],
+            similarities=sims[m, row].tolist(),
         )
-    return out
+        for m, row in enumerate(order)
+    ]

@@ -24,7 +24,8 @@ gets the same bits.
 
 ``BatchTape`` is the one tape: training runs an SGD batch per
 ``forward_batch`` call, the analytic backward pass differentiates its
-tape, and ``interpret`` reads its match maps from a batch-of-one tape.
+tape, and ``interpret`` reads a match map's window columns and weights off
+one tape over the question and the answer.
 Evaluation runs the word stage once per split (``word_table``) and the
 window stage once per question (``represent_batch``), with the bits
 ``forward_batch`` would give.  ``represent`` is a batch of one, and a
@@ -110,7 +111,6 @@ class BatchTape:
     window_weights: np.ndarray   # (B, T, W) softmax word weights, 0 off-window
     window_probs: np.ndarray     # (B, T, k) measurement probabilities
     pooled_mask: np.ndarray | None   # (N, R) dropout mask on pooled vectors
-    representation: np.ndarray       # (N, R) final (possibly masked) vectors
 
     def span(self, s: int) -> slice:
         """Sentence s's tokens on the token axis."""
@@ -275,7 +275,6 @@ def forward_batch(
         window_weights=weights,
         window_probs=probs,
         pooled_mask=pooled_mask,
-        representation=representation,
     )
     return representation, tape
 

@@ -11,6 +11,7 @@ mixture.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -22,6 +23,16 @@ GLOBAL_MIXTURE = "global"
 
 # How far a measurement row's norm may sit from 1 and still count as unit.
 UNIT_NORM_ATOL = 1e-6
+
+
+def _has_type(value, annotation: str) -> bool:
+    """Whether a config value has its field's annotated type; a bool is no number."""
+    if annotation == "tuple[int, ...]":
+        return isinstance(value, (tuple, list)) and all(
+            _has_type(v, "int") for v in value
+        )
+    kind = {"int": Integral, "float": Real, "bool": bool, "str": str}[annotation]
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 
 @dataclass
@@ -42,6 +53,9 @@ class TrainerConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for f in fields(self):
+            if not _has_type(value := getattr(self, f.name), f.type):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         if self.embedding_dim < 1:
             raise ConfigError(f"embedding_dim must be >= 1, got {self.embedding_dim}")
         if self.num_measurements < 1:
@@ -99,15 +113,18 @@ class TrainerConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainerConfig":
+        if not isinstance(data, dict):
+            raise ConfigError(f"a config must be an object, got {type(data).__name__}")
         kwargs = dict(data)
         # stored configs carry the retired keep-probability switch
         if kwargs.pop("dropout_is_keep_prob", False):
-            kwargs["dropout_rate"] = 1.0 - kwargs.get("dropout_rate", cls.dropout_rate)
+            keep = kwargs.get("dropout_rate", cls.dropout_rate)
+            kwargs["dropout_rate"] = 1.0 - keep if _has_type(keep, "float") else keep
         unknown = set(kwargs) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "window_sizes" in kwargs:
-            kwargs["window_sizes"] = tuple(int(w) for w in kwargs["window_sizes"])
+        if isinstance(kwargs.get("window_sizes"), list):
+            kwargs["window_sizes"] = tuple(kwargs["window_sizes"])
         cfg = cls(**kwargs)
         cfg.validate()
         return cfg
@@ -164,22 +181,12 @@ def init_measurements(k: int, dim: int) -> np.ndarray:
 class GradientSet:
     """Loss gradients matching ParameterSet; measurement grads are packed
     complex (real part = d/d Re, imaginary part = d/d Im).  Amplitude and
-    phase grads cover the vocabulary rows ``rows`` (ascending); the dense
-    set of ``zeros_like`` covers every row."""
+    phase grads cover the vocabulary rows ``rows`` (ascending)."""
 
     d_amplitude: np.ndarray
     d_phase: np.ndarray
     d_measurements: np.ndarray
     rows: np.ndarray
-
-    @classmethod
-    def zeros_like(cls, params: ParameterSet) -> "GradientSet":
-        return cls(
-            d_amplitude=np.zeros_like(params.amplitude),
-            d_phase=np.zeros_like(params.phase),
-            d_measurements=np.zeros_like(params.measurements),
-            rows=np.arange(params.vocab_size),
-        )
 
     def scale_(self, factor: float) -> None:
         self.d_amplitude *= factor

@@ -26,7 +26,7 @@ from qmatch.data import FORMAT_PRESETS, load_tsv
 from qmatch.density_metrics import (
     audit_metric,
     identity_counterexample_gap,
-    random_density,
+    random_densities,
     trace_inner_product,
 )
 from qmatch.embedding import assemble_word_vector, normalize_word
@@ -177,8 +177,7 @@ def test_trace_inner_product_equals_overlap_double_sum():
             pb, vb, rho_b = mixture()
         else:
             # eigendecompositions of generic random densities
-            rho_a = random_density(rng, dim)
-            rho_b = random_density(rng, dim)
+            rho_a, rho_b = random_densities(rng, [dim, dim])
             ea, eb = hermitian_eig(rho_a), hermitian_eig(rho_b)
             pa, va = ea.values, ea.vectors.T
             pb, vb = eb.values, eb.vectors.T

@@ -210,6 +210,46 @@ def test_load_names_the_file_of_an_out_of_range_config(tmp_path, saved):
     assert isinstance(info.value.__cause__, ConfigError)
 
 
+BAD_TYPES = [
+    {"window_sizes": 3},
+    {"window_sizes": [1, 2.5]},
+    {"epochs": "ten"},
+    {"embedding_dim": 2.5},
+    {"seed": True},
+    {"learning_rate": None},
+    {"margin": "0.1"},
+    {"complex_valued": "false"},
+    {"complex_valued": 0},
+    {"dropout_rate": "0.9", "dropout_is_keep_prob": True},
+]
+
+
+@pytest.mark.parametrize("fields", BAD_TYPES, ids=lambda f: json.dumps(f))
+def test_from_dict_rejects_a_field_of_the_wrong_type(fields):
+    name = next(iter(fields))
+    with pytest.raises(ConfigError, match=f"{name} must be "):
+        TrainerConfig.from_dict(fields)
+
+
+@pytest.mark.parametrize("data", [[1, 2], "local", None])
+def test_from_dict_rejects_a_non_object(data):
+    with pytest.raises(ConfigError, match="a config must be an object"):
+        TrainerConfig.from_dict(data)
+
+
+def test_from_dict_accepts_ints_for_float_fields():
+    config = TrainerConfig.from_dict({"margin": 1, "window_sizes": [2, 1]})
+    assert config.margin == 1 and config.window_sizes == (2, 1)
+
+
+def test_load_names_the_file_of_a_mistyped_config(tmp_path, saved):
+    bad = tmp_path / "typed.qmatch"
+    edit_stored_config(saved, bad, complex_valued="false")
+    with pytest.raises(ParseError, match="typed.qmatch: bad stored config") as info:
+        load_checkpoint(bad)
+    assert isinstance(info.value.__cause__, ConfigError)
+
+
 @pytest.mark.parametrize("keep_prob", [False, True])
 def test_load_reads_the_retired_keep_probability_switch(tmp_path, keep_prob):
     # checkpoints written before the switch was retired carry it in their

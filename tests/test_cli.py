@@ -409,6 +409,26 @@ def test_bad_config_json_exits_2(toy_tsv, tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "data",
+    [{"window_sizes": 3}, {"epochs": "ten"}, {"embedding_dim": 2.5},
+     {"learning_rate": None}, {"complex_valued": "false"}, [1, 2]],
+    ids=["window_sizes", "epochs", "embedding_dim", "learning_rate",
+         "complex_valued", "list"],
+)
+def test_mistyped_config_exits_2(data, toy_tsv, tmp_path, capsys):
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    out = tmp_path / "run"
+    rc = main(["train", "--dataset", str(toy_tsv), "--config", str(path),
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert " must be " in err
+    assert not out.exists()
+
+
 def test_bad_label_exits_3(tmp_path, capsys):
     path = tmp_path / "bad.tsv"
     path.write_text("q1\tquestion words\tanswer words\t7\n", encoding="utf-8")

@@ -24,7 +24,6 @@ from qmatch.density_metrics import (
     fidelity,
     identity_counterexample_gap,
     random_densities,
-    random_density,
     render_audit_table,
     report_to_dict,
     sqrt_fidelity_distance,
@@ -47,7 +46,7 @@ def pure(vec):
 
 def random_pair(seed, dim=3):
     rng = np.random.default_rng(seed)
-    return random_density(rng, dim), random_density(rng, dim)
+    return tuple(random_densities(rng, [dim, dim]))
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +258,7 @@ def test_fidelity_symmetric_to_the_bit(seed):
 def test_sqrt_fidelity_distance_triangle_samples():
     rng = np.random.default_rng(21)
     for _ in range(25):
-        a, b, c = (random_density(rng, 3) for _ in range(3))
+        a, b, c = random_densities(rng, [3, 3, 3])
         lhs = sqrt_fidelity_distance(a, c)
         rhs = sqrt_fidelity_distance(a, b) + sqrt_fidelity_distance(b, c)
         assert lhs <= rhs + AUDIT_TOL
@@ -272,15 +271,15 @@ def test_sqrt_fidelity_distance_triangle_samples():
 @given(st.integers(min_value=0, max_value=200), st.integers(min_value=2, max_value=5))
 @settings(max_examples=60, deadline=None)
 def test_random_density_is_a_density_matrix(seed, dim):
-    rho = random_density(np.random.default_rng(seed), dim)
+    rho = random_densities(np.random.default_rng(seed), [dim])[0]
     np.testing.assert_array_equal(rho, rho.conj().T)
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.eigvalsh(rho).min() >= -1e-12
 
 
 def test_random_density_is_deterministic():
-    a = random_density(np.random.default_rng(33), 4)
-    b = random_density(np.random.default_rng(33), 4)
+    a = random_densities(np.random.default_rng(33), [4])[0]
+    b = random_densities(np.random.default_rng(33), [4])[0]
     np.testing.assert_array_equal(a, b)
 
 
@@ -300,7 +299,7 @@ def test_bulk_draws_equal_single_draws_to_the_bit():
     dims = [2, 4, 9, 3, 9, 4, 2, 9, 5, 4] * 30
     rngs = [np.random.default_rng(404) for _ in range(3)]
     bulk = random_densities(rngs[0], dims)
-    single = [random_density(rngs[1], d) for d in dims]
+    single = [random_densities(rngs[1], [d])[0] for d in dims]
     oracle = [per_state_density(rngs[2], d) for d in dims]
     assert [r.tobytes() for r in bulk] == [r.tobytes() for r in single]
     assert [r.tobytes() for r in bulk] == [r.tobytes() for r in oracle]

@@ -10,7 +10,7 @@ from qmatch.interpret import (
     measurement_neighbors,
     word_importance,
 )
-from qmatch.matcher import represent, score
+from qmatch.matcher import cosines, forward_batch, represent, score
 from qmatch.model import TrainerConfig, init_parameters
 from qmatch.reference import slide_windows, softmax_weights
 
@@ -159,6 +159,26 @@ def test_match_map_agrees_with_exhaustive_oracle():
     assert result.answer_window.start == ja
 
 
+def test_match_map_near_tie_goes_to_the_first_pair_in_scan_order():
+    # a width-3 pair beats the exact width-1 match "apple"/"apple" by one
+    # rounding step; the 1e-15 slack keeps the first pair in (size, question
+    # start, answer start) order, where a plain argmax would not
+    params, config = setup_model(seed=9, window_sizes=(1, 2, 3))
+    question, answer = "apple banana banana", "banana banana banana apple apple banana"
+    result = match_weight_map(params, config, VOCAB, question, answer)
+    assert (
+        result.window_size, result.question_window.start, result.answer_window.start
+    ) == (1, 0, 3)
+    assert result.similarity == 1.0
+    _, tape = forward_batch(
+        [VOCAB.encode(tokenize(question)), VOCAB.encode(tokenize(answer))],
+        params,
+        config,
+    )
+    q_cols, a_cols = (tape.window_probs[:, tape.span(s)] for s in (0, 1))
+    assert cosines(q_cols[:, :, None], a_cols[:, None])[0].max() > result.similarity
+
+
 def test_match_map_identical_sentences_peak_similarity():
     params, config = setup_model()
     result = match_weight_map(params, config, VOCAB, "apple banana", "apple banana")
@@ -245,6 +265,24 @@ def test_neighbors_exclude_reserved_rows():
         assert "<pad>" not in entry.tokens
         assert "<unk>" not in entry.tokens
         assert len(entry.tokens) == len(VOCAB) - 2
+
+
+def test_identical_rows_list_alphabetically_whatever_their_index():
+    # token order reversed, so index order and alphabetical order disagree
+    flipped = Vocabulary.from_tokens(VOCAB.tokens[:1:-1])
+    params, _ = setup_model()
+    first, second = flipped.index["apple"], flipped.index["quince"]
+    assert first > second
+    params.amplitude[second] = params.amplitude[first]
+    params.phase[second] = params.phase[first]
+    params.measurements[0] = normalize_word(
+        params.amplitude[first] * np.exp(1j * params.phase[first])
+    ).state
+    entry = measurement_neighbors(params, flipped, top_n=2)[0]
+    assert entry.tokens == ["apple", "quince"]
+    assert entry.similarities[0] == entry.similarities[1]
+    ranking = [row.token for row in word_importance(params, flipped)]
+    assert ranking.index("apple") == ranking.index("quince") - 1
 
 
 def test_measurement_equal_to_word_state_ranks_that_word_first():

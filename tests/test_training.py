@@ -33,8 +33,18 @@ def hand_params():
     )
 
 
+def zero_grads(params):
+    """A gradient set of zeros over every vocabulary row."""
+    return GradientSet(
+        d_amplitude=np.zeros_like(params.amplitude),
+        d_phase=np.zeros_like(params.phase),
+        d_measurements=np.zeros_like(params.measurements),
+        rows=np.arange(params.vocab_size),
+    )
+
+
 def hand_grads(params):
-    grads = GradientSet.zeros_like(params)
+    grads = zero_grads(params)
     grads.d_amplitude[0, 0] = 0.5
     grads.d_phase[0, 0] = 0.2
     grads.d_measurements[0, 0] = 0.1 + 0.0j
@@ -101,7 +111,7 @@ def test_sgd_l2_decay_touches_only_amplitudes():
     before_meas = params.measurements.copy()
     config = TrainerConfig(learning_rate=0.2, l2_lambda=0.1)
     sgd_step(
-        params, GradientSet.zeros_like(params), config, SGDState.zeros_like(params)
+        params, zero_grads(params), config, SGDState.zeros_like(params)
     )
     np.testing.assert_array_equal(params.phase, before_phase)
     np.testing.assert_allclose(params.measurements, before_meas, atol=1e-15)
@@ -113,7 +123,7 @@ def test_sgd_l2_decay_touches_only_amplitudes():
 def test_sgd_keeps_measurement_rows_unit_norm():
     rng = np.random.default_rng(4)
     params = hand_params()
-    grads = GradientSet.zeros_like(params)
+    grads = zero_grads(params)
     grads.d_measurements = rng.normal(size=(1, 2)) + 1j * rng.normal(size=(1, 2))
     sgd_step(params, grads, TrainerConfig(learning_rate=0.5), SGDState.zeros_like(params))
     np.testing.assert_allclose(
@@ -284,7 +294,7 @@ def test_adam_accumulates_moments():
 def test_adam_splits_second_moments_by_component():
     params = hand_params()
     state = AdamState.zeros_like(params)
-    grads = GradientSet.zeros_like(params)
+    grads = zero_grads(params)
     grads.d_measurements[0, 0] = 0.0 + 0.4j  # purely imaginary gradient
     adam_step(params, grads, TrainerConfig(optimizer="adam"), state)
     _, v_meas = state.moments[2]  # entry (0, 0) is coordinates (0, 0) and (0, 1)
@@ -294,7 +304,7 @@ def test_adam_splits_second_moments_by_component():
 
 def test_adam_steps_real_and_imaginary_parts_as_separate_coordinates():
     params = hand_params()
-    grads = GradientSet.zeros_like(params)
+    grads = zero_grads(params)
     grads.d_measurements[0] = [0.3 - 0.02j, -0.5j]
     config = TrainerConfig(learning_rate=0.05, l2_lambda=0.0, optimizer="adam")
     adam_step(params, grads, config, AdamState.zeros_like(params))
@@ -328,7 +338,7 @@ def test_adam_rejects_a_measurement_block_it_cannot_step_in_place():
         params.measurements = measurements
         with pytest.raises(ValueError):
             state = AdamState.zeros_like(params)
-            adam_step(params, GradientSet.zeros_like(params), config, state)
+            adam_step(params, zero_grads(params), config, state)
 
 
 # ---------------------------------------------------------------------------
