@@ -78,10 +78,14 @@ def _parse_bool(text: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
 
 
-def _parse_positive_int(text: str) -> int:
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+def _parse_natural(text: str, low: int = 0) -> int:
+    if not text.isdigit() or int(text) < low:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
     return int(text)
+
+
+def _parse_positive_int(text: str) -> int:
+    return _parse_natural(text, 1)
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -330,7 +334,7 @@ def cmd_inspect_measurements(args) -> int:
 def cmd_metric_audit(args) -> int:
     from .density_metrics import (
         METRIC_FNS,
-        audit_metric,
+        audit_metrics,
         render_audit_table,
         report_to_dict,
     )
@@ -342,10 +346,7 @@ def cmd_metric_audit(args) -> int:
     )
     if not names or not args.dims:
         raise ConfigError("--metrics and --dims must each name at least one entry")
-    reports = [
-        audit_metric(name, trials=args.trials, dims=args.dims, seed=args.seed)
-        for name in names
-    ]
+    reports = audit_metrics(names, trials=args.trials, dims=args.dims, seed=args.seed)
     table = render_audit_table(reports)
     out = _out_dir(args)
     (out / AUDIT_TABLE_NAME).write_text(table, encoding="utf-8")
@@ -425,7 +426,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="comma-separated matrix dimensions (default 2,3,4)")
     p_audit.add_argument("--metrics", default=None,
                          help="comma-separated metric names (default: all)")
-    p_audit.add_argument("--seed", type=int, default=0)
+    p_audit.add_argument("--seed", type=_parse_natural, default=0)
     p_audit.add_argument("--out", default=None)
     p_audit.set_defaults(func=cmd_metric_audit)
 

@@ -1,29 +1,21 @@
 """Distance and similarity measures between density matrices, plus an
 empirical axiom auditor.
 
-The auditor samples random density-matrix triples and checks the four
-classical axioms (non-negativity, identity of indiscernibles, symmetry,
-triangle inequality) from one table per kind of measure, which gives each
-axiom's gap formula over the pairs of matrices it reads.  Similarity-style
-measures read identity as self-maximum — s(a,a) >= s(a,b) — and apply the
-triangle axiom to the induced squared distance s(a,a) + s(b,b) - 2 s(a,b);
-divergence/distance-style measures are audited directly.  A violation is
-stored only with a concrete counterexample whose gap, recomputed by the
-same formula from plain pairwise calls, is past tolerance too.
-
-An audit of a registered spectral measure draws every trial's matrices
-first and decomposes each matrix once, in one stacked LAPACK call per
-entry of ``dims``: the von Neumann measures reuse each matrix's
-logarithm, and the fidelity measures reuse each matrix's square root and
-stack the per-pair ``sqrt(a) b sqrt(a)`` eigenproblems too.  Every value
-equals the plain pairwise function's to the bit, and the recheck of a
-counterexample stays independent of the stacked path.  The matrices
-themselves are drawn in bulk (``random_densities``), each bit-identical
-to a draw of it alone.
+The auditor draws random density-matrix triples (a, b, c) once and checks
+every measure against four classical axioms (non-negativity, identity of
+indiscernibles, symmetry, triangle inequality).  Similarity-style measures
+read identity as self-maximum — s(a,a) >= s(a,b) — and apply the triangle
+axiom to the induced squared distance s(a,a) + s(b,b) - 2 s(a,b).  A
+measure's table holds its values on every pair the axioms read, for all
+trials of one dimension: stacked work (each matrix decomposed once) equal
+to the plain function's values to the bit, or plain calls of a callable.
+Each axiom's gap is one array over all trials; a flagged trial's violation
+is stored only if fresh plain calls put its gap past tolerance too.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -272,25 +264,26 @@ METRIC_FNS: dict[str, MetricFn] = {
 }
 
 
-def _injected_cases(metric_name: str) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Seeded triples known to expose violations (re-verified like any trial)."""
-    if metric_name != "trace_inner_product":
-        return []
-    # The two-state family at alpha = 0.75 rates rho_b above rho_a's own
-    # self-similarity.
-    return [_two_state_family(0.75)]
+# Seeded triples known to expose violations, audited like any trial: the
+# two-state family at alpha = 0.75 rates rho_b above rho_a's own
+# self-similarity.
+_INJECTED = {"trace_inner_product": [_two_state_family(0.75)]}
 
+# Every pair any axiom reads, as a table's columns; pair "ab" is fn(a, b) of
+# a trial's matrices (a, b, c) = (0, 1, 2).
+_PAIRS = ("ab", "ba", "ac", "bc", "aa", "bb", "cc")
+_I, _J = np.array([["abc".index(m) for m in pair] for pair in _PAIRS]).T
+_BOTH_WAYS = (np.concatenate([_I, _J]), np.concatenate([_J, _I]))
 
 # The axioms of each kind: (axiom, the pairs it reads, its gap over those
-# pairs' values in that order, note).  Pair "ab" is fn(a, b) of a trial's
-# matrices (a, b, c); a gap past AUDIT_TOL is a violation.
+# pairs' values in that order, note).  A gap past AUDIT_TOL is a violation.
 _Axiom = tuple[str, tuple[str, ...], Callable[..., float], str]
 
 _SIMILARITY_AXIOMS: tuple[_Axiom, ...] = (
     ("symmetry", ("ab", "ba"), lambda ab, ba: abs(ab - ba), ""),
     ("non_negativity", ("ab",), lambda ab: -ab, "similarity went negative"),
     # identity as self-maximum: nothing may beat a matrix's own score
-    ("identity", ("ab", "aa", "bb"), lambda ab, aa, bb: max(ab - aa, ab - bb),
+    ("identity", ("ab", "aa", "bb"), lambda ab, aa, bb: np.maximum(ab - aa, ab - bb),
      "cross-similarity exceeds self-similarity"),
     # triangle on the induced squared distance s(x,x) + s(y,y) - 2 s(x,y)
     ("triangle", ("aa", "bb", "cc", "ab", "ac", "bc"),
@@ -303,78 +296,50 @@ _DISTANCE_AXIOMS: tuple[_Axiom, ...] = (
     ("symmetry", ("ab", "ba"), lambda ab, ba: abs(ab - ba), ""),
     ("non_negativity", ("ab",), lambda ab: -ab, ""),
     # identity: d(a,a) must vanish
-    ("identity", ("aa", "bb"), lambda aa, bb: max(abs(aa), abs(bb)),
+    ("identity", ("aa", "bb"), lambda aa, bb: np.maximum(abs(aa), abs(bb)),
      "nonzero self-distance"),
     ("triangle", ("ab", "ac", "bc"), lambda ab, ac, bc: ac - ab - bc, ""),
 )
 
 
-def _audit_triple(
-    report: MetricAuditReport,
-    fn: MetricFn,
-    kind: str,
-    trial: int,
-    a: np.ndarray,
-    b: np.ndarray,
-    c: np.ndarray,
-    d: dict[str, float] | None = None,
-) -> None:
-    """Check one trial's axioms.  ``d`` holds the measure values keyed by
-    pair; without it they come from ``fn``.  Up to REPORTED_VIOLATIONS
-    violations an axiom are stored, each only if its gap, recomputed from
-    fresh ``fn`` calls on the same pairs, is past tolerance too."""
-    named = {"a": a, "b": b, "c": c}
-    axioms = _SIMILARITY_AXIOMS if kind == SIMILARITY else _DISTANCE_AXIOMS
-
-    def values(pairs):
-        return [fn(named[x], named[y]) for x, y in pairs]
-
-    if d is None:
-        pairs = list(dict.fromkeys(p for _, read, _, _ in axioms for p in read))
-        d = dict(zip(pairs, values(pairs)))
-    for axiom, pairs, gap_of, note in axioms:
-        result = report.axiom(axiom)
-        result.checked += 1
-        gap = gap_of(*(d[p] for p in pairs))
-        if (gap > AUDIT_TOL and len(result.violations) < REPORTED_VIOLATIONS
-                and gap_of(*values(pairs)) > AUDIT_TOL):
+def _audit_triple(report: MetricAuditReport, fn: MetricFn, trial: int,
+                  trio: tuple, flagged: list[tuple[_Axiom, float]]) -> None:
+    """Store one trial's violations: each flagged axiom and table gap whose
+    gap, recomputed from fresh ``fn`` calls on the same pairs, is past
+    tolerance too."""
+    named = dict(zip("abc", trio))
+    for (axiom, pairs, gap_of, note), gap in flagged:
+        if gap_of(*(fn(named[x], named[y]) for x, y in pairs)) > AUDIT_TOL:
             matrices = [named[m].copy() for m in sorted(set("".join(pairs)))]
-            result.violations.append(AxiomViolation(
+            report.axiom(axiom).violations.append(AxiomViolation(
                 axiom=axiom, gap=gap, trial=trial, matrices=matrices, note=note
             ))
 
 
-# Ordered pairs of a trial's matrices (a, b, c) = (0, 1, 2): ab, ba, ac, bc
-# first, then the reverses sym_vn needs.
-_DIRECTED = ((0, 1), (1, 0), (0, 2), (1, 2), (2, 0), (2, 1))
-_UNORDERED = ((0, 1), (0, 2), (1, 2))
-
-
-def _vn_table(mats: np.ndarray) -> np.ndarray:
-    """vn_divergence over ``_DIRECTED`` for each trial of an (n, 3, d, d)
-    stack, from one logarithm per matrix."""
+def _vn_table(mats: np.ndarray, i: np.ndarray = _I, j: np.ndarray = _J) -> np.ndarray:
+    """vn_divergence over pairs (i, j), by default ``_PAIRS``, for each trial
+    of an (n, 3, d, d) stack, from one logarithm per matrix."""
     logs = _log_density(mats)
-    i, j = np.array(_DIRECTED).T
     values = _directed_vn(mats[:, i], logs[:, i], logs[:, j])
     same = (mats[:, i] == mats[:, j]).all(axis=(-2, -1))
     return np.where(same, 0.0, values)
 
 
 def _sym_vn_table(mats: np.ndarray) -> np.ndarray:
-    """sym_vn over ab, ba, ac, bc; (b, a) sums the same two directions as
+    """sym_vn over ``_PAIRS``; (b, a) sums the same two directions as
     (a, b), and floating-point addition commutes exactly."""
-    vn = _vn_table(mats)
-    return 0.5 * (vn[:, :4] + vn[:, [1, 0, 4, 5]])
+    vn = _vn_table(mats, *_BOTH_WAYS)
+    return 0.5 * (vn[:, :len(_PAIRS)] + vn[:, len(_PAIRS):])
 
 
 def _fidelity_table(mats: np.ndarray) -> np.ndarray:
-    """fidelity over ab, ba, ac, bc for each trial of an (n, 3, d, d) stack,
+    """fidelity over ``_PAIRS`` for each trial of an (n, 3, d, d) stack,
     from one square root per matrix and one stacked decomposition of every
     pair's ``sqrt(a) b sqrt(a)``, each pair in fidelity's own order."""
-    out = np.ones((len(mats), len(_UNORDERED)))
+    out = np.ones((len(mats), 4))       # ab, ac, bc, then F(x, x) = 1
     jobs = []
     for t, trio in enumerate(mats):
-        for p, (i, j) in enumerate(_UNORDERED):
+        for p, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
             order = _fidelity_order(trio[i], trio[j])
             if order is not None:
                 jobs.append((t, p, i, j) if order else (t, p, j, i))
@@ -383,38 +348,96 @@ def _fidelity_table(mats: np.ndarray) -> np.ndarray:
         sqrts = matrix_function(mats, np.sqrt, eigen_floor=0.0)
         traces = _root_trace(sqrts[t, first], mats[t, second])
         out[t, p] = [_fidelity_value(x) for x in traces.tolist()]
-    return out[:, [0, 0, 1, 2]]
+    return out[:, [0, 0, 1, 2, 3, 3, 3]]
 
 
-def _sine_distance_table(mats: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.maximum(0.0, 1.0 - _fidelity_table(mats)))
+def _pairwise_table(fn: MetricFn, mats: np.ndarray) -> np.ndarray:
+    """A callable's table: one plain call per trial and pair of ``_PAIRS``."""
+    return np.array([[fn(trio[i], trio[j]) for i, j in zip(_I, _J)] for trio in mats])
 
 
-# Registered measures whose audit decomposes each matrix once: the value
-# of a measure on bit-identical inputs, and its table of ab, ba, ac, bc
-# values for an (n, 3, d, d) stack of trials (a, b, c).
-_STACKED: dict[str, tuple[float, Callable[[np.ndarray], np.ndarray]]] = {
-    "vn_divergence": (0.0, lambda mats: _vn_table(mats)[:, :4]),
-    "sym_vn": (0.0, _sym_vn_table),
-    "fidelity": (1.0, _fidelity_table),
-    "sqrt_fidelity_distance": (0.0, _sine_distance_table),
+# Each registered measure's table: its values over ``_PAIRS`` for an
+# (n, 3, d, d) stack of trials, each equal to the plain function's to the bit.
+Table = Callable[[np.ndarray], np.ndarray]
+_TABLES: dict[str, Table] = {
+    "trace_inner_product":
+        lambda mats: np.trace(mats[:, _I] @ mats[:, _J], axis1=-2, axis2=-1).real,
+    "vn_divergence": _vn_table,
+    "sym_vn": _sym_vn_table,
+    "fidelity": _fidelity_table,
+    "sqrt_fidelity_distance":
+        lambda mats: np.sqrt(np.maximum(0.0, 1.0 - _fidelity_table(mats))),
 }
 
 
-def _stacked_values(name: str, triples: list, cycle: int) -> list[dict[str, float]]:
-    """Each trial's measure values keyed by pair, from one table per entry
-    of a ``cycle`` of dimensions (trial t has the dimension of entry
-    t % cycle); every value equals the plain function's to the bit."""
-    self_value, table = _STACKED[name]
-    out: list = [None] * len(triples)
-    for k in range(min(cycle, len(triples))):
-        rows = table(np.array(triples[k::cycle])).tolist()
-        out[k::cycle] = [
-            {"aa": self_value, "bb": self_value, "cc": self_value,
-             "ab": ab, "ba": ba, "ac": ac, "bc": bc}
-            for ab, ba, ac, bc in rows
-        ]
-    return out
+def _audit(report: MetricAuditReport, table: Table, fn: MetricFn, drawn: list) -> None:
+    """Fill ``report`` from the drawn trials, the measure's injected cases
+    (trial -1) first, in one table pass per dimension."""
+    injected = _INJECTED.get(report.metric, [])
+    cases = injected + drawn
+    sizes = np.array([len(a) for a, _, _ in cases])
+    values = np.empty((len(cases), len(_PAIRS)))
+    for dim in dict.fromkeys(sizes.tolist()):
+        rows = np.flatnonzero(sizes == dim)
+        values[rows] = table(np.array([cases[t] for t in rows]))
+    axioms = _SIMILARITY_AXIOMS if report.kind == SIMILARITY else _DISTANCE_AXIOMS
+    columns = dict(zip(_PAIRS, values.T))
+    gaps = np.array([gap_of(*(columns[p] for p in pairs))
+                     for _, pairs, gap_of, _ in axioms])
+    results = [report.axiom(axiom) for axiom, *_ in axioms]
+    for result in results:
+        result.checked = len(cases)
+    flagged = gaps > AUDIT_TOL
+    for t in np.flatnonzero(flagged.any(axis=0)):
+        todo = [(axiom, float(gaps[k, t])) for k, axiom in enumerate(axioms)
+                if flagged[k, t] and len(results[k].violations) < REPORTED_VIOLATIONS]
+        if todo:
+            _audit_triple(report, fn, max(int(t) - len(injected), -1), cases[t], todo)
+
+
+def audit_metrics(
+    metrics: list[str | MetricFn],
+    trials: int,
+    dims: tuple[int, ...] = (2, 3, 4),
+    seed: int = 0,
+    kind: str | None = None,
+) -> list[MetricAuditReport]:
+    """Property-test each measure against the four axioms on one draw.
+
+    A measure is a registered name, audited as its registered kind, or a
+    callable of kind ``kind`` (then required).  The ``trials`` random
+    triples are drawn once and shared; known seeded counterexamples are
+    injected ahead of them and marked with trial index -1.
+    """
+    measures = []       # (name, kind, table, plain function)
+    for metric in metrics:
+        if callable(metric):
+            if kind is None:
+                raise DomainError("kind is required for custom metric callables")
+            measures.append((getattr(metric, "__name__", "custom"), kind,
+                             functools.partial(_pairwise_table, metric), metric))
+        elif metric in METRIC_FNS:
+            measures.append((metric, METRIC_KINDS[metric], _TABLES[metric],
+                             METRIC_FNS[metric]))
+        else:
+            raise DomainError(
+                f"unknown metric {metric!r}; choose from {sorted(METRIC_FNS)}"
+            )
+    if trials < 1:
+        raise DomainError("trials must be >= 1")
+    if not dims or any(d < 2 for d in dims):
+        raise DomainError("dims must be dimensions >= 2")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    mats = random_densities(np.random.default_rng(seed), [
+        int(dims[trial % len(dims)]) for trial in range(trials) for _ in range(3)
+    ])
+    drawn = list(zip(mats[0::3], mats[1::3], mats[2::3]))
+    reports = []
+    for name, measure_kind, table, fn in measures:
+        reports.append(MetricAuditReport(name, measure_kind, trials, tuple(dims), seed))
+        _audit(reports[-1], table, fn, drawn)
+    return reports
 
 
 def audit_metric(
@@ -424,48 +447,9 @@ def audit_metric(
     seed: int = 0,
     kind: str | None = None,
 ) -> MetricAuditReport:
-    """Property-test one measure against the four axioms.
-
-    ``metric`` may be a registered name or a callable (then ``kind`` is
-    required).  Known seeded counterexamples are injected ahead of the
-    random trials and marked with trial index -1.  Every trial's matrices
-    are drawn first; a registered spectral measure then takes its values
-    from one decomposition per matrix (``_STACKED``), a callable or the
-    trace inner product from pairwise calls.
-    """
-    if callable(metric):
-        fn = metric
-        name = getattr(metric, "__name__", "custom")
-        if kind is None:
-            raise DomainError("kind is required for custom metric callables")
-    else:
-        name = metric
-        if name not in METRIC_FNS:
-            raise DomainError(
-                f"unknown metric {name!r}; choose from {sorted(METRIC_FNS)}"
-            )
-        fn = METRIC_FNS[name]
-        kind = METRIC_KINDS[name] if kind is None else kind
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
-    if not dims or any(d < 2 for d in dims):
-        raise DomainError("dims must be dimensions >= 2")
-
-    report = MetricAuditReport(
-        metric=name, kind=kind, trials=trials, dims=tuple(dims), seed=seed
-    )
-    for a, b, c in _injected_cases(name):
-        _audit_triple(report, fn, kind, -1, a, b, c)
-    mats = random_densities(np.random.default_rng(seed), [
-        int(dims[trial % len(dims)]) for trial in range(trials) for _ in range(3)
-    ])
-    triples = list(zip(mats[0::3], mats[1::3], mats[2::3]))
-    stacked = not callable(metric) and name in _STACKED
-    values = (_stacked_values(name, triples, len(dims)) if stacked
-              else [None] * trials)
-    for trial, ((a, b, c), d) in enumerate(zip(triples, values)):
-        _audit_triple(report, fn, kind, trial, a, b, c, d)
-    return report
+    """Property-test one measure against the four axioms: the one-measure
+    view of ``audit_metrics``."""
+    return audit_metrics([metric], trials, dims, seed, kind)[0]
 
 
 # Informative cost notes for the report table (matrix dimension d).

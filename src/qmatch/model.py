@@ -10,6 +10,7 @@ mixture.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from numbers import Integral, Real
 
@@ -69,12 +70,16 @@ class TrainerConfig:
                 raise ConfigError("window_sizes must not be empty for local mixture")
             if any(w < 1 for w in self.window_sizes):
                 raise ConfigError(f"window sizes must be >= 1, got {self.window_sizes}")
-        if self.margin <= 0:
-            raise ConfigError(f"margin must be positive, got {self.margin}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.l2_lambda < 0:
-            raise ConfigError(f"l2_lambda must be >= 0, got {self.l2_lambda}")
+        if not 0 < self.margin < math.inf:
+            raise ConfigError(f"margin must be positive and finite, got {self.margin}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}"
+            )
+        if not 0 <= self.l2_lambda < math.inf:
+            raise ConfigError(f"l2_lambda must be >= 0 and finite, got {self.l2_lambda}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:

@@ -24,7 +24,7 @@ import test_gradients as fd
 from test_scripts import script
 from qmatch.data import FORMAT_PRESETS, load_tsv
 from qmatch.density_metrics import (
-    audit_metric,
+    audit_metrics,
     identity_counterexample_gap,
     random_densities,
     trace_inner_product,
@@ -320,10 +320,9 @@ def test_training_beats_random_baseline_across_seeds():
 def test_metric_audit_reproduces_axiom_pattern():
     """Symmetry/identity verdicts across the distance-measure family."""
     t0 = time.perf_counter()
-    reports = {
-        name: audit_metric(name, trials=10_000, dims=(2, 3, 4), seed=0)
-        for name in ("trace_inner_product", "vn_divergence", "sym_vn", "fidelity")
-    }
+    names = ("trace_inner_product", "vn_divergence", "sym_vn", "fidelity")
+    reports = dict(zip(names, audit_metrics(names, trials=10_000, dims=(2, 3, 4),
+                                            seed=0)))
     elapsed = time.perf_counter() - t0
     checks = {
         "trace_inner_product symmetry holds":

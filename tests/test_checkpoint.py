@@ -231,6 +231,14 @@ def test_from_dict_rejects_a_field_of_the_wrong_type(fields):
         TrainerConfig.from_dict(fields)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", ["margin", "learning_rate", "l2_lambda"])
+def test_validate_rejects_a_non_finite_rate(name, value):
+    # a NaN margin would otherwise train to exit 0 and log a NaN loss
+    with pytest.raises(ConfigError, match=f"{name} must be .* finite"):
+        TrainerConfig(**{name: value}).validate()
+
+
 @pytest.mark.parametrize("data", [[1, 2], "local", None])
 def test_from_dict_rejects_a_non_object(data):
     with pytest.raises(ConfigError, match="a config must be an object"):

@@ -371,8 +371,9 @@ def test_metric_audit_empty_list_exits_2(flag, tmp_path, capsys):
         (["--trials", "-3"], "expected an integer >= 1, got '-3'"),
         (["--dims", "1"], "expected dimensions >= 2, got '1'"),
         (["--dims", "2,0,3"], "expected dimensions >= 2, got '2,0,3'"),
+        (["--seed", "-1"], "expected an integer >= 0, got '-1'"),
     ],
-    ids=["trials-0", "trials-negative", "dims-1", "dims-0"],
+    ids=["trials-0", "trials-negative", "dims-1", "dims-0", "seed-negative"],
 )
 def test_metric_audit_bad_trials_or_dims_exit_2(flag, message, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -426,6 +427,21 @@ def test_mistyped_config_exits_2(data, toy_tsv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert " must be " in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, message",
+    [(["--seed", "-1"], "seed must be >= 0"),
+     (["--margin", "nan"], "margin must be positive and finite"),
+     (["--learning-rate", "inf"], "learning_rate must be positive and finite")],
+    ids=["seed-negative", "margin-nan", "learning-rate-inf"],
+)
+def test_train_out_of_range_flag_exits_2(flag, message, toy_tsv, tmp_path, capsys):
+    out = tmp_path / "run"
+    rc = main(["train", "--dataset", str(toy_tsv), *flag, "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

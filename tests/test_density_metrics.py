@@ -21,6 +21,7 @@ from qmatch.density_metrics import (
     METRIC_KINDS,
     REPORTED_VIOLATIONS,
     audit_metric,
+    audit_metrics,
     fidelity,
     identity_counterexample_gap,
     random_densities,
@@ -397,14 +398,16 @@ def test_audit_rejects_bad_arguments():
         audit_metric("fidelity", trials=0)
     with pytest.raises(DomainError, match="dims"):
         audit_metric("fidelity", trials=5, dims=(1,))
+    with pytest.raises(DomainError, match="seed"):
+        audit_metrics(["fidelity"], trials=5, seed=-1)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 11])
 @pytest.mark.parametrize("name", sorted(METRIC_FNS))
 def test_stacked_audit_equals_the_pairwise_oracle(name, seed):
     # a callable audit evaluates every pair with the plain function; the
-    # registered name decomposes each matrix once (d = 9 also sums traces
-    # past numpy's 8-element pairwise-summation block)
+    # registered name reads its stacked table (d = 9 also sums traces past
+    # numpy's 8-element pairwise-summation block)
     dims = (2, 3, 4, 9)
     stacked = audit_metric(name, trials=40, dims=dims, seed=seed)
     pairwise = audit_metric(METRIC_FNS[name], trials=40, dims=dims, seed=seed,
@@ -422,6 +425,34 @@ def test_stacked_audit_equals_the_pairwise_oracle(name, seed):
 
     assert payload(stacked) == payload(pairwise)
     assert every_violation(stacked) == every_violation(pairwise)
+
+
+@pytest.mark.parametrize("name", sorted(METRIC_FNS))
+def test_every_table_equals_the_pairwise_table_to_the_bit(name):
+    # every value of a registered measure's table, not only the flagged
+    # trials a report shows, matches one plain call per pair
+    rng = np.random.default_rng(5)
+    for dim in (2, 3, 4, 9, 16):
+        mats = np.array(random_densities(rng, [dim] * 60)).reshape(20, 3, dim, dim)
+        table = density_metrics._TABLES[name](mats)
+        oracle = density_metrics._pairwise_table(METRIC_FNS[name], mats)
+        assert table.tobytes() == oracle.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11])
+def test_one_draw_audits_equal_one_audit_per_measure(seed):
+    def everywhere_zero(a, b):
+        return 0.0
+
+    metrics = [*sorted(METRIC_FNS), everywhere_zero]
+    dims = (2, 3, 4, 9)
+    shared = audit_metrics(metrics, trials=40, dims=dims, seed=seed, kind=DISTANCE)
+    alone = [audit_metric(m, trials=40, dims=dims, seed=seed, kind=DISTANCE)
+             for m in metrics]
+    assert [r.kind for r in shared] == [*(METRIC_KINDS[m] for m in metrics[:-1]),
+                                        DISTANCE]
+    assert json.dumps([report_to_dict(r) for r in shared]) == json.dumps(
+        [report_to_dict(r) for r in alone])
 
 
 @pytest.mark.parametrize(
