@@ -187,7 +187,6 @@ def _load_checkpoint_for(args):
 
 def cmd_train(args) -> int:
     from .checkpoint import save_checkpoint
-    from .evaluation import evaluate
     from .training import train
 
     config = _build_config(args)
@@ -209,8 +208,8 @@ def cmd_train(args) -> int:
     save_checkpoint(ckpt_path, result.params, config, result.vocab)
     print(f"checkpoint: {ckpt_path}")
     print(f"training log: {log_path}")
-    if dev_set is not None:
-        report = evaluate(result.params, dev_set, config, result.vocab)
+    report = result.best_report
+    if report is not None:
         report.write_jsonl(out / DEV_REPORT_NAME)
         print(
             f"best epoch {result.best_epoch}: "

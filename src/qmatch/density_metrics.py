@@ -176,8 +176,8 @@ def random_densities(rng: np.random.Generator, dims: list[int]) -> list[np.ndarr
     weights per entry d of ``dims``.  The generator is read matrix by
     matrix (the number of states, the weights, then each state's real and
     imaginary parts); the arithmetic runs once per group of matrices with
-    the same dimension and number of states, with ``outer_product``'s
-    formula, and each matrix equals a draw of it alone to the bit."""
+    the same dimension and number of states, and each matrix equals a draw
+    of it alone to the bit."""
     groups: dict[tuple[int, int], list] = {}
     for i, dim in enumerate(dims):
         m = int(rng.integers(1, dim + 1))
@@ -190,9 +190,7 @@ def random_densities(rng: np.random.Generator, dims: list[int]) -> list[np.ndarr
         weights, z = np.array(weights), np.array(z)
         vec = z[..., 0, :] + 1j * z[..., 1, :]
         vec /= _norms(vec)[..., 0]
-        re, im = vec.real[..., :, None], vec.imag[..., :, None]
-        re_t, im_t = vec.real[..., None, :], vec.imag[..., None, :]
-        proj = (re * re_t + im * im_t) + 1j * (im * re_t - re * im_t)
+        proj = outer_product(vec)
         rho = np.zeros((len(members), dim, dim), dtype=np.complex128)
         for k in range(m):
             rho += weights[:, k, None, None] * proj[:, k]

@@ -3,7 +3,10 @@
 Candidates are ranked by descending model score (the cosine of the
 question's and the candidate's representations, ``matcher.cosines``) with
 ties broken by ascending answer id, which makes every evaluation
-deterministic.
+deterministic.  A split's representations come from one
+``matcher.represent_groups`` call, one group per question and its
+candidates; only the matcher knows how it splits that work between its
+word and window stages.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 from .data import QADataset
 from .embedding import Vocabulary
 from .errors import DataError, NumericError
-from .matcher import cosines, represent_batch, word_table
+from .matcher import cosines, represent_groups
 from .model import ParameterSet, TrainerConfig
 
 
@@ -126,12 +129,11 @@ def evaluate(
 ) -> MetricReport:
     """Deterministic MAP/MRR of the model over one split (eval mode).
 
-    The split's sentences are encoded once and one word table (each
-    distinct word's weight and Born row) is built over all of them; then
-    each question is ranked with one window pass over the question and its
-    candidates and one ``cosines`` call, which gives each candidate the
-    bits ``matcher.score`` gives it.  A word's table row does not depend
-    on the other words in the table, so ranking a question alone computes
+    The split is encoded once and ``represent_groups`` represents every
+    question with its candidates in one call; then each question is ranked
+    with one ``cosines`` call, which gives each candidate the bits
+    ``matcher.score`` gives it.  A sentence's bits do not depend on the
+    other sentences of the split, so ranking a question alone computes
     exactly what the whole-split pass computes.  Raises NumericError naming
     the question if a representation or score is not finite.
     """
@@ -141,12 +143,8 @@ def evaluate(
         [vocab.encode(q.tokens)] + [vocab.encode(c.tokens) for c in q.candidates]
         for q in dataset.questions
     ]
-    table = word_table(
-        [ids for sentences in encoded for ids in sentences], params, config
-    )
     results = []
-    for q, sentences in zip(dataset.questions, encoded):
-        reps = represent_batch(sentences, table, config)
+    for q, reps in zip(dataset.questions, represent_groups(encoded, params, config)):
         scores = cosines(reps[0], reps[1:])[0][:, 0]
         if not (np.isfinite(reps).all() and np.isfinite(scores).all()):
             raise NumericError(

@@ -6,8 +6,10 @@ The eigensolver is LAPACK's Hermitian driver (``numpy.linalg.eigh``)
 behind the package's own contract: a Hermitian check, a finiteness check,
 descending eigenvalues and errors from ``qmatch.errors``.
 
-``hermitize``, ``hermitian_eig`` and ``matrix_function`` also take a
-``(..., d, d)`` stack and treat every matrix in it as its own problem:
+``outer_product`` also takes a ``(..., d)`` stack of vectors, each
+vector's projector bit-identical to what it gets alone.  ``hermitize``,
+``hermitian_eig`` and ``matrix_function`` also take a ``(..., d, d)``
+stack and treat every matrix in it as its own problem:
 every check applies matrix by matrix, an error names the first offending
 matrix's stack index, and the whole stack goes to LAPACK in one call.  A
 single ``(d, d)`` matrix is a stack of one, and each matrix's result is
@@ -55,7 +57,8 @@ def _first(bad: np.ndarray) -> tuple[tuple, str]:
 
 
 def outer_product(v: np.ndarray) -> np.ndarray:
-    """Rank-one projector-style outer product |v><v|.
+    """Rank-one projector-style outer product |v><v| of a vector, or of
+    each vector of a ``(..., d)`` stack.
 
     Element (i, j) is ``v[i] * conj(v[j])``.  Real and imaginary parts
     are combined explicitly (rather than via complex multiply, which may
@@ -63,12 +66,11 @@ def outer_product(v: np.ndarray) -> np.ndarray:
     the diagonal is exactly real.
     """
     v = np.asarray(v, dtype=np.complex128)
-    if v.ndim != 1:
-        raise ShapeError(f"expected a vector, got shape {v.shape}")
-    re, im = v.real, v.imag
-    return (np.outer(re, re) + np.outer(im, im)) + 1j * (
-        np.outer(im, re) - np.outer(re, im)
-    )
+    if v.ndim < 1:
+        raise ShapeError(f"expected a vector or a stack, got shape {v.shape}")
+    re, im = v.real[..., :, None], v.imag[..., :, None]
+    re_t, im_t = v.real[..., None, :], v.imag[..., None, :]
+    return (re * re_t + im * im_t) + 1j * (im * re_t - re * im_t)
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:

@@ -26,8 +26,9 @@ gets the same bits.
 ``forward_batch`` call, the analytic backward pass differentiates its
 tape, and ``interpret`` reads a match map's window columns and weights off
 one tape over the question and the answer.
-Evaluation runs the word stage once per split (``word_table``) and the
-window stage once per question (``represent_batch``), with the bits
+Evaluation ranks through ``represent_groups``: it lays a split out once,
+runs the word stage once over the split's distinct words and the window
+stage once per question and its candidates, with the bits
 ``forward_batch`` would give.  ``represent`` is a batch of one, and a
 sentence's result does not depend on the batch it ran in.  The explicit
 density-matrix route, ``reference.represent_dense``, is the oracle the
@@ -48,8 +49,8 @@ from .model import GLOBAL_MIXTURE, ParameterSet, TrainerConfig
 # ``matcher.represent_dense`` in its correctness gate.
 from .reference import represent_dense  # noqa: F401
 
-# Words per word-stage call in word_table: bounds the states and inner
-# products held at once (about 1 MB at n = k = 50) for any split size.
+# Words per word-stage call in represent_groups: bounds the states and
+# inner products held at once (about 1 MB at n = k = 50) for any split size.
 _TABLE_CHUNK = 512
 
 
@@ -279,58 +280,34 @@ def forward_batch(
     return representation, tape
 
 
-@dataclass
-class WordTable:
-    """Eval-mode word quantities over a set of distinct token ids; row j
-    describes ``words[j]``.  Ranking reads nothing else of a word."""
-
-    words: np.ndarray      # (U,) distinct token ids, ascending
-    pi: np.ndarray         # (U,) word weights
-    alive: np.ndarray      # (U,) False where the row degenerated
-    inner_sq: np.ndarray   # (U, k) |<v_k|w>|^2, the Born table
-
-    def rows(self, ids: np.ndarray) -> np.ndarray:
-        """Table row of each id; KeyError if an id is not in the table."""
-        rows = np.searchsorted(self.words, ids)
-        found = self.words[np.minimum(rows, self.words.size - 1)] == ids
-        if not found.all():
-            raise KeyError(f"token ids not in the word table: {ids[~found][:5]}")
-        return rows
-
-
-def word_table(id_lists, params: ParameterSet, config: TrainerConfig) -> WordTable:
-    """The word stage, in eval mode, over the distinct ids of the sentences
-    (truncated to ``max_sentence_len``), run _TABLE_CHUNK words at a time."""
-    ids, _, _ = _lay_out(id_lists, config)
-    words = np.unique(ids)
-    table = WordTable(
-        words=words,
-        pi=np.empty(words.size),
-        alive=np.empty(words.size, dtype=bool),
-        inner_sq=np.empty((words.size, params.k)),
+def represent_groups(
+    groups, params: ParameterSet, config: TrainerConfig
+) -> list[np.ndarray]:
+    """Eval-mode representations of groups of sentences (a question and its
+    candidates): one (n_g, R) array per group, each sentence with the bits
+    ``forward_batch`` gives it.  Every sentence is laid out once; the word
+    stage runs over the groups' distinct words, _TABLE_CHUNK at a time, and
+    the window stage once per group over that group's table rows."""
+    laid = [_lay_out(group, config) for group in groups]
+    words, rows = np.unique(
+        np.concatenate([ids for ids, _, _ in laid]), return_inverse=True
     )
+    pi = np.empty(words.size)
+    inner_sq = np.empty((words.size, params.k))
     for start in range(0, words.size, _TABLE_CHUNK):
-        rows = slice(start, start + _TABLE_CHUNK)
-        chunk = words[rows]
-        table.pi[rows], table.alive[rows], _, _, table.inner_sq[rows] = _word_stage(
-            params.amplitude[chunk],
-            np.exp(1j * params.phase[chunk]),
+        chunk = slice(start, start + _TABLE_CHUNK)
+        pi[chunk], _, _, _, inner_sq[chunk] = _word_stage(
+            params.amplitude[words[chunk]],
+            np.exp(1j * params.phase[words[chunk]]),
             params.measurements,
         )
-    return table
-
-
-def represent_batch(
-    id_lists, table: WordTable, config: TrainerConfig
-) -> np.ndarray:
-    """Eval-mode representations (N, R) of sentences whose words ``table``
-    holds: the window stage alone, so each sentence gets the bits that
-    ``forward_batch`` gives it."""
-    ids, starts, lengths = _lay_out(id_lists, config)
-    pooled, *_ = _window_stage(
-        table.rows(ids), starts, lengths, table.pi, table.inner_sq, config
-    )
-    return pooled
+    ends = np.cumsum([ids.size for ids, _, _ in laid])
+    return [
+        _window_stage(
+            rows[end - ids.size : end], starts, lengths, pi, inner_sq, config
+        )[0]
+        for (ids, starts, lengths), end in zip(laid, ends)
+    ]
 
 
 def forward_sentence(

@@ -15,13 +15,14 @@ Measurement rows live on the unit sphere via projected gradient: step
 first, then ``_project`` divides each row by its norm and checks the
 stepped rows are finite; each epoch end checks every row.  After each
 epoch the model is scored on the dev split; the best-dev parameters are
-retained.
+retained with their dev report (the initial parameters' report when no
+epoch runs), so no caller scores them again.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -165,7 +166,11 @@ class TrainResult:
     config: TrainerConfig
     history: list[EpochRecord] = field(default_factory=list)
     best_epoch: int = 0
-    best_dev_map: float | None = None
+    best_report: MetricReport | None = None   # dev report of params
+
+    @property
+    def best_dev_map(self) -> float | None:
+        return None if self.best_report is None else self.best_report.map
 
 
 def _encode_triplets(
@@ -208,8 +213,8 @@ def train(
     else:
         sgd = SGDState.zeros_like(params)
 
-    best_params = params.copy()
-    best_map: float | None = None
+    best_params: ParameterSet | None = None
+    best_report: MetricReport | None = None
     best_epoch = 0
     history: list[EpochRecord] = []
     encoded: dict[tuple[str, ...], np.ndarray] = {}
@@ -257,10 +262,8 @@ def train(
         if dev_set is not None:
             report = evaluate(params, dev_set, config, vocab)
             dev_map, dev_mrr = report.map, report.mrr
-            if best_map is None or dev_map > best_map:
-                best_map = dev_map
-                best_params = params.copy()
-                best_epoch = epoch
+            if best_report is None or dev_map > best_report.map:
+                best_report, best_params, best_epoch = report, params.copy(), epoch
         record = EpochRecord(
             epoch=epoch, mean_loss=mean_loss, dev_map=dev_map, dev_mrr=dev_mrr
         )
@@ -276,9 +279,11 @@ def train(
                 }
             )
 
-    if dev_set is None:
+    if best_params is None:   # no dev split, or no epoch ran
         best_params = params.copy()
         best_epoch = len(history)
+        if dev_set is not None:
+            best_report = evaluate(best_params, dev_set, config, vocab)
     return TrainResult(
         params=best_params,
         final_params=params,
@@ -286,7 +291,7 @@ def train(
         config=config,
         history=history,
         best_epoch=best_epoch,
-        best_dev_map=best_map,
+        best_report=best_report,
     )
 
 
@@ -302,11 +307,15 @@ DEFAULT_GRID_POOLS: dict[str, list] = {
 def enumerate_grid(
     base_config: TrainerConfig, pools: dict[str, list]
 ) -> list[TrainerConfig]:
-    """Cartesian product of the pools, in deterministic pool-key order."""
-    for key in pools:
-        if not pools[key]:
+    """Cartesian product of the pools, in deterministic pool-key order.
+    Each pool is a non-empty list of values for one config field."""
+    names = {f.name for f in fields(TrainerConfig)}
+    for key, pool in pools.items():
+        if not isinstance(pool, list):
+            raise ConfigError(f"grid pool {key!r} is not a list")
+        if not pool:
             raise ConfigError(f"grid pool {key!r} is empty")
-        if not hasattr(base_config, key):
+        if key not in names:
             raise ConfigError(f"grid pool {key!r} is not a config field")
     keys = list(pools)
     configs = []
@@ -351,11 +360,8 @@ def grid_search(
     rows: list[GridRow] = []
     for i, cfg in enumerate(enumerate_grid(base_config, pools)):
         result = train(train_set, dev_set, cfg, vocab=vocab, glove_path=glove_path)
-        dev_map = result.best_dev_map if result.best_dev_map is not None else 0.0
-        dev_mrr = 0.0
-        for rec in result.history:
-            if rec.epoch == result.best_epoch and rec.dev_mrr is not None:
-                dev_mrr = rec.dev_mrr
+        report = result.best_report
+        dev_map, dev_mrr = report.map, report.mrr
         row = GridRow(config=cfg, dev_map=dev_map, dev_mrr=dev_mrr)
         rows.append(row)
         if log_fn is not None:

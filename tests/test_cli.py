@@ -153,6 +153,26 @@ def test_eval_reports_metrics(trained, toy_tsv, tmp_path, capsys):
     assert len([r for r in records if r["kind"] == "question"]) == 3
 
 
+@pytest.mark.parametrize("epochs", ["2", "0"])
+def test_eval_of_the_dev_split_repeats_the_dev_report(epochs, toy_tsv, tmp_path):
+    # train scores the parameters it keeps; eval of the same split must
+    # write the same bytes
+    run, out = tmp_path / "run", tmp_path / "eval"
+    assert main(train_args(toy_tsv, run, epochs=epochs)) == 0
+    rc = main(
+        [
+            "eval",
+            "--checkpoint", str(run / CHECKPOINT_NAME),
+            "--dataset", str(toy_tsv),
+            "--split", "dev",
+            "--out", str(out),
+        ]
+    )
+    assert rc == 0
+    dev_report = (run / DEV_REPORT_NAME).read_bytes()
+    assert (out / EVAL_REPORT_NAME).read_bytes() == dev_report
+
+
 def test_eval_non_finite_checkpoint_exits_4(trained, toy_tsv, tmp_path, capsys):
     data = bytearray(trained.read_bytes())
     # the last 8 bytes are the final measurement imaginary part
@@ -238,6 +258,22 @@ def test_grid_search_writes_rows_and_best(toy_tsv, tmp_path, capsys):
     assert {r["config"]["learning_rate"] for r in rows} == {0.05, 0.1}
     assert (out / "best_checkpoint.qmatch").exists()
     assert "best dev MAP" in capsys.readouterr().out
+
+
+def test_grid_search_pool_that_is_not_a_list_exits_2(toy_tsv, tmp_path, capsys):
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps({"learning_rate": 0.1}))
+    rc = main(
+        [
+            "grid-search",
+            "--dataset", str(toy_tsv),
+            "--dev", str(toy_tsv),
+            "--grid", str(grid_path),
+            "--out", str(tmp_path / "grid"),
+        ]
+    )
+    assert rc == 2
+    assert "'learning_rate' is not a list" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

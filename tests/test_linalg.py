@@ -42,9 +42,18 @@ def test_outer_product_rank_one_trace():
     assert np.linalg.matrix_rank(p) == 1
 
 
-def test_outer_product_rejects_matrix():
+def test_outer_product_of_a_stack_equals_each_vector_to_the_bit():
+    stack = RNG.normal(size=(3, 4, 5)) + 1j * RNG.normal(size=(3, 4, 5))
+    p = linalg.outer_product(stack)
+    assert p.shape == (3, 4, 5, 5)
+    for i in range(3):
+        for j in range(4):
+            assert np.array_equal(p[i, j], linalg.outer_product(stack[i, j]))
+
+
+def test_outer_product_rejects_a_scalar():
     with pytest.raises(ShapeError):
-        linalg.outer_product(np.eye(2))
+        linalg.outer_product(np.complex128(1.0))
 
 
 def test_eig_diagonal_real():

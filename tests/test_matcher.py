@@ -11,10 +11,9 @@ from qmatch.matcher import (
     forward_batch,
     forward_sentence,
     represent,
-    represent_batch,
+    represent_groups,
     score,
     triplet_loss,
-    word_table,
 )
 from qmatch.model import TrainerConfig, init_parameters
 from qmatch.reference import represent_dense
@@ -52,6 +51,19 @@ def make_params(config, scramble=True):
 
 def random_ids(length, rng=RNG):
     return rng.integers(2, len(VOCAB), size=length)
+
+
+def spy(monkeypatch, name):
+    """The positional arguments of each call to ``matcher.<name>``."""
+    calls = []
+    real = getattr(matcher, name)
+
+    def record(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(matcher, name, record)
+    return calls
 
 
 # ------------------------------------------------------------------ dropout
@@ -319,9 +331,8 @@ def test_global_mixture_is_blind_to_token_order():
     sentences = [random_ids(int(rng.integers(2, 12)), rng) for _ in range(200)]
     permuted = [rng.permutation(ids) for ids in sentences]
     reps, _ = forward_batch(sentences, params, config)
-    table = word_table(sentences, params, config)
     assert np.array_equal(forward_batch(permuted, params, config)[0], reps)
-    assert np.array_equal(represent_batch(permuted, table, config), reps)
+    assert np.array_equal(represent_groups([permuted], params, config)[0], reps)
     for ids, ids_permuted in zip(sentences[:20], permuted[:20]):
         assert np.array_equal(
             represent(ids_permuted, params, config), represent(ids, params, config)
@@ -361,23 +372,28 @@ def test_winners_index_the_pooled_values():
     ],
     ids=["local", "global", "real"],
 )
-def test_window_stage_over_a_word_table_equals_forward_batch(overrides):
+def test_represent_groups_equals_forward_batch(overrides, monkeypatch):
     config = small_config(max_sentence_len=6, **overrides)
     params = make_params(config)
     params.amplitude[3] = 0.0
     batch = mixed_batch()
     reps, tape = forward_batch(batch, params, config)
-    # a table over more words than the batch holds, built in another order
-    table = word_table([np.arange(len(VOCAB))[::-1]] + batch, params, config)
-    assert np.array_equal(represent_batch(batch, table, config), reps)
-    for s, ids in enumerate(batch):
-        assert np.array_equal(represent_batch([ids], table, config)[0], reps[s])
-    # the table's word rows are the tape's, bit for bit
-    rows = table.rows(tape.ids)
-    assert np.array_equal(table.pi[rows], tape.pi[tape.rows])
-    assert np.array_equal(table.inner_sq[rows], tape.inner_sq[tape.rows])
-    assert not table.alive[table.rows(np.array([3]))].any()
-    assert table.alive[table.rows(np.array([0, 5]))].all()
+    window_calls = spy(monkeypatch, "_window_stage")
+    # a group's bits do not depend on the other groups: here one over every
+    # word in another order, or each sentence a group of its own
+    every_word = [np.arange(len(VOCAB))[::-1]]
+    assert np.array_equal(represent_groups([batch], params, config)[0], reps)
+    assert np.array_equal(
+        represent_groups([every_word, batch], params, config)[1], reps
+    )
+    singles = represent_groups([[ids] for ids in batch], params, config)
+    for s in range(len(batch)):
+        assert np.array_equal(singles[s][0], reps[s])
+    # the word rows the window stage reads for the batch are the tape's,
+    # bit for bit (calls 0 and 2; call 1 is the every-word group)
+    for rows, _, _, pi, inner_sq, _ in (window_calls[0], window_calls[2]):
+        assert np.array_equal(pi[rows], tape.pi[tape.rows])
+        assert np.array_equal(inner_sq[rows], tape.inner_sq[tape.rows])
 
 
 @pytest.mark.parametrize("widest", range(1, 8))
@@ -400,27 +416,33 @@ def test_window_weights_equal_the_reduction_softmax(widest):
     assert np.array_equal(tape.window_weights, e / e.sum(axis=2, keepdims=True))
 
 
-def test_word_table_rows_do_not_depend_on_its_chunks(monkeypatch):
+def test_represent_groups_does_not_depend_on_its_chunks(monkeypatch):
     config = small_config()
     params = make_params(config)
     params.amplitude[3] = 0.0
-    every_word = [np.arange(len(VOCAB))]
-    whole = word_table(every_word, params, config)
+    groups = [[np.arange(len(VOCAB))], mixed_batch()]
+    window_calls = spy(monkeypatch, "_window_stage")
+    whole = represent_groups(groups, params, config)
     # 26 words in chunks of 5 leave a last chunk of one row
     monkeypatch.setattr(matcher, "_TABLE_CHUNK", 5)
-    chunked = word_table(every_word, params, config)
-    assert np.array_equal(chunked.pi, whole.pi)
-    assert np.array_equal(chunked.alive, whole.alive)
-    assert np.array_equal(chunked.inner_sq, whole.inner_sq)
+    word_calls = spy(monkeypatch, "_word_stage")
+    chunked = represent_groups(groups, params, config)
+    assert [amp.shape[0] for amp, _, _ in word_calls] == [5, 5, 5, 5, 5, 1]
+    for a, b in zip(whole, chunked):
+        assert np.array_equal(a, b)
+    whole_call, chunked_call = window_calls[0], window_calls[-1]
+    for i in (3, 4):   # pi and inner_sq
+        assert np.array_equal(chunked_call[i], whole_call[i])
 
 
-def test_word_table_covers_only_the_truncated_sentences():
+def test_represent_groups_word_stage_sees_only_the_truncated_words(monkeypatch):
     config = small_config(max_sentence_len=3)
     params = make_params(config)
-    table = word_table([np.array([4, 5, 6, 7, 8])], params, config)
-    assert np.array_equal(table.words, [4, 5, 6])
-    with pytest.raises(KeyError):
-        represent_batch([np.array([4, 9])], table, config)
+    word_calls = spy(monkeypatch, "_word_stage")
+    groups = [[np.array([4, 5, 6, 7, 8])], [np.array([6, 5]), np.array([4])]]
+    represent_groups(groups, params, config)
+    seen = np.concatenate([amp for amp, _, _ in word_calls])
+    assert np.array_equal(seen, params.amplitude[[4, 5, 6]])
 
 
 def test_forward_batch_draws_dropout_masks_sentence_by_sentence():
@@ -445,6 +467,8 @@ def test_forward_batch_rejects_empty_input():
         forward_batch([], params, config)
     with pytest.raises(DegenerateInputError):
         forward_batch([np.array([2]), np.array([], dtype=np.int64)], params, config)
+    with pytest.raises(DegenerateInputError):
+        represent_groups([[np.array([2])], []], params, config)
 
 
 # -------------------------------------------------------------------- score

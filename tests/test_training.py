@@ -6,7 +6,7 @@ import pytest
 from qmatch.embedding import Vocabulary
 from qmatch.errors import ConfigError, NumericError
 from qmatch.evaluation import evaluate
-from qmatch.model import GradientSet, ParameterSet, TrainerConfig
+from qmatch.model import GradientSet, ParameterSet, TrainerConfig, init_parameters
 from qmatch import training
 from qmatch.synthetic import topic_corpus, toy_corpus
 from qmatch.training import (
@@ -407,6 +407,21 @@ def test_train_returns_snapshot_of_best_dev_epoch():
     assert result.best_epoch == maps.index(max(maps)) + 1
     report = evaluate(result.params, ds, result.config, result.vocab)
     assert report.map == result.best_dev_map
+    assert report == result.best_report
+
+
+def test_train_without_epochs_scores_the_initial_parameters():
+    ds = toy_corpus(num_questions=3)
+    config = small_config(epochs=0)
+    result = train(ds, ds, config)
+    assert result.history == [] and result.best_epoch == 0
+    initial = init_parameters(result.vocab, config)
+    assert params_bytes(result.params) == params_bytes(initial)
+    assert result.best_report == evaluate(initial, ds, config, result.vocab)
+    # a grid row of such a run reads the same dev scores
+    row = grid_search(ds, ds, config, pools={"seed": [3]}).rows[0]
+    assert row.dev_map == result.best_report.map
+    assert row.dev_mrr == result.best_report.mrr
 
 
 def test_train_without_dev_set_keeps_final_parameters():
@@ -457,6 +472,13 @@ def test_enumerate_grid_rejects_bad_pools():
         enumerate_grid(small_config(), {"learning_rate": []})
     with pytest.raises(ConfigError, match="not a config field"):
         enumerate_grid(small_config(), {"momentum": [0.9]})
+    # a property is not a field, and a pool is a list, not one value or a
+    # string to iterate
+    with pytest.raises(ConfigError, match="not a config field"):
+        enumerate_grid(small_config(), {"keep_probability": [0.5]})
+    for pool in (0.1, "ab", (0.1, 0.2)):
+        with pytest.raises(ConfigError, match="not a list"):
+            enumerate_grid(small_config(), {"learning_rate": pool})
 
 
 def test_grid_search_first_of_tied_runs_wins():
