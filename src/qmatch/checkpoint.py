@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embedding import PAD_TOKEN, UNK_TOKEN, Vocabulary, row_norms
+from .embedding import Vocabulary, row_norms
 from .errors import ConfigError, ParseError
 from .model import UNIT_NORM_ATOL, ParameterSet, TrainerConfig
 
@@ -118,19 +118,14 @@ def load_checkpoint(
         raise ParseError(f"{path}: bad vocabulary record ({exc})") from exc
     if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
         raise ParseError(f"{path}: vocabulary record is not a list of strings")
-    if tokens[:2] != [PAD_TOKEN, UNK_TOKEN]:
-        raise ParseError(
-            f"{path}: vocabulary does not start with {PAD_TOKEN}, {UNK_TOKEN}"
-        )
+    try:
+        vocab = Vocabulary(tokens)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     if len(tokens) != vocab_size:
         raise ParseError(
             f"{path}: header claims {vocab_size} tokens, found {len(tokens)}"
         )
-    index = {t: i for i, t in enumerate(tokens)}
-    if len(index) != len(tokens):
-        dup = next(t for i, t in enumerate(tokens) if index[t] != i)
-        raise ParseError(f"{path}: duplicate vocabulary token {dup!r}")
-    vocab = Vocabulary(tokens=list(tokens), index=index)
 
     shapes = [(vocab_size, dim), (vocab_size, dim), (k, dim), (k, dim)]
     expected = sum(r * c for r, c in shapes) * 8

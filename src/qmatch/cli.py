@@ -160,13 +160,11 @@ def _build_config(args):
         config = TrainerConfig.from_dict(data)
     else:
         config = TrainerConfig()
-    config = config.with_overrides(**{
+    return config.with_overrides(**{
         name: getattr(args, name)
         for name in _CONFIG_FLAGS
         if getattr(args, name) is not None
     })
-    config.validate()
-    return config
 
 
 def _load_dataset(path_str: str, format_spec: str, split: str):

@@ -49,18 +49,26 @@ class Vocabulary:
 
     Index 0 is the padding token, index 1 the unknown token; real tokens
     start at index 2.  Encoding never fails: unseen tokens map to UNK.
+    The index is derived from the tokens, which must start with PAD, UNK
+    and hold no token twice (ValueError otherwise).
     """
 
     tokens: list[str]
-    index: dict[str, int] = field(repr=False)
+    index: dict[str, int] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.tokens[:2] != [PAD_TOKEN, UNK_TOKEN]:
+            raise ValueError(
+                f"vocabulary does not start with {PAD_TOKEN}, {UNK_TOKEN}"
+            )
+        self.index = {t: i for i, t in enumerate(self.tokens)}
+        if len(self.index) != len(self.tokens):
+            dup = next(t for i, t in enumerate(self.tokens) if self.index[t] != i)
+            raise ValueError(f"duplicate vocabulary token {dup!r}")
 
     @classmethod
     def from_tokens(cls, ordered_tokens: list[str]) -> "Vocabulary":
-        tokens = [PAD_TOKEN, UNK_TOKEN, *ordered_tokens]
-        index = {t: i for i, t in enumerate(tokens)}
-        if len(index) != len(tokens):
-            raise ValueError("duplicate tokens in vocabulary")
-        return cls(tokens=tokens, index=index)
+        return cls([PAD_TOKEN, UNK_TOKEN, *ordered_tokens])
 
     def __len__(self) -> int:
         return len(self.tokens)

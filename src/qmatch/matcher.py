@@ -54,19 +54,6 @@ from .reference import represent_dense  # noqa: F401
 _TABLE_CHUNK = 512
 
 
-def _keep_probability(
-    config: TrainerConfig, train: bool, rng: np.random.Generator | None
-) -> float:
-    """The config's keep probability in train mode; 1.0 in eval mode or
-    when nothing is dropped."""
-    keep = config.keep_probability
-    if not train or keep == 1.0:
-        return 1.0
-    if rng is None:
-        raise ConfigError("dropout in train mode needs a random generator")
-    return keep
-
-
 def _dropout_mask(shape, keep: float, rng: np.random.Generator) -> np.ndarray:
     return (rng.random(shape) < keep).astype(np.float64) / keep
 
@@ -233,9 +220,11 @@ def forward_batch(
     n = params.dim
     R = config.representation_len
 
-    keep = _keep_probability(config, train, rng)
+    keep = config.keep_probability
     emb_mask = pooled_mask = None
-    if keep < 1.0:
+    if train and keep < 1.0:
+        if rng is None:
+            raise ConfigError("dropout in train mode needs a random generator")
         masks = [
             (_dropout_mask((L, n), keep, rng), _dropout_mask(R, keep, rng))
             for L in lengths

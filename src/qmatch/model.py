@@ -6,12 +6,16 @@ of complex measurement vectors.  The real ablation pins phases and
 measurement imaginary parts at zero; the global-mixture ablation swaps
 the sliding-window softmax mixture for one uniform whole-sentence
 mixture.
+
+A ``TrainerConfig`` is checked once, when it is made (by the constructor,
+``with_overrides``, ``from_dict`` or a grid combination), and is immutable
+afterwards, so every config in hand is a valid one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from numbers import Integral, Real
 
 import numpy as np
@@ -36,7 +40,7 @@ def _has_type(value, annotation: str) -> bool:
     return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainerConfig:
     embedding_dim: int = 50
     num_measurements: int = 50
@@ -53,10 +57,13 @@ class TrainerConfig:
     max_sentence_len: int = 40
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for f in fields(self):
             if not _has_type(value := getattr(self, f.name), f.type):
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+        # a list (from JSON or a grid pool) is kept as a tuple, so equal
+        # configs compare and hash alike
+        object.__setattr__(self, "window_sizes", tuple(self.window_sizes))
         if self.embedding_dim < 1:
             raise ConfigError(f"embedding_dim must be >= 1, got {self.embedding_dim}")
         if self.num_measurements < 1:
@@ -84,7 +91,10 @@ class TrainerConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        self.keep_probability  # raises ConfigError on a bad dropout_rate
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ConfigError(
+                f"dropout_rate must be in [0, 1), got {self.dropout_rate}"
+            )
         if self.optimizer not in ("sgd", "adam"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.max_sentence_len < 1:
@@ -94,11 +104,8 @@ class TrainerConfig:
 
     @property
     def keep_probability(self) -> float:
-        """1 - ``dropout_rate``; ConfigError unless 0 <= dropout_rate < 1."""
-        rate = self.dropout_rate
-        if not 0.0 <= rate < 1.0:
-            raise ConfigError(f"dropout_rate must be in [0, 1), got {rate}")
-        return 1.0 - rate
+        """1 - ``dropout_rate``."""
+        return 1.0 - self.dropout_rate
 
     @property
     def representation_len(self) -> int:
@@ -128,11 +135,7 @@ class TrainerConfig:
         unknown = set(kwargs) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if isinstance(kwargs.get("window_sizes"), list):
-            kwargs["window_sizes"] = tuple(kwargs["window_sizes"])
-        cfg = cls(**kwargs)
-        cfg.validate()
-        return cfg
+        return cls(**kwargs)
 
 
 @dataclass
@@ -216,7 +219,6 @@ def init_parameters(
 ) -> ParameterSet:
     """Fresh parameters: pretrained-or-random amplitudes, uniform phases
     (zero in the real ablation), one-hot measurement rows."""
-    config.validate()
     streams = seed_streams(config.seed)
     amplitude = init_amplitudes_from_glove(
         vocab,

@@ -200,7 +200,6 @@ def train(
     log_fn: LogFn | None = None,
 ) -> TrainResult:
     """Full training run; deterministic for a fixed config/seed/data."""
-    config.validate()
     if vocab is None:
         vocab = build_vocab([train_set])
     params = init_parameters(vocab, config, glove_path=glove_path)

@@ -1,5 +1,6 @@
 """Checkpoint round-trips, byte stability, and corruption handling."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -10,6 +11,7 @@ from qmatch.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, save_check
 from qmatch.embedding import Vocabulary
 from qmatch.errors import ConfigError, NumericError, ParseError
 from qmatch.model import TrainerConfig, init_parameters
+from qmatch.training import enumerate_grid
 
 
 def setup_state(seed=9):
@@ -236,7 +238,25 @@ def test_from_dict_rejects_a_field_of_the_wrong_type(fields):
 def test_validate_rejects_a_non_finite_rate(name, value):
     # a NaN margin would otherwise train to exit 0 and log a NaN loss
     with pytest.raises(ConfigError, match=f"{name} must be .* finite"):
-        TrainerConfig(**{name: value}).validate()
+        TrainerConfig(**{name: value})
+
+
+def test_a_config_cannot_change_after_it_is_made():
+    config = TrainerConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.learning_rate = -1.0
+    assert config == TrainerConfig()
+
+
+def test_a_grid_config_with_a_list_of_windows_equals_its_tuple_config(tmp_path):
+    params, config, vocab = setup_state()
+    (grid,) = enumerate_grid(config, {"window_sizes": [[1, 2]]})
+    tupled = config.with_overrides(window_sizes=(1, 2))
+    assert grid.window_sizes == (1, 2)
+    assert grid == tupled and hash(grid) == hash(tupled)
+    path = tmp_path / "grid.qmatch"
+    save_checkpoint(path, params, grid, vocab)
+    assert load_checkpoint(path)[1] == grid
 
 
 @pytest.mark.parametrize("data", [[1, 2], "local", None])

@@ -276,6 +276,32 @@ def test_grid_search_pool_that_is_not_a_list_exits_2(toy_tsv, tmp_path, capsys):
     assert "'learning_rate' is not a list" in capsys.readouterr().err
 
 
+def test_grid_search_out_of_range_combination_exits_2_before_training(
+    toy_tsv, tmp_path, capsys
+):
+    out = tmp_path / "grid"
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps({"learning_rate": [0.1, -1.0]}))
+    rc = main(
+        [
+            "grid-search",
+            "--dataset", str(toy_tsv),
+            "--dev", str(toy_tsv),
+            "--grid", str(grid_path),
+            "--out", str(out),
+            "--embedding-dim", "5",
+            "--num-measurements", "3",
+            "--window-sizes", "1",
+            "--epochs", "1",
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "learning_rate must be positive and finite, got -1.0" in err
+    assert (out / GRID_RESULTS_NAME).read_text() == ""
+    assert not (out / "best_checkpoint.qmatch").exists()
+
+
 # ---------------------------------------------------------------------------
 # inspection
 

@@ -76,6 +76,17 @@ def test_vocabulary_rejects_duplicates():
         Vocabulary.from_tokens(["twice", "twice"])
 
 
+def test_vocabulary_derives_its_index_from_its_tokens():
+    vocab = Vocabulary([PAD_TOKEN, UNK_TOKEN, "alpha"])
+    assert vocab.index == {PAD_TOKEN: 0, UNK_TOKEN: 1, "alpha": 2}
+    assert vocab == Vocabulary.from_tokens(["alpha"])
+    # an index that disagrees with the tokens cannot be passed in
+    with pytest.raises(TypeError):
+        Vocabulary([PAD_TOKEN, UNK_TOKEN, "alpha"], index={"alpha": 0})
+    with pytest.raises(ValueError, match="does not start with <pad>, <unk>"):
+        Vocabulary([UNK_TOKEN, PAD_TOKEN, "alpha"])
+
+
 def test_vocabulary_contains():
     vocab = Vocabulary.from_tokens(["alpha"])
     assert "alpha" in vocab

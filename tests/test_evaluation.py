@@ -83,6 +83,13 @@ def test_rank_candidates_orders_by_score_then_id():
     assert [r.label for r in ranked] == [1, 0, 0]
 
 
+def test_rank_candidates_ties_signed_zeros_by_answer_id():
+    # 0.0 == -0.0, so the sign of a zero score never orders two candidates
+    for scores in ([0.0, -0.0], [-0.0, 0.0]):
+        ranked = rank_candidates(scores, [7, 3], [0, 1])
+        assert [r.answer_id for r in ranked] == [3, 7]
+
+
 def test_rank_ties_are_stable_under_input_order():
     a = rank_candidates([0.3, 0.3, 0.3], [2, 0, 1], [0, 1, 0])
     b = rank_candidates([0.3, 0.3, 0.3], [0, 1, 2], [1, 0, 0])

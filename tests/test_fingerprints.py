@@ -9,7 +9,8 @@ intended, regenerate the record in the same change with
 
     PYTHONPATH=src python tests/test_fingerprints.py
 
-and name the digests that moved, and why, in the change's notes.
+which prints each digest that moved (name, old, new) before it rewrites
+the record; name those digests, and why they moved, in the change's notes.
 
 The bits rest on the numpy version and the BLAS build, so the record
 names the environment it was made in.  Under any other environment the
@@ -81,9 +82,28 @@ def digest(name: str):
     }
 
 
+def moved_digests(old: dict, new: dict) -> list[tuple[str, object, object]]:
+    """(name, old, new) for each digest that differs between two records'
+    ``digests``; a name one record lacks reads None on that side."""
+    names = [*new, *(n for n in old if n not in new)]
+    return [(n, old.get(n), new.get(n)) for n in names if old.get(n) != new.get(n)]
+
+
 @functools.cache
 def record() -> dict:
     return json.loads(RECORD_PATH.read_text(encoding="utf-8"))
+
+
+def test_moved_digests_names_each_digest_that_differs():
+    run = {"params_sha256": "a", "best_dev_map": 0.5}
+    old = {"sgd": run, "audit-x": "b", "gone": "c"}
+    new = {"sgd": {**run, "best_dev_map": 0.75}, "audit-x": "b", "new": "d"}
+    assert moved_digests(old, new) == [
+        ("sgd", old["sgd"], new["sgd"]),
+        ("new", None, "d"),
+        ("gone", "c", None),
+    ]
+    assert moved_digests(new, new) == []
 
 
 def test_record_names_every_run():
@@ -100,5 +120,7 @@ def test_digest_matches_the_committed_record(name):
 
 if __name__ == "__main__":
     fresh = {"environment": environment(), "digests": {n: digest(n) for n in NAMES}}
+    for name, old, new in moved_digests(record()["digests"], fresh["digests"]):
+        print(f"moved {name}: {json.dumps(old)} -> {json.dumps(new)}")
     RECORD_PATH.write_text(json.dumps(fresh, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {RECORD_PATH}")

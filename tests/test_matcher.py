@@ -72,8 +72,8 @@ def spy(monkeypatch, name):
 
 
 def dropout_masks(rate, train=True, rng=None, length=20_000):
-    """forward_batch's masks over one sentence of ``length`` tokens.  The
-    config is not validated, so forward_batch itself must check the rate."""
+    """forward_batch's masks over one sentence of ``length`` tokens.  A bad
+    rate fails when the config is made, before forward_batch runs."""
     params = make_params(small_config(), scramble=False)
     config = small_config(dropout_rate=rate, max_sentence_len=length)
     _, tape = forward_batch(

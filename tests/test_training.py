@@ -479,6 +479,10 @@ def test_enumerate_grid_rejects_bad_pools():
     for pool in (0.1, "ab", (0.1, 0.2)):
         with pytest.raises(ConfigError, match="not a list"):
             enumerate_grid(small_config(), {"learning_rate": pool})
+    # every combination is checked before the first run trains
+    with pytest.raises(ConfigError, match="learning_rate must be positive and "
+                       "finite, got -1.0"):
+        enumerate_grid(small_config(), {"learning_rate": [0.1, -1.0]})
 
 
 def test_grid_search_first_of_tied_runs_wins():
