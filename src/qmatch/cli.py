@@ -9,7 +9,7 @@ flags.  Exit codes: 0 success, 2 configuration/parse/missing-path
 problems, 3 data problems, 4 numeric or domain failures, 1 anything
 unexpected.
 
-``QMATCH_THREADS`` caps the BLAS thread pools; it is applied before
+``QMATCH_THREADS`` caps the BLAS thread pools; ``main`` applies it before
 numpy is first imported, which is why the numeric modules are imported
 lazily inside the command handlers.
 """
@@ -49,24 +49,14 @@ AUDIT_TABLE_NAME = "metric_audit.txt"
 AUDIT_DETAILS_NAME = "metric_audit.json"
 
 
-def _configure_threads(strict: bool = True) -> None:
+def _configure_threads() -> None:
     value = os.environ.get("QMATCH_THREADS")
     if value is None:
         return
     if not value.isdigit() or int(value) < 1:
-        if strict:
-            raise ConfigError(
-                f"QMATCH_THREADS must be a positive integer, got {value!r}"
-            )
-        return
+        raise ConfigError(f"QMATCH_THREADS must be a positive integer, got {value!r}")
     for var in _THREAD_VARS:
         os.environ.setdefault(var, value)
-
-
-# Cap the pools before anything imports numpy.  Validation is deferred to
-# main() so that a bad value becomes a clean exit-code-2 error there rather
-# than a traceback out of module import.
-_configure_threads(strict=False)
 
 
 def _parse_bool(text: str) -> bool:
@@ -133,9 +123,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _require_path(path: str | None, what: str) -> Path:
-    if path is None:
-        raise ConfigError(f"missing required {what} path")
+def _require_path(path: str, what: str) -> Path:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"no such {what}: {p}")
@@ -232,11 +220,10 @@ def cmd_eval(args) -> int:
 
 def cmd_grid_search(args) -> int:
     from .checkpoint import save_checkpoint
-    from .training import DEFAULT_GRID_POOLS, grid_search
+    from .data import build_vocab
+    from .training import DEFAULT_GRID_POOLS, enumerate_grid, train
 
     config = _build_config(args)
-    train_set = _load_dataset(args.dataset, args.format, split="train")
-    dev_set = _load_dataset(args.dev, args.format, split="dev")
     if args.grid is not None:
         grid_path = _require_path(args.grid, "grid file")
         try:
@@ -247,26 +234,31 @@ def cmd_grid_search(args) -> int:
             raise ParseError(f"{grid_path}: expected an object of pools")
     else:
         pools = DEFAULT_GRID_POOLS
+    # every combination is checked before any data is read or file opened
+    configs = enumerate_grid(config, pools)
+    train_set = _load_dataset(args.dataset, args.format, split="train")
+    dev_set = _load_dataset(args.dev, args.format, split="dev")
+    vocab = build_vocab([train_set])
     out = _out_dir(args)
     rows_path = out / GRID_RESULTS_NAME
+    best = None
     with open(rows_path, "w", encoding="utf-8") as rows_file:
-
-        def log_fn(record: dict) -> None:
-            if record.get("kind") == "grid":
-                rows_file.write(json.dumps(record) + "\n")
-
-        result = grid_search(
-            train_set, dev_set, config, pools,
-            glove_path=args.glove, log_fn=log_fn,
-        )
+        for run, cfg in enumerate(configs):
+            result = train(train_set, dev_set, cfg, vocab=vocab, glove_path=args.glove)
+            report = result.best_report
+            rows_file.write(json.dumps({
+                "kind": "grid", "run": run, "dev_map": report.map,
+                "dev_mrr": report.mrr, "config": cfg.to_dict(),
+            }) + "\n")
+            # the first run of a tied dev MAP wins
+            if best is None or report.map > best.best_dev_map:
+                best = result
     ckpt_path = out / BEST_CHECKPOINT_NAME
-    save_checkpoint(
-        ckpt_path, result.best.params, result.best_row.config, result.best.vocab
-    )
+    save_checkpoint(ckpt_path, best.params, best.config, best.vocab)
     print(f"grid rows: {rows_path}")
     print(f"best checkpoint: {ckpt_path}")
-    print(f"best dev MAP {result.best_row.dev_map:.4f} "
-          f"with {json.dumps(result.best_row.config.to_dict(), sort_keys=True)}")
+    print(f"best dev MAP {best.best_dev_map:.4f} "
+          f"with {json.dumps(best.config.to_dict(), sort_keys=True)}")
     return 0
 
 

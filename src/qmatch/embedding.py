@@ -43,28 +43,32 @@ def tokenize(text: str) -> list[str]:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class Vocabulary:
     """Token/index bijection with reserved padding and unknown entries.
 
     Index 0 is the padding token, index 1 the unknown token; real tokens
     start at index 2.  Encoding never fails: unseen tokens map to UNK.
-    The index is derived from the tokens, which must start with PAD, UNK
-    and hold no token twice (ValueError otherwise).
+    The tokens are stored as a tuple and the index is derived from them;
+    they must start with PAD, UNK and hold no token twice (ValueError
+    otherwise).
     """
 
-    tokens: list[str]
-    index: dict[str, int] = field(init=False, repr=False)
+    tokens: tuple[str, ...]
+    index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.tokens[:2] != [PAD_TOKEN, UNK_TOKEN]:
+        tokens = tuple(self.tokens)
+        if tokens[:2] != (PAD_TOKEN, UNK_TOKEN):
             raise ValueError(
                 f"vocabulary does not start with {PAD_TOKEN}, {UNK_TOKEN}"
             )
-        self.index = {t: i for i, t in enumerate(self.tokens)}
-        if len(self.index) != len(self.tokens):
-            dup = next(t for i, t in enumerate(self.tokens) if self.index[t] != i)
+        index = {t: i for i, t in enumerate(tokens)}
+        if len(index) != len(tokens):
+            dup = next(t for i, t in enumerate(tokens) if index[t] != i)
             raise ValueError(f"duplicate vocabulary token {dup!r}")
+        object.__setattr__(self, "tokens", tokens)
+        object.__setattr__(self, "index", index)
 
     @classmethod
     def from_tokens(cls, ordered_tokens: list[str]) -> "Vocabulary":

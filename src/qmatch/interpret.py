@@ -19,7 +19,7 @@ from .matcher import _word_stage, cosines, forward_batch
 from .model import GLOBAL_MIXTURE, ParameterSet, TrainerConfig
 
 
-def _alphabetical(tokens: list[str]) -> np.ndarray:
+def _alphabetical(tokens: tuple[str, ...]) -> np.ndarray:
     """Each token's position in alphabetical order."""
     ranks = np.empty(len(tokens), dtype=np.int64)
     ranks[sorted(range(len(tokens)), key=tokens.__getitem__)] = np.arange(len(tokens))

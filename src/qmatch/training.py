@@ -22,7 +22,7 @@ epoch runs), so no caller scores them again.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -268,15 +268,7 @@ def train(
         )
         history.append(record)
         if log_fn is not None:
-            log_fn(
-                {
-                    "kind": "epoch",
-                    "epoch": epoch,
-                    "mean_loss": mean_loss,
-                    "dev_map": dev_map,
-                    "dev_mrr": dev_mrr,
-                }
-            )
+            log_fn({"kind": "epoch", **asdict(record)})
 
     if best_params is None:   # no dev split, or no epoch ran
         best_params = params.copy()
@@ -307,7 +299,8 @@ def enumerate_grid(
     base_config: TrainerConfig, pools: dict[str, list]
 ) -> list[TrainerConfig]:
     """Cartesian product of the pools, in deterministic pool-key order.
-    Each pool is a non-empty list of values for one config field."""
+    Each pool is a non-empty list of values for one config field.  Every
+    combination is built, and so checked, before this returns."""
     names = {f.name for f in fields(TrainerConfig)}
     for key, pool in pools.items():
         if not isinstance(pool, list):
@@ -321,60 +314,3 @@ def enumerate_grid(
     for combo in itertools.product(*(pools[k] for k in keys)):
         configs.append(base_config.with_overrides(**dict(zip(keys, combo))))
     return configs
-
-
-@dataclass
-class GridRow:
-    config: TrainerConfig
-    dev_map: float
-    dev_mrr: float
-
-
-@dataclass
-class GridResult:
-    best: TrainResult
-    best_row: GridRow
-    rows: list[GridRow]
-
-
-def grid_search(
-    train_set: QADataset,
-    dev_set: QADataset,
-    base_config: TrainerConfig,
-    pools: dict[str, list] | None = None,
-    vocab: Vocabulary | None = None,
-    glove_path: str | None = None,
-    log_fn: LogFn | None = None,
-) -> GridResult:
-    """Train once per pool combination and keep the best dev MAP.
-
-    Enumeration order is deterministic; the first run of a tied dev MAP
-    wins.
-    """
-    pools = DEFAULT_GRID_POOLS if pools is None else pools
-    if vocab is None:
-        vocab = build_vocab([train_set])
-    best: TrainResult | None = None
-    best_row: GridRow | None = None
-    rows: list[GridRow] = []
-    for i, cfg in enumerate(enumerate_grid(base_config, pools)):
-        result = train(train_set, dev_set, cfg, vocab=vocab, glove_path=glove_path)
-        report = result.best_report
-        dev_map, dev_mrr = report.map, report.mrr
-        row = GridRow(config=cfg, dev_map=dev_map, dev_mrr=dev_mrr)
-        rows.append(row)
-        if log_fn is not None:
-            log_fn(
-                {
-                    "kind": "grid",
-                    "run": i,
-                    "dev_map": dev_map,
-                    "dev_mrr": dev_mrr,
-                    "config": cfg.to_dict(),
-                }
-            )
-        if best_row is None or dev_map > best_row.dev_map:
-            best = result
-            best_row = row
-    assert best is not None and best_row is not None
-    return GridResult(best=best, best_row=best_row, rows=rows)

@@ -10,9 +10,11 @@ import sys
 import numpy as np
 import pytest
 
+from qmatch.checkpoint import load_checkpoint
 from qmatch.cli import (
     AUDIT_DETAILS_NAME,
     AUDIT_TABLE_NAME,
+    BEST_CHECKPOINT_NAME,
     CHECKPOINT_NAME,
     DEV_REPORT_NAME,
     EVAL_REPORT_NAME,
@@ -230,34 +232,60 @@ def test_config_flags_name_every_trainer_config_field():
 # grid search
 
 
+def grid_args(toy_tsv, tmp_path, pools, out_dir, epochs="1"):
+    """``grid-search`` over ``pools`` with ``train_args``' settings."""
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps(pools))
+    train = train_args(toy_tsv, out_dir, epochs=epochs)
+    return ["grid-search", *train[1:], "--grid", str(grid_path)]
+
+
+def read_rows(out):
+    return [json.loads(line)
+            for line in (out / GRID_RESULTS_NAME).read_text().splitlines()]
+
+
 def test_grid_search_writes_rows_and_best(toy_tsv, tmp_path, capsys):
     out = tmp_path / "grid"
-    grid_path = tmp_path / "grid.json"
-    grid_path.write_text(json.dumps({"learning_rate": [0.05, 0.1]}))
-    rc = main(
-        [
-            "grid-search",
-            "--dataset", str(toy_tsv),
-            "--dev", str(toy_tsv),
-            "--grid", str(grid_path),
-            "--out", str(out),
-            "--embedding-dim", "5",
-            "--num-measurements", "3",
-            "--window-sizes", "1",
-            "--epochs", "1",
-            "--dropout-rate", "0.0",
-            "--seed", "1",
-        ]
-    )
-    assert rc == 0
-    rows = [
-        json.loads(line)
-        for line in (out / GRID_RESULTS_NAME).read_text().splitlines()
-    ]
-    assert [r["run"] for r in rows] == [0, 1]
-    assert {r["config"]["learning_rate"] for r in rows} == {0.05, 0.1}
-    assert (out / "best_checkpoint.qmatch").exists()
-    assert "best dev MAP" in capsys.readouterr().out
+    pools = {"learning_rate": [0.05, 0.1], "batch_size": [2, 4]}
+    assert main(grid_args(toy_tsv, tmp_path, pools, out)) == 0
+    rows = read_rows(out)
+    # one row per run, in run order, each naming its whole config
+    assert [r["run"] for r in rows] == [0, 1, 2, 3]
+    assert [list(r) for r in rows] == [["kind", "run", "dev_map", "dev_mrr",
+                                        "config"]] * 4
+    assert [(r["config"]["learning_rate"], r["config"]["batch_size"])
+            for r in rows] == [(0.05, 2), (0.05, 4), (0.1, 2), (0.1, 4)]
+    best = max(r["dev_map"] for r in rows)
+    first_best = next(r for r in rows if r["dev_map"] == best)
+    _, config, _ = load_checkpoint(out / BEST_CHECKPOINT_NAME)
+    assert config.to_dict() == first_best["config"]
+    assert f"best dev MAP {best:.4f}" in capsys.readouterr().out
+
+
+def test_grid_search_first_of_tied_runs_wins(toy_tsv, tmp_path, capsys):
+    # with no epoch both runs score the same initial parameters
+    out = tmp_path / "grid"
+    pools = {"margin": [0.1, 0.2]}
+    assert main(grid_args(toy_tsv, tmp_path, pools, out, epochs="0")) == 0
+    rows = read_rows(out)
+    assert [r["config"]["margin"] for r in rows] == [0.1, 0.2]
+    assert rows[0]["dev_map"] == rows[1]["dev_map"]
+    assert '"margin": 0.1,' in capsys.readouterr().out
+    _, config, _ = load_checkpoint(out / BEST_CHECKPOINT_NAME)
+    assert config.margin == 0.1
+
+
+def test_grid_search_row_without_epochs_equals_the_train_dev_summary(
+    toy_tsv, tmp_path
+):
+    grid_out, train_out = tmp_path / "grid", tmp_path / "run"
+    assert main(grid_args(toy_tsv, tmp_path, {"seed": [3]}, grid_out,
+                          epochs="0")) == 0
+    assert main(train_args(toy_tsv, train_out, seed=3, epochs="0")) == 0
+    (row,) = read_rows(grid_out)
+    summary = json.loads((train_out / DEV_REPORT_NAME).read_text().splitlines()[0])
+    assert (row["dev_map"], row["dev_mrr"]) == (summary["map"], summary["mrr"])
 
 
 def test_grid_search_pool_that_is_not_a_list_exits_2(toy_tsv, tmp_path, capsys):
@@ -298,8 +326,28 @@ def test_grid_search_out_of_range_combination_exits_2_before_training(
     assert rc == 2
     err = capsys.readouterr().err
     assert "learning_rate must be positive and finite, got -1.0" in err
-    assert (out / GRID_RESULTS_NAME).read_text() == ""
-    assert not (out / "best_checkpoint.qmatch").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "pools, message",
+    [({"learning_rate": [0.1, -1.0]}, "learning_rate must be positive"),
+     ({"learning_rate": 0.1}, "'learning_rate' is not a list")],
+    ids=["out-of-range", "not-a-list"],
+)
+def test_bad_grid_keeps_an_earlier_search(pools, message, toy_tsv, tmp_path,
+                                          capsys):
+    # the grid is checked before any dataset is read or output opened
+    out = tmp_path / "grid"
+    assert main(grid_args(toy_tsv, tmp_path, {"seed": [1, 2]}, out)) == 0
+    before = {name: (out / name).read_bytes()
+              for name in (GRID_RESULTS_NAME, BEST_CHECKPOINT_NAME)}
+    capsys.readouterr()
+    assert main(grid_args(toy_tsv, tmp_path, pools, out)) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "kept" not in err   # no dataset summary
+    assert {name: (out / name).read_bytes() for name in before} == before
 
 
 # ---------------------------------------------------------------------------
@@ -523,8 +571,8 @@ def test_invalid_thread_env_exits_2(monkeypatch, capsys):
 
 
 def test_invalid_thread_env_exits_2_from_subprocess():
-    # the thread cap is also applied at module import; a bad value must
-    # still surface as a clean exit-2 error, not an import-time traceback
+    # main() applies the thread cap before any command imports numpy; a
+    # bad value is a clean exit-2 error, not a traceback
     proc = subprocess.run(
         [sys.executable, "-m", "qmatch.cli", "metric-audit", "--trials", "1"],
         capture_output=True,
@@ -534,6 +582,17 @@ def test_invalid_thread_env_exits_2_from_subprocess():
     assert proc.returncode == 2
     assert "QMATCH_THREADS" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_importing_the_cli_does_not_import_numpy():
+    # the thread cap only takes effect if numpy loads after main() sets it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qmatch.cli; assert 'numpy' not in sys.modules"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_console_script_help_runs():

@@ -229,7 +229,7 @@ def test_build_vocab_orders_by_frequency_then_token():
     )
     vocab = build_vocab([QADataset(split="train", questions=[group])])
     # counts: a=3, b=3, c=1 -> frequency tie between a and b broken by token
-    assert vocab.tokens[2:] == ["a", "b", "c"]
+    assert vocab.tokens[2:] == ("a", "b", "c")
     np.testing.assert_array_equal(vocab.encode(["c", "a", "zzz"]), [4, 2, 1])
 
 
@@ -243,7 +243,7 @@ def test_build_vocab_merges_splits():
         [QuestionGroup("q2", "beta", [CandidateAnswer(0, "gamma beta", 1)])],
     )
     vocab = build_vocab([one, two])
-    assert vocab.tokens[2:] == ["beta", "alpha", "gamma"]
+    assert vocab.tokens[2:] == ("beta", "alpha", "gamma")
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -85,6 +86,18 @@ def test_vocabulary_derives_its_index_from_its_tokens():
         Vocabulary([PAD_TOKEN, UNK_TOKEN, "alpha"], index={"alpha": 0})
     with pytest.raises(ValueError, match="does not start with <pad>, <unk>"):
         Vocabulary([UNK_TOKEN, PAD_TOKEN, "alpha"])
+
+
+def test_a_vocabulary_cannot_change_after_it_is_made():
+    vocab = Vocabulary.from_tokens(["alpha"])
+    assert vocab.tokens == (PAD_TOKEN, UNK_TOKEN, "alpha")
+    # an edit would leave the index and len() out of step with the tokens
+    with pytest.raises(AttributeError):
+        vocab.tokens.append("beta")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        vocab.tokens = (PAD_TOKEN, UNK_TOKEN, "beta")
+    assert len(vocab) == 3 and vocab.index["alpha"] == 2
+    assert hash(vocab) == hash(Vocabulary.from_tokens(["alpha"]))
 
 
 def test_vocabulary_contains():

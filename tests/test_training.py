@@ -18,7 +18,6 @@ from qmatch.training import (
     SGDState,
     adam_step,
     enumerate_grid,
-    grid_search,
     sgd_step,
     train,
 )
@@ -418,10 +417,6 @@ def test_train_without_epochs_scores_the_initial_parameters():
     initial = init_parameters(result.vocab, config)
     assert params_bytes(result.params) == params_bytes(initial)
     assert result.best_report == evaluate(initial, ds, config, result.vocab)
-    # a grid row of such a run reads the same dev scores
-    row = grid_search(ds, ds, config, pools={"seed": [3]}).rows[0]
-    assert row.dev_map == result.best_report.map
-    assert row.dev_mrr == result.best_report.mrr
 
 
 def test_train_without_dev_set_keeps_final_parameters():
@@ -483,29 +478,3 @@ def test_enumerate_grid_rejects_bad_pools():
     with pytest.raises(ConfigError, match="learning_rate must be positive and "
                        "finite, got -1.0"):
         enumerate_grid(small_config(), {"learning_rate": [0.1, -1.0]})
-
-
-def test_grid_search_first_of_tied_runs_wins():
-    ds = toy_corpus(num_questions=2)
-    result = grid_search(
-        ds, ds, small_config(epochs=2), pools={"learning_rate": [0.08, 0.08]}
-    )
-    assert len(result.rows) == 2
-    assert result.rows[0].dev_map == result.rows[1].dev_map
-    assert result.best_row is result.rows[0]
-
-
-def test_grid_search_reports_every_run():
-    ds = toy_corpus(num_questions=2)
-    records = []
-    result = grid_search(
-        ds,
-        ds,
-        small_config(epochs=2),
-        pools={"learning_rate": [0.05, 0.1], "batch_size": [4]},
-        log_fn=records.append,
-    )
-    grid_records = [r for r in records if r["kind"] == "grid"]
-    assert [r["run"] for r in grid_records] == [0, 1]
-    assert len(result.rows) == 2
-    assert result.best_row.dev_map == max(r.dev_map for r in result.rows)
