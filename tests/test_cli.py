@@ -263,6 +263,17 @@ def test_grid_search_writes_rows_and_best(toy_tsv, tmp_path, capsys):
     assert f"best dev MAP {best:.4f}" in capsys.readouterr().out
 
 
+def test_grid_search_reports_every_run(toy_tsv, tmp_path, capsys):
+    out = tmp_path / "grid"
+    pools = {"learning_rate": [0.05, 0.1], "batch_size": [4]}
+    assert main(grid_args(toy_tsv, tmp_path, pools, out, epochs="2")) == 0
+    rows = read_rows(out)
+    assert [(r["kind"], r["run"]) for r in rows] == [("grid", 0), ("grid", 1)]
+    best = max(r["dev_map"] for r in rows)
+    assert f"best dev MAP {best:.4f}" in capsys.readouterr().out
+    assert (out / BEST_CHECKPOINT_NAME).exists()
+
+
 def test_grid_search_first_of_tied_runs_wins(toy_tsv, tmp_path, capsys):
     # with no epoch both runs score the same initial parameters
     out = tmp_path / "grid"
