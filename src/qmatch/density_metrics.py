@@ -9,8 +9,9 @@ axiom to the induced squared distance s(a,a) + s(b,b) - 2 s(a,b).  A
 measure's table holds its values on every pair the axioms read, for all
 trials of one dimension: stacked work (each matrix decomposed once) equal
 to the plain function's values to the bit, or plain calls of a callable.
-Each axiom's gap is one array over all trials; a flagged trial's violation
-is stored only if fresh plain calls put its gap past tolerance too.
+Each axiom's gap is one array over all trials; a flagged trial's
+violation is stored with that gap and the matrices it reads, so an audit
+makes no plain call of a registered measure.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import DomainError, ShapeError
 from .linalg import hermitize, matrix_function, outer_product
 
 AUDIT_TOL = 1e-9
-REPORTED_VIOLATIONS = 5    # counterexamples kept (and rechecked) per axiom
+REPORTED_VIOLATIONS = 5    # counterexamples kept per axiom
 LOG_EIGEN_FLOOR = 1e-12
 
 SIMILARITY = "similarity"
@@ -244,22 +245,7 @@ class MetricAuditReport:
 
 
 MetricFn = Callable[[np.ndarray, np.ndarray], float]
-
-METRIC_KINDS: dict[str, str] = {
-    "trace_inner_product": SIMILARITY,
-    "vn_divergence": DIVERGENCE,
-    "sym_vn": DIVERGENCE,
-    "fidelity": SIMILARITY,
-    "sqrt_fidelity_distance": DISTANCE,
-}
-
-METRIC_FNS: dict[str, MetricFn] = {
-    "trace_inner_product": trace_inner_product,
-    "vn_divergence": vn_divergence,
-    "sym_vn": sym_vn,
-    "fidelity": fidelity,
-    "sqrt_fidelity_distance": sqrt_fidelity_distance,
-}
+Table = Callable[[np.ndarray], np.ndarray]
 
 
 # Seeded triples known to expose violations, audited like any trial: the
@@ -300,18 +286,16 @@ _DISTANCE_AXIOMS: tuple[_Axiom, ...] = (
 )
 
 
-def _audit_triple(report: MetricAuditReport, fn: MetricFn, trial: int,
-                  trio: tuple, flagged: list[tuple[_Axiom, float]]) -> None:
-    """Store one trial's violations: each flagged axiom and table gap whose
-    gap, recomputed from fresh ``fn`` calls on the same pairs, is past
-    tolerance too."""
+def _audit_triple(report: MetricAuditReport, trial: int, trio: tuple,
+                  flagged: list[tuple[_Axiom, float]]) -> None:
+    """Store one trial's violations: each flagged axiom with its table gap
+    and copies of the matrices its pairs read."""
     named = dict(zip("abc", trio))
-    for (axiom, pairs, gap_of, note), gap in flagged:
-        if gap_of(*(fn(named[x], named[y]) for x, y in pairs)) > AUDIT_TOL:
-            matrices = [named[m].copy() for m in sorted(set("".join(pairs)))]
-            report.axiom(axiom).violations.append(AxiomViolation(
-                axiom=axiom, gap=gap, trial=trial, matrices=matrices, note=note
-            ))
+    for (axiom, pairs, _, note), gap in flagged:
+        matrices = [named[m].copy() for m in sorted(set("".join(pairs)))]
+        report.axiom(axiom).violations.append(AxiomViolation(
+            axiom=axiom, gap=gap, trial=trial, matrices=matrices, note=note
+        ))
 
 
 def _vn_table(mats: np.ndarray, i: np.ndarray = _I, j: np.ndarray = _J) -> np.ndarray:
@@ -354,21 +338,31 @@ def _pairwise_table(fn: MetricFn, mats: np.ndarray) -> np.ndarray:
     return np.array([[fn(trio[i], trio[j]) for i, j in zip(_I, _J)] for trio in mats])
 
 
-# Each registered measure's table: its values over ``_PAIRS`` for an
-# (n, 3, d, d) stack of trials, each equal to the plain function's to the bit.
-Table = Callable[[np.ndarray], np.ndarray]
-_TABLES: dict[str, Table] = {
-    "trace_inner_product":
+# One row per registered measure: (kind, plain function, table, the report's
+# cost note in the matrix dimension d).  The table holds the measure's
+# values over ``_PAIRS`` for an (n, 3, d, d) stack of trials, each equal to
+# the plain function's to the bit.
+_MEASURES: dict[str, tuple[str, MetricFn, Table, str]] = {
+    "trace_inner_product": (
+        SIMILARITY, trace_inner_product,
         lambda mats: np.trace(mats[:, _I] @ mats[:, _J], axis1=-2, axis2=-1).real,
-    "vn_divergence": _vn_table,
-    "sym_vn": _sym_vn_table,
-    "fidelity": _fidelity_table,
-    "sqrt_fidelity_distance":
+        "O(d^3), one matrix product per pair"),
+    "vn_divergence": (DIVERGENCE, vn_divergence, _vn_table,
+                      "O(d^3), one decomposition per matrix (log)"),
+    "sym_vn": (DIVERGENCE, sym_vn, _sym_vn_table,
+               "O(d^3), one decomposition per matrix (log), both directions"),
+    "fidelity": (SIMILARITY, fidelity, _fidelity_table,
+                 "O(d^3), one decomposition per matrix (sqrt) and pair"),
+    "sqrt_fidelity_distance": (
+        DISTANCE, sqrt_fidelity_distance,
         lambda mats: np.sqrt(np.maximum(0.0, 1.0 - _fidelity_table(mats))),
+        "O(d^3), one decomposition per matrix (sqrt) and pair"),
 }
+METRIC_KINDS: dict[str, str] = {name: row[0] for name, row in _MEASURES.items()}
+METRIC_FNS: dict[str, MetricFn] = {name: row[1] for name, row in _MEASURES.items()}
 
 
-def _audit(report: MetricAuditReport, table: Table, fn: MetricFn, drawn: list) -> None:
+def _audit(report: MetricAuditReport, table: Table, drawn: list) -> None:
     """Fill ``report`` from the drawn trials, the measure's injected cases
     (trial -1) first, in one table pass per dimension."""
     injected = _INJECTED.get(report.metric, [])
@@ -390,7 +384,7 @@ def _audit(report: MetricAuditReport, table: Table, fn: MetricFn, drawn: list) -
         todo = [(axiom, float(gaps[k, t])) for k, axiom in enumerate(axioms)
                 if flagged[k, t] and len(results[k].violations) < REPORTED_VIOLATIONS]
         if todo:
-            _audit_triple(report, fn, max(int(t) - len(injected), -1), cases[t], todo)
+            _audit_triple(report, max(int(t) - len(injected), -1), cases[t], todo)
 
 
 def audit_metrics(
@@ -407,19 +401,19 @@ def audit_metrics(
     triples are drawn once and shared; known seeded counterexamples are
     injected ahead of them and marked with trial index -1.
     """
-    measures = []       # (name, kind, table, plain function)
+    measures = []       # (name, kind, table)
     for metric in metrics:
         if callable(metric):
             if kind is None:
                 raise DomainError("kind is required for custom metric callables")
             measures.append((getattr(metric, "__name__", "custom"), kind,
-                             functools.partial(_pairwise_table, metric), metric))
-        elif metric in METRIC_FNS:
-            measures.append((metric, METRIC_KINDS[metric], _TABLES[metric],
-                             METRIC_FNS[metric]))
+                             functools.partial(_pairwise_table, metric)))
+        elif metric in _MEASURES:
+            measure_kind, _, table, _ = _MEASURES[metric]
+            measures.append((metric, measure_kind, table))
         else:
             raise DomainError(
-                f"unknown metric {metric!r}; choose from {sorted(METRIC_FNS)}"
+                f"unknown metric {metric!r}; choose from {sorted(_MEASURES)}"
             )
     if trials < 1:
         raise DomainError("trials must be >= 1")
@@ -432,9 +426,9 @@ def audit_metrics(
     ])
     drawn = list(zip(mats[0::3], mats[1::3], mats[2::3]))
     reports = []
-    for name, measure_kind, table, fn in measures:
+    for name, measure_kind, table in measures:
         reports.append(MetricAuditReport(name, measure_kind, trials, tuple(dims), seed))
-        _audit(reports[-1], table, fn, drawn)
+        _audit(reports[-1], table, drawn)
     return reports
 
 
@@ -449,15 +443,6 @@ def audit_metric(
     view of ``audit_metrics``."""
     return audit_metrics([metric], trials, dims, seed, kind)[0]
 
-
-# Informative cost notes for the report table (matrix dimension d).
-_COMPLEXITY_NOTES = {
-    "trace_inner_product": "O(d^3), one matrix product per pair",
-    "vn_divergence": "O(d^3), one decomposition per matrix (log)",
-    "sym_vn": "O(d^3), one decomposition per matrix (log), both directions",
-    "fidelity": "O(d^3), one decomposition per matrix (sqrt) and pair",
-    "sqrt_fidelity_distance": "O(d^3), one decomposition per matrix (sqrt) and pair",
-}
 
 _AXIOM_COLUMNS = ("non_negativity", "identity", "symmetry", "triangle")
 
@@ -477,7 +462,7 @@ def render_audit_table(reports: list[MetricAuditReport]) -> str:
             mark = "-" if res.violated else "+"
             cells.append(f"{mark} ({res.status})")
         cells.append("n/a")
-        cells.append(_COMPLEXITY_NOTES.get(rep.metric, "n/a"))
+        cells.append(_MEASURES[rep.metric][3] if rep.metric in _MEASURES else "n/a")
         rows.append(cells)
     widths = [max(len(r[i]) for r in rows) for i in range(len(headers))]
     lines = []

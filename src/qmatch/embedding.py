@@ -13,6 +13,7 @@ import math
 import string
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -51,11 +52,12 @@ class Vocabulary:
     start at index 2.  Encoding never fails: unseen tokens map to UNK.
     The tokens are stored as a tuple and the index is derived from them;
     they must start with PAD, UNK and hold no token twice (ValueError
-    otherwise).
+    otherwise).  ``index`` is a read-only view of a plain dict, which
+    pickles and copies with the vocabulary.
     """
 
     tokens: tuple[str, ...]
-    index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _ids: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         tokens = tuple(self.tokens)
@@ -68,7 +70,11 @@ class Vocabulary:
             dup = next(t for i, t in enumerate(tokens) if index[t] != i)
             raise ValueError(f"duplicate vocabulary token {dup!r}")
         object.__setattr__(self, "tokens", tokens)
-        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "_ids", index)
+
+    @property
+    def index(self) -> MappingProxyType:
+        return MappingProxyType(self._ids)
 
     @classmethod
     def from_tokens(cls, ordered_tokens: list[str]) -> "Vocabulary":
@@ -78,11 +84,11 @@ class Vocabulary:
         return len(self.tokens)
 
     def __contains__(self, token: str) -> bool:
-        return token in self.index
+        return token in self._ids
 
     def encode(self, words: list[str]) -> np.ndarray:
-        unk = self.index[UNK_TOKEN]
-        return np.array([self.index.get(w, unk) for w in words], dtype=np.int64)
+        unk = self._ids[UNK_TOKEN]
+        return np.array([self._ids.get(w, unk) for w in words], dtype=np.int64)
 
     def decode(self, ids) -> list[str]:
         return [self.tokens[int(i)] for i in ids]

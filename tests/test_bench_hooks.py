@@ -17,7 +17,8 @@ import pytest
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 # run_path compiles the file without writing bytecode next to it
-TARGETS = runpy.run_path(str(BENCH / "tracing.py"))["TARGETS"]
+TRACING = runpy.run_path(str(BENCH / "tracing.py"))
+TARGETS = TRACING["TARGETS"]
 
 
 def bench_reads():
@@ -71,3 +72,19 @@ def test_bench_reads_are_found():
 )
 def test_bench_read_resolves(module, attribute):
     assert hasattr(importlib.import_module(module), attribute)
+
+
+def test_traced_audit_labels_its_trials_and_calls_no_measure():
+    # the tracer wraps _audit_triple by name and labels each trial span with
+    # its first argument's report.metric; an audit reads only tables
+    for module in sorted({module for _, module, *_ in TARGETS}):
+        importlib.import_module(module)
+    density_metrics = importlib.import_module("qmatch.density_metrics")
+    tracer = TRACING["Tracer"]()
+    with tracer.installed():
+        density_metrics.audit_metric("vn_divergence", trials=20, seed=2)
+    assert tracer.names.count("density_metrics.audit") == 1
+    trials = [attr for name, attr in zip(tracer.names, tracer.attrs)
+              if name == "density_metrics.trial"]
+    assert trials and set(trials) == {"vn_divergence"}
+    assert "density_metrics.vn_divergence" not in tracer.names

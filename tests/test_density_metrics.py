@@ -20,6 +20,7 @@ from qmatch.density_metrics import (
     METRIC_FNS,
     METRIC_KINDS,
     REPORTED_VIOLATIONS,
+    SIMILARITY,
     audit_metric,
     audit_metrics,
     fidelity,
@@ -434,7 +435,8 @@ def test_every_table_equals_the_pairwise_table_to_the_bit(name):
     rng = np.random.default_rng(5)
     for dim in (2, 3, 4, 9, 16):
         mats = np.array(random_densities(rng, [dim] * 60)).reshape(20, 3, dim, dim)
-        table = density_metrics._TABLES[name](mats)
+        _, _, table_of, _ = density_metrics._MEASURES[name]
+        table = table_of(mats)
         oracle = density_metrics._pairwise_table(METRIC_FNS[name], mats)
         assert table.tobytes() == oracle.tobytes()
 
@@ -462,51 +464,53 @@ def test_one_draw_audits_equal_one_audit_per_measure(seed):
 )
 def test_stacked_audit_decomposes_each_matrix_once(monkeypatch, name, calls):
     # 30 trials per dimension, 3 matrices (and, for fidelity, 3 pairs) a
-    # trial; the plain function is stubbed out so no recheck decomposes
-    monkeypatch.setitem(METRIC_FNS, name, lambda a, b: 0.0)
+    # trial
     counts = count_decompositions(monkeypatch)
     audit_metric(name, trials=60, dims=(2, 3), seed=0)
     assert counts == calls
 
 
-def test_stacked_audit_rechecks_with_the_plain_function(monkeypatch):
-    assert audit_metric("vn_divergence", trials=20, seed=2).symmetry.violated
-    # a plain function that sees no asymmetry leaves no violation standing,
-    # although the stacked values show one on every trial
-    monkeypatch.setitem(METRIC_FNS, "vn_divergence", lambda a, b: 0.0)
-    report = audit_metric("vn_divergence", trials=20, seed=2)
-    assert report.symmetry.checked == 20
-    assert not report.symmetry.violated
+@pytest.mark.parametrize("seed", [0, 7, 11])
+def test_stored_violations_reproduce_through_the_plain_path(seed):
+    # every stored gap is the axiom's gap over plain calls on the stored
+    # matrices, past tolerance; trial -1 is trace_inner_product's injected
+    # case
+    trials = []
+    for report in audit_metrics(sorted(METRIC_FNS), trials=40, dims=(2, 3, 4, 9),
+                                seed=seed):
+        fn = METRIC_FNS[report.metric]
+        axioms = (density_metrics._SIMILARITY_AXIOMS if report.kind == SIMILARITY
+                  else density_metrics._DISTANCE_AXIOMS)
+        for axiom, pairs, gap_of, _ in axioms:
+            for violation in report.axiom(axiom).violations:
+                named = dict(zip(sorted(set("".join(pairs))), violation.matrices))
+                gap = gap_of(*(fn(named[x], named[y]) for x, y in pairs))
+                assert violation.gap == gap > AUDIT_TOL
+                trials.append(violation.trial)
+    assert -1 in trials and len(trials) >= 10
 
 
-def test_vn_symmetry_violations_reproduce_through_the_plain_path():
-    report = audit_metric("vn_divergence", trials=30, seed=2)
-    fn = METRIC_FNS["vn_divergence"]
-    assert len(report.symmetry.violations) == REPORTED_VIOLATIONS
-    for violation in report.symmetry.violations:
-        a, b = violation.matrices
-        assert violation.gap == abs(fn(a, b) - fn(b, a))
-
-
-def test_audit_stops_rechecking_once_an_axiom_holds_the_reported_violations(
-    monkeypatch,
-):
-    # 255 symmetry and 52 triangle violations: without the cap this audit
-    # rechecks each one, 666 plain calls
+@pytest.mark.parametrize("name", sorted(METRIC_FNS))
+def test_an_audit_makes_no_plain_call(monkeypatch, name):
+    # seed 0 flags hundreds of trials (vn_divergence: 255 symmetry, 52
+    # triangle); each stored violation keeps its table gap, and no measure
+    # is called, through METRIC_FNS or by its module name
     calls = []
-    plain = METRIC_FNS["vn_divergence"]
 
-    def counting(a, b):
-        calls.append(1)
-        return plain(a, b)
+    def counting(measure, plain):
+        def fn(a, b):
+            calls.append(measure)
+            return plain(a, b)
+        return fn
 
-    monkeypatch.setitem(METRIC_FNS, "vn_divergence", counting)
-    report = audit_metric("vn_divergence", trials=300, seed=0)
-    assert report.symmetry.checked == report.triangle.checked == 300
-    assert len(report.symmetry.violations) == REPORTED_VIOLATIONS
-    assert len(report.triangle.violations) == REPORTED_VIOLATIONS
-    # at most 5 rechecks of 2 calls (symmetry) and of 3 calls (triangle)
-    assert len(calls) <= 25
+    for measure, plain in list(METRIC_FNS.items()):
+        monkeypatch.setitem(METRIC_FNS, measure, counting(measure, plain))
+        monkeypatch.setattr(density_metrics, measure, counting(measure, plain))
+    report = audit_metric(name, trials=300, seed=0)
+    stored = [len(report.axiom(axiom).violations)
+              for axiom in ("non_negativity", "identity", "symmetry", "triangle")]
+    assert set(stored) <= {0, REPORTED_VIOLATIONS}
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

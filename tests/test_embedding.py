@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -98,6 +100,27 @@ def test_a_vocabulary_cannot_change_after_it_is_made():
         vocab.tokens = (PAD_TOKEN, UNK_TOKEN, "beta")
     assert len(vocab) == 3 and vocab.index["alpha"] == 2
     assert hash(vocab) == hash(Vocabulary.from_tokens(["alpha"]))
+
+
+def test_a_vocabulary_index_is_read_only():
+    vocab = Vocabulary.from_tokens(["alpha", "beta"])
+    # an edit would make encode() return another token's id
+    with pytest.raises(TypeError):
+        vocab.index["alpha"] = 3
+    with pytest.raises(TypeError):
+        del vocab.index["alpha"]
+    assert vocab.encode(["alpha", "beta"]).tolist() == [2, 3]
+
+
+@pytest.mark.parametrize("duplicate", [copy.deepcopy,
+                                       lambda v: pickle.loads(pickle.dumps(v))])
+def test_a_vocabulary_pickles_and_deep_copies(duplicate):
+    vocab = Vocabulary.from_tokens(["alpha", "beta"])
+    again = duplicate(vocab)
+    assert again == vocab and again.index == vocab.index
+    assert again.encode(["beta", "omega"]).tolist() == [3, 1]
+    with pytest.raises(TypeError):
+        again.index["alpha"] = 3
 
 
 def test_vocabulary_contains():

@@ -4,23 +4,27 @@ reviewed diff.
 Five 3-epoch topic-corpus training runs are digested by their parameter
 payload (the checkpoint's little-endian float64 blocks) and best dev MAP,
 and the five measures' 300-trial metric audits by their ``report_to_dict``
-JSON.  A change that moves any of these bits fails here.  When the move is
-intended, regenerate the record in the same change with
+JSON.  A change that moves any of these bits fails here.
 
     PYTHONPATH=src python tests/test_fingerprints.py
 
-which prints each digest that moved (name, old, new) before it rewrites
-the record; name those digests, and why they moved, in the change's notes.
+prints each digest that moved (name, old, new) and exits 1 if any did;
+it rewrites the record only when given ``--write``.  When a move is
+intended, regenerate the record in the same change with ``--write`` and
+name the moved digests, and why they moved, in the change's notes.
 
 The bits rest on the numpy version and the BLAS build, so the record
 names the environment it was made in.  Under any other environment the
 comparisons are skipped, with a reason naming both environments.
 """
 
+import argparse
 import functools
 import hashlib
 import json
 import platform
+import runpy
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -118,9 +122,61 @@ def test_digest_matches_the_committed_record(name):
     assert digest(name) == record()["digests"][name]
 
 
-if __name__ == "__main__":
+# The committed record with one digest moved, so that any rewrite shows.
+MOVED_RECORD = json.dumps(
+    {**record(), "digests": {**record()["digests"], "audit-fidelity": "0" * 64}},
+    indent=2,
+) + "\n"
+
+
+def run_copy(monkeypatch, tmp_path, *args) -> int:
+    """Run a copy of this script beside a copy of ``MOVED_RECORD``, as
+    ``python test_fingerprints.py args...`` would; returns its exit code."""
+    script = tmp_path / Path(__file__).name
+    script.write_bytes(Path(__file__).read_bytes())
+    (tmp_path / RECORD_PATH.name).write_text(MOVED_RECORD, encoding="utf-8")
+    monkeypatch.setattr(sys, "argv", [script.name, *args])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_path(str(script), run_name="__main__")
+    return info.value.code
+
+
+@pytest.mark.parametrize("args, code", [(["--help"], 0), (["--wirte"], 2)])
+def test_the_script_writes_nothing_unless_asked(monkeypatch, tmp_path, args, code):
+    assert run_copy(monkeypatch, tmp_path, *args) == code
+    assert (tmp_path / RECORD_PATH.name).read_text(encoding="utf-8") == MOVED_RECORD
+
+
+def test_the_script_names_a_moved_digest_and_writes_only_with_write(
+    monkeypatch, tmp_path, capsys
+):
+    copied = tmp_path / RECORD_PATH.name
+    assert run_copy(monkeypatch, tmp_path) == 1
+    assert f'moved audit-fidelity: "{"0" * 64}"' in capsys.readouterr().out
+    assert copied.read_text(encoding="utf-8") == MOVED_RECORD
+    assert run_copy(monkeypatch, tmp_path, "--write") == 0
+    written = json.loads(copied.read_text(encoding="utf-8"))
+    assert written["digests"]["audit-fidelity"] == digest("audit-fidelity")
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(
+        description="Recompute the digests and print each one that moved; "
+                    "exit 1 if any moved."
+    )
+    parser.add_argument("--write", action="store_true",
+                        help=f"rewrite {RECORD_PATH.name} with the fresh digests")
+    args = parser.parse_args()
     fresh = {"environment": environment(), "digests": {n: digest(n) for n in NAMES}}
-    for name, old, new in moved_digests(record()["digests"], fresh["digests"]):
+    moved = moved_digests(record()["digests"], fresh["digests"])
+    for name, old, new in moved:
         print(f"moved {name}: {json.dumps(old)} -> {json.dumps(new)}")
+    if not args.write:
+        return 1 if moved else 0
     RECORD_PATH.write_text(json.dumps(fresh, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {RECORD_PATH}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
