@@ -136,16 +136,23 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _read_json(path_str: str, what: str):
+    """A file's JSON value; not UTF-8 or not JSON is a ParseError naming it."""
+    from .embedding import _open_text
+
+    path = _require_path(path_str, what)
+    with _open_text(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: invalid JSON ({exc})") from exc
+
+
 def _build_config(args):
     from .model import TrainerConfig
 
     if args.config is not None:
-        path = _require_path(args.config, "config file")
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON ({exc})") from exc
-        config = TrainerConfig.from_dict(data)
+        config = TrainerConfig.from_dict(_read_json(args.config, "config file"))
     else:
         config = TrainerConfig()
     return config.with_overrides(**{
@@ -173,12 +180,16 @@ def _load_checkpoint_for(args):
 
 def cmd_train(args) -> int:
     from .checkpoint import save_checkpoint
+    from .embedding import read_glove_vectors
     from .training import train
 
     config = _build_config(args)
     train_set = _load_dataset(args.dataset, args.format, split="train")
     dev_set = (
         _load_dataset(args.dev, args.format, split="dev") if args.dev else None
+    )
+    pretrained = (
+        read_glove_vectors(args.glove, config.embedding_dim) if args.glove else None
     )
     out = _out_dir(args)
     log_path = out / TRAIN_LOG_NAME
@@ -188,7 +199,7 @@ def cmd_train(args) -> int:
             log_file.write(json.dumps(record) + "\n")
 
         result = train(
-            train_set, dev_set, config, glove_path=args.glove, log_fn=log_fn
+            train_set, dev_set, config, pretrained=pretrained, log_fn=log_fn
         )
     ckpt_path = out / CHECKPOINT_NAME
     save_checkpoint(ckpt_path, result.params, config, result.vocab)
@@ -221,17 +232,14 @@ def cmd_eval(args) -> int:
 def cmd_grid_search(args) -> int:
     from .checkpoint import save_checkpoint
     from .data import build_vocab
+    from .embedding import read_glove_vectors
     from .training import DEFAULT_GRID_POOLS, enumerate_grid, train
 
     config = _build_config(args)
     if args.grid is not None:
-        grid_path = _require_path(args.grid, "grid file")
-        try:
-            pools = json.loads(grid_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{grid_path}: invalid JSON ({exc})") from exc
+        pools = _read_json(args.grid, "grid file")
         if not isinstance(pools, dict):
-            raise ParseError(f"{grid_path}: expected an object of pools")
+            raise ParseError(f"{args.grid}: expected an object of pools")
     else:
         pools = DEFAULT_GRID_POOLS
     # every combination is checked before any data is read or file opened
@@ -239,12 +247,16 @@ def cmd_grid_search(args) -> int:
     train_set = _load_dataset(args.dataset, args.format, split="train")
     dev_set = _load_dataset(args.dev, args.format, split="dev")
     vocab = build_vocab([train_set])
+    # one read per embedding width the runs use, before any run or output
+    dims = sorted({cfg.embedding_dim for cfg in configs}) if args.glove else []
+    pretrained = {dim: read_glove_vectors(args.glove, dim) for dim in dims}
     out = _out_dir(args)
     rows_path = out / GRID_RESULTS_NAME
     best = None
     with open(rows_path, "w", encoding="utf-8") as rows_file:
         for run, cfg in enumerate(configs):
-            result = train(train_set, dev_set, cfg, vocab=vocab, glove_path=args.glove)
+            result = train(train_set, dev_set, cfg, vocab=vocab,
+                           pretrained=pretrained.get(cfg.embedding_dim))
             report = result.best_report
             rows_file.write(json.dumps({
                 "kind": "grid", "run": run, "dev_map": report.map,

@@ -6,7 +6,8 @@ loader groups candidate answers under their question, drops pairs whose
 text tokenizes to nothing, drops questions without any positive answer,
 and reports what it kept and why it dropped the rest.  Every question and
 answer keeps its tokens, so vocabulary building, triplet sampling and
-evaluation never tokenize again.
+evaluation never tokenize again.  Sampled triplets are the dataset's own
+question and answer objects, not copies of their tokens.
 """
 
 from __future__ import annotations
@@ -259,15 +260,11 @@ def build_vocab(datasets: list[QADataset]) -> Vocabulary:
     return Vocabulary.from_tokens([t for t, _ in ordered])
 
 
-@dataclass
-class Triplet:
-    question: list[str]
-    positive: list[str]
-    negative: list[str]
-
-
-def sample_triplets(dataset: QADataset, epoch_seed: int) -> list[Triplet]:
-    """One epoch's triplets: every positive paired with a fresh negative.
+def sample_triplets(
+    dataset: QADataset, epoch_seed: int
+) -> list[tuple[QuestionGroup, CandidateAnswer, CandidateAnswer]]:
+    """One epoch's (question, positive, negative) triplets, the dataset's
+    own objects: every positive paired with a fresh negative.
 
     Negatives are drawn without replacement (shuffled per question per
     epoch); if a question has more positives than negatives the shuffled
@@ -275,7 +272,7 @@ def sample_triplets(dataset: QADataset, epoch_seed: int) -> list[Triplet]:
     a warning.
     """
     rng = np.random.default_rng(epoch_seed)
-    out: list[Triplet] = []
+    out = []
     for q in dataset.questions:
         positives = q.positives()
         negatives = q.negatives()
@@ -286,8 +283,6 @@ def sample_triplets(dataset: QADataset, epoch_seed: int) -> list[Triplet]:
             )
             continue
         perm = rng.permutation(len(negatives))
-        q_tokens = q.tokens
         for i, pos in enumerate(positives):
-            neg = negatives[perm[i % len(negatives)]]
-            out.append(Triplet(q_tokens, pos.tokens, neg.tokens))
+            out.append((q, pos, negatives[perm[i % len(negatives)]]))
     return out

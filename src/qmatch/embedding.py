@@ -211,25 +211,28 @@ def init_amplitudes_from_glove(
     vocab: Vocabulary,
     dim: int,
     seed: int,
-    glove_path: str | None = None,
+    pretrained: dict[str, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Amplitude table seeded from pretrained vectors where available.
 
-    Tokens found in the embedding file copy their vector; everything else
-    (including the unknown token, and every token when ``glove_path`` is
-    None) draws i.i.d. uniform(-0.25, 0.25) coordinates.  The padding row
-    is fixed at norm DEGENERATE_WEIGHT.
+    Tokens found in ``pretrained`` (as ``read_glove_vectors`` returns it)
+    copy their vector; everything else (including the unknown token, and
+    every token when ``pretrained`` is None) draws i.i.d.
+    uniform(-0.25, 0.25) coordinates.  The padding row is fixed at norm
+    DEGENERATE_WEIGHT.  A vector that is not ``dim`` wide is a ShapeError.
     """
     rng = np.random.default_rng(seed)
-    pretrained = read_glove_vectors(glove_path, dim) if glove_path else {}
+    pretrained = pretrained or {}
     table = np.empty((len(vocab), dim), dtype=np.float64)
     table[0] = _pad_row(dim)
     drawn = []
     for i, token in enumerate(vocab.tokens[1:], start=1):
-        if token in pretrained:
-            table[i] = pretrained[token]
-        else:
+        if token not in pretrained:
             drawn.append(i)
+        elif np.shape(pretrained[token]) == (dim,):
+            table[i] = pretrained[token]
+        else:   # a narrower vector would broadcast across the row
+            raise ShapeError(f"pretrained vector for {token!r} is not {dim} wide")
     # one draw fills the rows in vocabulary order, as a draw per row would
     table[drawn] = rng.uniform(-0.25, 0.25, size=(len(drawn), dim))
     return table

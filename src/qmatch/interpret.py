@@ -7,13 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import (
-    PAD_TOKEN,
-    UNK_TOKEN,
-    Vocabulary,
-    row_norms,
-    tokenize,
-)
+from .embedding import Vocabulary, row_norms, tokenize
 from .errors import DegenerateInputError
 from .matcher import _word_stage, cosines, forward_batch
 from .model import GLOBAL_MIXTURE, ParameterSet, TrainerConfig
@@ -137,10 +131,10 @@ def measurement_neighbors(
 
     Similarity is the modulus of the Hermitian inner product between the
     measurement and the word's unit state (phase-invariant); ties list
-    alphabetically.  Padding and unknown-word rows are excluded.
+    alphabetically.  Padding and unknown-word rows (ids 0 and 1) are
+    excluded, so a vocabulary of those alone lists no neighbours.
     """
-    skip = {vocab.index[PAD_TOKEN], vocab.index[UNK_TOKEN]}
-    word_ids = np.array([i for i in range(len(vocab)) if i not in skip])
+    word_ids = np.arange(2, len(vocab))
     *_, inner, _ = _word_stage(
         params.amplitude[word_ids],
         np.exp(1j * params.phase[word_ids]),

@@ -215,7 +215,7 @@ def seed_streams(seed: int) -> dict[str, np.random.Generator]:
 
 
 def init_parameters(
-    vocab: Vocabulary, config: TrainerConfig, glove_path: str | None = None
+    vocab: Vocabulary, config: TrainerConfig, pretrained: dict | None = None
 ) -> ParameterSet:
     """Fresh parameters: pretrained-or-random amplitudes, uniform phases
     (zero in the real ablation), one-hot measurement rows."""
@@ -224,7 +224,7 @@ def init_parameters(
         vocab,
         dim=config.embedding_dim,
         seed=streams["amplitude"].integers(2**32),
-        glove_path=glove_path,
+        pretrained=pretrained,
     )
     if config.complex_valued:
         phase = init_phases(

@@ -16,7 +16,8 @@ first, then ``_project`` divides each row by its norm and checks the
 stepped rows are finite; each epoch end checks every row.  After each
 epoch the model is scored on the dev split; the best-dev parameters are
 retained with their dev report (the initial parameters' report when no
-epoch runs), so no caller scores them again.
+epoch runs), so no caller scores them again.  A text is encoded once
+per run, keyed by its ``token_text``; pretrained vectors come in read.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import QADataset, Triplet, build_vocab, sample_triplets
+from .data import QADataset, build_vocab, sample_triplets
 from .embedding import ZERO_NORM, Vocabulary, row_norms
 from .errors import ConfigError, DomainError
 from .evaluation import MetricReport, evaluate
@@ -173,36 +174,19 @@ class TrainResult:
         return None if self.best_report is None else self.best_report.map
 
 
-def _encode_triplets(
-    triplets: list[Triplet], vocab: Vocabulary, ids: dict[tuple[str, ...], np.ndarray]
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Each triplet's token ids.  ``ids`` keeps every text's ids for the
-    whole run, so a text is encoded once per ``train()``, not once per
-    triplet per epoch; the arrays are shared and must not be written."""
-
-    def encode(tokens: list[str]) -> np.ndarray:
-        key = tuple(tokens)
-        found = ids.get(key)
-        if found is None:
-            found = ids[key] = vocab.encode(tokens)
-        return found
-
-    return [(encode(t.question), encode(t.positive), encode(t.negative))
-            for t in triplets]
-
-
 def train(
     train_set: QADataset,
     dev_set: QADataset | None,
     config: TrainerConfig,
     vocab: Vocabulary | None = None,
-    glove_path: str | None = None,
+    pretrained: dict[str, np.ndarray] | None = None,
     log_fn: LogFn | None = None,
 ) -> TrainResult:
-    """Full training run; deterministic for a fixed config/seed/data."""
+    """Full training run; deterministic for a fixed config/seed/data.
+    ``pretrained`` maps tokens to amplitude vectors (``read_glove_vectors``)."""
     if vocab is None:
         vocab = build_vocab([train_set])
-    params = init_parameters(vocab, config, glove_path=glove_path)
+    params = init_parameters(vocab, config, pretrained=pretrained)
     streams = seed_streams(config.seed)
     sampling = streams["sampling"]
     dropout = streams["dropout"]
@@ -216,13 +200,19 @@ def train(
     best_report: MetricReport | None = None
     best_epoch = 0
     history: list[EpochRecord] = []
-    encoded: dict[tuple[str, ...], np.ndarray] = {}
+    # ids by token text, encoded once per run; shared, so never written
+    encoded: dict[str, np.ndarray] = {}
+
+    def encode(text) -> np.ndarray:
+        found = encoded.get(text.token_text)
+        if found is None:
+            found = encoded[text.token_text] = vocab.encode(text.tokens)
+        return found
 
     for epoch in range(1, config.epochs + 1):
         epoch_seed = int(sampling.integers(0, 2**63))
-        triplets = _encode_triplets(
-            sample_triplets(train_set, epoch_seed), vocab, encoded
-        )
+        triplets = [(encode(q), encode(p), encode(n))
+                    for q, p, n in sample_triplets(train_set, epoch_seed)]
         order = sampling.permutation(len(triplets))
         losses = []
         for batch_no, start in enumerate(range(0, len(order), config.batch_size)):

@@ -1,6 +1,7 @@
 """Command-line interface: artifacts, exit codes, reproducibility."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -124,6 +125,34 @@ def test_train_accepts_config_json_with_flag_overrides(toy_tsv, tmp_path, capsys
         if json.loads(line)["kind"] == "epoch"
     ]
     assert epochs == [1, 2]
+
+
+def write_vectors(tmp_path):
+    """A 6-wide vectors file: two toy-corpus tokens and one it lacks."""
+    path = tmp_path / "vectors.txt"
+    path.write_text("echo 0.5 -0.25 0.125 1 0 -1\nask 1 2 3 4 5 6\n"
+                    "absent 0 0 0 0 0 1\n", encoding="utf-8")
+    return path
+
+
+# The checkpoint of test_train_with_glove_keeps_its_checkpoint_bits as
+# train() wrote it when it read the vectors file itself.  With no epoch
+# the parameters are the initial draws and the file's rows, which no
+# BLAS routine touches.
+GLOVE_CHECKPOINT_SHA256 = (
+    "768c8c4c7d0a22bc6c6bea4f44b21da444fbdef0212087a6134d50f0f31832da"
+)
+
+
+def test_train_with_glove_keeps_its_checkpoint_bits(toy_tsv, tmp_path):
+    out = tmp_path / "run"
+    args = [*train_args(toy_tsv, out, epochs="0"), "--glove",
+            str(write_vectors(tmp_path))]
+    assert main(args) == 0
+    written = (out / CHECKPOINT_NAME).read_bytes()
+    assert hashlib.sha256(written).hexdigest() == GLOVE_CHECKPOINT_SHA256
+    params, _, vocab = load_checkpoint(out / CHECKPOINT_NAME)
+    assert params.amplitude[vocab.index["ask"]].tolist() == [1, 2, 3, 4, 5, 6]
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +386,46 @@ def test_bad_grid_keeps_an_earlier_search(pools, message, toy_tsv, tmp_path,
     assert main(grid_args(toy_tsv, tmp_path, pools, out)) == 2
     err = capsys.readouterr().err
     assert message in err
+    assert "kept" not in err   # no dataset summary
+    assert {name: (out / name).read_bytes() for name in before} == before
+
+
+def test_grid_search_reads_the_vectors_file_once(toy_tsv, tmp_path, monkeypatch):
+    vectors = write_vectors(tmp_path)
+    opened = []
+    real_open = open
+
+    def counting(file, *args, **kwargs):
+        if str(file) == str(vectors):
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting)
+    out = tmp_path / "grid"
+    args = [*grid_args(toy_tsv, tmp_path, {"seed": [1, 2]}, out, epochs="0"),
+            "--glove", str(vectors)]
+    assert main(args) == 0
+    assert len(opened) == 1
+    assert [r["run"] for r in read_rows(out)] == [0, 1]
+    params, _, vocab = load_checkpoint(out / BEST_CHECKPOINT_NAME)
+    assert params.amplitude[vocab.index["ask"]].tolist() == [1, 2, 3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("flag", ["--config", "--grid"])
+def test_non_utf8_config_or_grid_exits_2_and_keeps_an_earlier_search(
+    flag, toy_tsv, tmp_path, capsys
+):
+    out = tmp_path / "grid"
+    assert main(grid_args(toy_tsv, tmp_path, {"seed": [1]}, out)) == 0
+    before = {name: (out / name).read_bytes()
+              for name in (GRID_RESULTS_NAME, BEST_CHECKPOINT_NAME)}
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"epochs": \xff}')
+    capsys.readouterr()
+    args = [*grid_args(toy_tsv, tmp_path, {"seed": [1]}, out), flag, str(bad)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"error: {bad}:1: not valid UTF-8" in err
     assert "kept" not in err   # no dataset summary
     assert {name: (out / name).read_bytes() for name in before} == before
 

@@ -288,20 +288,30 @@ def test_sample_triplets_pairs_every_positive_once():
     triplets = sample_triplets(sampling_dataset(), epoch_seed=7)
     # qa contributes 1, qb contributes 3, qc has no negatives to offer
     assert len(triplets) == 4
-    assert triplets[0].question == ["first", "question"]
-    assert triplets[0].positive == ["right", "answer"]
+    assert triplets[0][0].tokens == ["first", "question"]
+    assert triplets[0][1].tokens == ["right", "answer"]
     for t in triplets[1:]:
-        assert t.question == ["second", "question"]
-    assert {tuple(t.positive) for t in triplets[1:]} == {
+        assert t[0].tokens == ["second", "question"]
+    assert {tuple(t[1].tokens) for t in triplets[1:]} == {
         ("good", "one"),
         ("good", "two"),
         ("good", "three"),
     }
 
 
+def test_sample_triplets_are_the_datasets_own_objects():
+    ds = sampling_dataset()
+    qa, qb, _ = ds.questions
+    triplets = sample_triplets(ds, epoch_seed=7)
+    assert triplets[0][0] is qa and triplets[0][1] is qa.candidates[0]
+    for (q, p, _), positive in zip(triplets[1:], qb.positives(), strict=True):
+        assert q is qb and p is positive
+    assert all(any(n is c for c in q.negatives()) for q, _, n in triplets)
+
+
 def test_sample_triplets_negatives_cycle_without_replacement():
     triplets = sample_triplets(sampling_dataset(), epoch_seed=3)
-    negatives = [tuple(t.negative) for t in triplets if t.question[0] == "second"]
+    negatives = [tuple(t[2].tokens) for t in triplets if t[0].tokens[0] == "second"]
     # two distinct negatives for three positives: the shuffle cycles
     counts = sorted(negatives.count(c) for c in set(negatives))
     assert counts == [1, 2]
@@ -310,7 +320,7 @@ def test_sample_triplets_negatives_cycle_without_replacement():
 def test_sample_triplets_deterministic_per_seed():
     ds = sampling_dataset()
     assert sample_triplets(ds, epoch_seed=11) == sample_triplets(ds, epoch_seed=11)
-    picks = {tuple(sample_triplets(ds, epoch_seed=s)[0].negative) for s in range(10)}
+    picks = {tuple(sample_triplets(ds, epoch_seed=s)[0][2].tokens) for s in range(10)}
     assert len(picks) > 1  # the epoch seed really reshuffles negatives
 
 

@@ -253,10 +253,20 @@ def test_init_amplitudes_copies_pretrained_rows(tmp_path):
     path = tmp_path / "vectors.txt"
     path.write_text("alpha 1.0 2.0 3.0 4.0\n")
     vocab = Vocabulary.from_tokens(["alpha", "beta"])
-    table = init_amplitudes_from_glove(vocab, 4, seed=1, glove_path=str(path))
+    table = init_amplitudes_from_glove(
+        vocab, 4, seed=1, pretrained=read_glove_vectors(str(path), 4)
+    )
     np.testing.assert_allclose(table[vocab.index["alpha"]], [1.0, 2.0, 3.0, 4.0])
     # beta missing from the file: falls back to the random band
     assert np.all(np.abs(table[vocab.index["beta"]]) <= 0.25)
+
+
+@pytest.mark.parametrize("width", [1, 3, 5])
+def test_init_amplitudes_rejects_a_pretrained_vector_of_another_width(width):
+    vocab = Vocabulary.from_tokens(["alpha", "beta"])
+    with pytest.raises(ShapeError, match="'beta' is not 4 wide"):
+        init_amplitudes_from_glove(vocab, 4, seed=1,
+                                   pretrained={"beta": np.ones(width)})
 
 
 def test_init_amplitudes_deterministic_per_seed():
@@ -272,8 +282,8 @@ def test_init_amplitudes_draws_rows_in_vocabulary_order(tmp_path):
     path = tmp_path / "vectors.txt"
     path.write_text("w1 1 2 3 4\nw4 5 6 7 8\nw5 -1 -2 -3 -4\nw9 0.5 0.5 0.5 0.5\n")
     vocab = Vocabulary.from_tokens([f"w{i}" for i in range(12)])
-    table = init_amplitudes_from_glove(vocab, 4, seed=17, glove_path=str(path))
     pretrained = read_glove_vectors(str(path), 4)
+    table = init_amplitudes_from_glove(vocab, 4, seed=17, pretrained=pretrained)
     rng = np.random.default_rng(17)
     expected = np.empty_like(table)
     for i, token in enumerate(vocab.tokens):

@@ -267,6 +267,17 @@ def test_neighbors_exclude_reserved_rows():
         assert len(entry.tokens) == len(VOCAB) - 2
 
 
+def test_reserved_rows_alone_list_no_neighbors():
+    # training on a split without positives leaves only <pad> and <unk>
+    reserved = Vocabulary.from_tokens([])
+    params = init_parameters(reserved, TrainerConfig(embedding_dim=5,
+                                                     num_measurements=4))
+    listing = measurement_neighbors(params, reserved, top_n=3)
+    assert [(e.measurement, e.tokens, e.similarities) for e in listing] == [
+        (m, [], []) for m in range(4)
+    ]
+
+
 def test_identical_rows_list_alphabetically_whatever_their_index():
     # token order reversed, so index order and alphabetical order disagree
     flipped = Vocabulary.from_tokens(VOCAB.tokens[:1:-1])

@@ -236,8 +236,8 @@ def test_train_epoch_end_check_finds_a_nan_in_an_untouched_row(monkeypatch):
     ds = toy_corpus(num_questions=3)
     real_init = training.init_parameters
 
-    def planted(vocab, config, glove_path=None):
-        params = real_init(vocab, config, glove_path=glove_path)
+    def planted(vocab, config, pretrained=None):
+        params = real_init(vocab, config, pretrained=pretrained)
         params.amplitude[0, 1] = np.nan
         return params
 
