@@ -164,11 +164,14 @@ def _build_config(args):
 
 def _load_dataset(path_str: str, format_spec: str, split: str):
     from .data import load_tsv, resolve_format
+    from .evaluation import require_questions
 
     path = _require_path(path_str, "dataset")
     fmt = resolve_format(format_spec)
     dataset, report = load_tsv(path, fmt, split=split)
     print(report.summary(), file=sys.stderr)
+    if split != "train":   # ranked, so it needs a question before --out opens
+        require_questions(dataset)
     return dataset
 
 
@@ -244,19 +247,19 @@ def cmd_grid_search(args) -> int:
         pools = DEFAULT_GRID_POOLS
     # every combination is checked before any data is read or file opened
     configs = enumerate_grid(config, pools)
+    widths = sorted({cfg.embedding_dim for cfg in configs})
+    if args.glove and len(widths) > 1:
+        raise ConfigError(f"--glove has one width; grid sweeps embedding_dim {widths}")
     train_set = _load_dataset(args.dataset, args.format, split="train")
     dev_set = _load_dataset(args.dev, args.format, split="dev")
     vocab = build_vocab([train_set])
-    # one read per embedding width the runs use, before any run or output
-    dims = sorted({cfg.embedding_dim for cfg in configs}) if args.glove else []
-    pretrained = {dim: read_glove_vectors(args.glove, dim) for dim in dims}
+    pretrained = read_glove_vectors(args.glove, widths[0]) if args.glove else None
     out = _out_dir(args)
     rows_path = out / GRID_RESULTS_NAME
     best = None
     with open(rows_path, "w", encoding="utf-8") as rows_file:
         for run, cfg in enumerate(configs):
-            result = train(train_set, dev_set, cfg, vocab=vocab,
-                           pretrained=pretrained.get(cfg.embedding_dim))
+            result = train(train_set, dev_set, cfg, vocab=vocab, pretrained=pretrained)
             report = result.best_report
             rows_file.write(json.dumps({
                 "kind": "grid", "run": run, "dev_map": report.map,

@@ -101,8 +101,8 @@ def join_tokens(text: str) -> str:
 
 
 class _Tokenized:
-    """A text tokenised once: ``token_text`` holds its tokens, and
-    ``tokens`` splits them apart (tokens never hold whitespace)."""
+    """A text tokenised once: ``token_text`` holds its tokens joined by
+    single spaces (tokens never hold whitespace)."""
 
     text: str
     token_text: str | None
@@ -110,10 +110,6 @@ class _Tokenized:
     def __post_init__(self) -> None:
         if self.token_text is None:
             self.token_text = join_tokens(self.text)
-
-    @property
-    def tokens(self) -> list[str]:
-        return self.token_text.split()
 
 
 @dataclass
@@ -253,9 +249,9 @@ def build_vocab(datasets: list[QADataset]) -> Vocabulary:
     counts: Counter[str] = Counter()
     for ds in datasets:
         for q in ds.questions:
-            counts.update(q.tokens)
+            counts.update(q.token_text.split())
             for c in q.candidates:
-                counts.update(c.tokens)
+                counts.update(c.token_text.split())
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return Vocabulary.from_tokens([t for t, _ in ordered])
 

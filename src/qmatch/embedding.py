@@ -13,7 +13,6 @@ import math
 import string
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from types import MappingProxyType
 
 import numpy as np
 
@@ -52,12 +51,12 @@ class Vocabulary:
     start at index 2.  Encoding never fails: unseen tokens map to UNK.
     The tokens are stored as a tuple and the index is derived from them;
     they must start with PAD, UNK and hold no token twice (ValueError
-    otherwise).  ``index`` is a read-only view of a plain dict, which
-    pickles and copies with the vocabulary.
+    otherwise).  A pickle or deep copy is rebuilt from the tokens alone.
     """
 
     tokens: tuple[str, ...]
     _ids: dict[str, int] = field(init=False, repr=False, compare=False)
+    _texts: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         tokens = tuple(self.tokens)
@@ -71,10 +70,10 @@ class Vocabulary:
             raise ValueError(f"duplicate vocabulary token {dup!r}")
         object.__setattr__(self, "tokens", tokens)
         object.__setattr__(self, "_ids", index)
+        object.__setattr__(self, "_texts", {})
 
-    @property
-    def index(self) -> MappingProxyType:
-        return MappingProxyType(self._ids)
+    def __reduce__(self):
+        return type(self), (self.tokens,)
 
     @classmethod
     def from_tokens(cls, ordered_tokens: list[str]) -> "Vocabulary":
@@ -83,15 +82,18 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._ids
-
     def encode(self, words: list[str]) -> np.ndarray:
         unk = self._ids[UNK_TOKEN]
         return np.array([self._ids.get(w, unk) for w in words], dtype=np.int64)
 
-    def decode(self, ids) -> list[str]:
-        return [self.tokens[int(i)] for i in ids]
+    def encode_text(self, token_text: str) -> np.ndarray:
+        """Read-only ids of a dataset text's ``token_text``, encoded the first
+        time this vocabulary meets it.  The memo lives as long as the
+        vocabulary, holds one array per distinct text and is not copied."""
+        if token_text not in self._texts:
+            self._texts[token_text] = self.encode(token_text.split())
+            self._texts[token_text].flags.writeable = False
+        return self._texts[token_text]
 
 
 @dataclass

@@ -121,6 +121,12 @@ class MetricReport:
                 )
 
 
+def require_questions(dataset: QADataset) -> None:
+    """DataError unless ``dataset`` holds a question to rank."""
+    if not dataset.questions:
+        raise DataError(f"split {dataset.split!r} has no questions to evaluate")
+
+
 def evaluate(
     params: ParameterSet,
     dataset: QADataset,
@@ -129,20 +135,17 @@ def evaluate(
 ) -> MetricReport:
     """Deterministic MAP/MRR of the model over one split (eval mode).
 
-    The split is encoded once and ``represent_groups`` represents every
-    question with its candidates in one call; then each question is ranked
-    with one ``cosines`` call, which gives each candidate the bits
-    ``matcher.score`` gives it.  A sentence's bits do not depend on the
-    other sentences of the split, so ranking a question alone computes
-    exactly what the whole-split pass computes.  Raises NumericError naming
-    the question if a representation or score is not finite.
+    Texts become ids through ``vocab.encode_text``, once per vocabulary;
+    ``represent_groups`` represents every question with its candidates in
+    one call, and one ``cosines`` call per question gives each candidate
+    the bits ``matcher.score`` gives it.  A sentence's bits do not depend
+    on the other sentences of the split, so ranking a question alone
+    computes what the whole-split pass computes.  Raises NumericError
+    naming the question if a representation or score is not finite.
     """
-    if not dataset.questions:
-        raise DataError(f"split {dataset.split!r} has no questions to evaluate")
-    encoded = [
-        [vocab.encode(q.tokens)] + [vocab.encode(c.tokens) for c in q.candidates]
-        for q in dataset.questions
-    ]
+    require_questions(dataset)
+    encoded = [[vocab.encode_text(t.token_text) for t in (q, *q.candidates)]
+               for q in dataset.questions]
     results = []
     for q, reps in zip(dataset.questions, represent_groups(encoded, params, config)):
         scores = cosines(reps[0], reps[1:])[0][:, 0]

@@ -16,8 +16,8 @@ first, then ``_project`` divides each row by its norm and checks the
 stepped rows are finite; each epoch end checks every row.  After each
 epoch the model is scored on the dev split; the best-dev parameters are
 retained with their dev report (the initial parameters' report when no
-epoch runs), so no caller scores them again.  A text is encoded once
-per run, keyed by its ``token_text``; pretrained vectors come in read.
+epoch runs), so no caller scores them again.  Ids come from
+``Vocabulary.encode_text``, once per text; pretrained vectors come in read.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 from .data import QADataset, build_vocab, sample_triplets
 from .embedding import ZERO_NORM, Vocabulary, row_norms
 from .errors import ConfigError, DomainError
-from .evaluation import MetricReport, evaluate
+from .evaluation import MetricReport, evaluate, require_questions
 from .gradients import batch_grad
 from .model import (
     GradientSet,
@@ -183,7 +183,10 @@ def train(
     log_fn: LogFn | None = None,
 ) -> TrainResult:
     """Full training run; deterministic for a fixed config/seed/data.
-    ``pretrained`` maps tokens to amplitude vectors (``read_glove_vectors``)."""
+    ``pretrained`` maps tokens to amplitude vectors (``read_glove_vectors``).
+    A ``dev_set`` with no question is a DataError before the first epoch."""
+    if dev_set is not None:
+        require_questions(dev_set)
     if vocab is None:
         vocab = build_vocab([train_set])
     params = init_parameters(vocab, config, pretrained=pretrained)
@@ -200,19 +203,11 @@ def train(
     best_report: MetricReport | None = None
     best_epoch = 0
     history: list[EpochRecord] = []
-    # ids by token text, encoded once per run; shared, so never written
-    encoded: dict[str, np.ndarray] = {}
-
-    def encode(text) -> np.ndarray:
-        found = encoded.get(text.token_text)
-        if found is None:
-            found = encoded[text.token_text] = vocab.encode(text.tokens)
-        return found
 
     for epoch in range(1, config.epochs + 1):
         epoch_seed = int(sampling.integers(0, 2**63))
-        triplets = [(encode(q), encode(p), encode(n))
-                    for q, p, n in sample_triplets(train_set, epoch_seed)]
+        triplets = [tuple(vocab.encode_text(t.token_text) for t in triplet)
+                    for triplet in sample_triplets(train_set, epoch_seed)]
         order = sampling.permutation(len(triplets))
         losses = []
         for batch_no, start in enumerate(range(0, len(order), config.batch_size)):

@@ -46,7 +46,7 @@ def test_round_trip_restores_everything(saved):
     np.testing.assert_array_equal(loaded_params.measurements, params.measurements)
     assert loaded_config == config
     assert loaded_vocab.tokens == vocab.tokens
-    assert loaded_vocab.index == vocab.index
+    assert loaded_vocab.encode(vocab.tokens).tolist() == list(range(len(vocab)))
 
 
 def test_saves_are_byte_identical(tmp_path):

@@ -152,7 +152,7 @@ def test_train_with_glove_keeps_its_checkpoint_bits(toy_tsv, tmp_path):
     written = (out / CHECKPOINT_NAME).read_bytes()
     assert hashlib.sha256(written).hexdigest() == GLOVE_CHECKPOINT_SHA256
     params, _, vocab = load_checkpoint(out / CHECKPOINT_NAME)
-    assert params.amplitude[vocab.index["ask"]].tolist() == [1, 2, 3, 4, 5, 6]
+    assert params.amplitude[vocab.encode(["ask"])[0]].tolist() == [1, 2, 3, 4, 5, 6]
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +408,58 @@ def test_grid_search_reads_the_vectors_file_once(toy_tsv, tmp_path, monkeypatch)
     assert len(opened) == 1
     assert [r["run"] for r in read_rows(out)] == [0, 1]
     params, _, vocab = load_checkpoint(out / BEST_CHECKPOINT_NAME)
-    assert params.amplitude[vocab.index["ask"]].tolist() == [1, 2, 3, 4, 5, 6]
+    assert params.amplitude[vocab.encode(["ask"])[0]].tolist() == [1, 2, 3, 4, 5, 6]
+
+
+def test_glove_grid_over_two_widths_exits_2_before_reading_data(
+    toy_tsv, tmp_path, capsys
+):
+    # one vectors file holds one width, so a grid cannot sweep embedding_dim
+    out = tmp_path / "grid"
+    args = [*grid_args(toy_tsv, tmp_path, {"embedding_dim": [6, 7]}, out),
+            "--glove", str(write_vectors(tmp_path))]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "--glove has one width; grid sweeps embedding_dim [6, 7]" in err
+    assert "kept" not in err   # no dataset summary
+    assert not out.exists()
+
+
+@pytest.fixture()
+def empty_dev_tsv(tmp_path):
+    """A split whose one question has no positive, so loading keeps none."""
+    path = tmp_path / "empty_dev.tsv"
+    path.write_text("q1\task key0\techo key1 reply\t0\n", encoding="utf-8")
+    return path
+
+
+def with_dev(args, dev_path):
+    args[args.index("--dev") + 1] = str(dev_path)
+    return args
+
+
+def test_train_with_an_empty_dev_split_exits_3_before_writing(
+    toy_tsv, empty_dev_tsv, tmp_path, capsys
+):
+    out = tmp_path / "run"
+    assert main(with_dev(train_args(toy_tsv, out), empty_dev_tsv)) == 3
+    assert "split 'dev' has no questions to evaluate" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_grid_search_with_an_empty_dev_split_keeps_an_earlier_search(
+    toy_tsv, empty_dev_tsv, tmp_path, capsys
+):
+    out = tmp_path / "grid"
+    assert main(grid_args(toy_tsv, tmp_path, {"seed": [1, 2]}, out)) == 0
+    before = {name: (out / name).read_bytes()
+              for name in (GRID_RESULTS_NAME, BEST_CHECKPOINT_NAME)}
+    capsys.readouterr()
+    args = with_dev(grid_args(toy_tsv, tmp_path, {"seed": [1, 2]}, out),
+                    empty_dev_tsv)
+    assert main(args) == 3
+    assert "split 'dev' has no questions to evaluate" in capsys.readouterr().err
+    assert {name: (out / name).read_bytes() for name in before} == before
 
 
 @pytest.mark.parametrize("flag", ["--config", "--grid"])

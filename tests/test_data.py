@@ -121,9 +121,9 @@ def test_load_normalizes_whitespace_and_numbers_answers():
 def test_load_keeps_each_texts_tokens():
     ds, _ = load_tsv(fixture("canonical_tiny.tsv"), CANONICAL_FORMAT)
     for q in ds.questions:
-        assert q.tokens == tokenize(q.text)
+        assert q.token_text.split() == tokenize(q.text)
         for c in q.candidates:
-            assert c.tokens == tokenize(c.text)
+            assert c.token_text.split() == tokenize(c.text)
 
 
 def test_already_tokenised_text_is_not_copied(tmp_path):
@@ -133,13 +133,13 @@ def test_already_tokenised_text_is_not_copied(tmp_path):
     (q,) = ds.questions
     assert q.token_text is q.text
     assert q.candidates[0].token_text is q.candidates[0].text
-    assert q.candidates[0].tokens == ["she", "wrote", "it"]
+    assert q.candidates[0].token_text.split() == ["she", "wrote", "it"]
 
 
 def test_constructed_groups_tokenize_their_text():
     group = QuestionGroup("q1", "Who, then?", [CandidateAnswer(0, "It was me.", 1)])
-    assert group.tokens == ["who", "then"]
-    assert group.candidates[0].tokens == ["it", "was", "me"]
+    assert group.token_text.split() == ["who", "then"]
+    assert group.candidates[0].token_text.split() == ["it", "was", "me"]
 
 
 def test_load_wikiqa_layout():
@@ -288,14 +288,14 @@ def test_sample_triplets_pairs_every_positive_once():
     triplets = sample_triplets(sampling_dataset(), epoch_seed=7)
     # qa contributes 1, qb contributes 3, qc has no negatives to offer
     assert len(triplets) == 4
-    assert triplets[0][0].tokens == ["first", "question"]
-    assert triplets[0][1].tokens == ["right", "answer"]
+    assert triplets[0][0].token_text == "first question"
+    assert triplets[0][1].token_text == "right answer"
     for t in triplets[1:]:
-        assert t[0].tokens == ["second", "question"]
-    assert {tuple(t[1].tokens) for t in triplets[1:]} == {
-        ("good", "one"),
-        ("good", "two"),
-        ("good", "three"),
+        assert t[0].token_text == "second question"
+    assert {t[1].token_text for t in triplets[1:]} == {
+        "good one",
+        "good two",
+        "good three",
     }
 
 
@@ -311,7 +311,8 @@ def test_sample_triplets_are_the_datasets_own_objects():
 
 def test_sample_triplets_negatives_cycle_without_replacement():
     triplets = sample_triplets(sampling_dataset(), epoch_seed=3)
-    negatives = [tuple(t[2].tokens) for t in triplets if t[0].tokens[0] == "second"]
+    negatives = [t[2].token_text for t in triplets
+                 if t[0].token_text.split()[0] == "second"]
     # two distinct negatives for three positives: the shuffle cycles
     counts = sorted(negatives.count(c) for c in set(negatives))
     assert counts == [1, 2]
@@ -320,7 +321,7 @@ def test_sample_triplets_negatives_cycle_without_replacement():
 def test_sample_triplets_deterministic_per_seed():
     ds = sampling_dataset()
     assert sample_triplets(ds, epoch_seed=11) == sample_triplets(ds, epoch_seed=11)
-    picks = {tuple(sample_triplets(ds, epoch_seed=s)[0][2].tokens) for s in range(10)}
+    picks = {sample_triplets(ds, epoch_seed=s)[0][2].token_text for s in range(10)}
     assert len(picks) > 1  # the epoch seed really reshuffles negatives
 
 

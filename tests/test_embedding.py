@@ -58,20 +58,20 @@ def test_vocabulary_reserves_pad_and_unk():
     vocab = Vocabulary.from_tokens(["alpha", "beta"])
     assert vocab.tokens[0] == PAD_TOKEN
     assert vocab.tokens[1] == UNK_TOKEN
-    assert vocab.index["alpha"] == 2
+    assert vocab.encode(["alpha"]).tolist() == [2]
     assert len(vocab) == 4
 
 
 def test_vocabulary_encode_decode_roundtrip():
     vocab = Vocabulary.from_tokens(["alpha", "beta", "gamma"])
     ids = vocab.encode(["beta", "alpha", "gamma"])
-    assert vocab.decode(ids) == ["beta", "alpha", "gamma"]
+    assert [vocab.tokens[i] for i in ids] == ["beta", "alpha", "gamma"]
 
 
 def test_vocabulary_unknown_words_map_to_unk():
     vocab = Vocabulary.from_tokens(["alpha"])
     ids = vocab.encode(["alpha", "omega"])
-    assert ids.tolist() == [2, vocab.index[UNK_TOKEN]]
+    assert ids.tolist() == [2, *vocab.encode([UNK_TOKEN])]
 
 
 def test_vocabulary_rejects_duplicates():
@@ -81,7 +81,7 @@ def test_vocabulary_rejects_duplicates():
 
 def test_vocabulary_derives_its_index_from_its_tokens():
     vocab = Vocabulary([PAD_TOKEN, UNK_TOKEN, "alpha"])
-    assert vocab.index == {PAD_TOKEN: 0, UNK_TOKEN: 1, "alpha": 2}
+    assert vocab.encode([PAD_TOKEN, UNK_TOKEN, "alpha"]).tolist() == [0, 1, 2]
     assert vocab == Vocabulary.from_tokens(["alpha"])
     # an index that disagrees with the tokens cannot be passed in
     with pytest.raises(TypeError):
@@ -98,36 +98,44 @@ def test_a_vocabulary_cannot_change_after_it_is_made():
         vocab.tokens.append("beta")
     with pytest.raises(dataclasses.FrozenInstanceError):
         vocab.tokens = (PAD_TOKEN, UNK_TOKEN, "beta")
-    assert len(vocab) == 3 and vocab.index["alpha"] == 2
+    assert len(vocab) == 3 and vocab.encode(["alpha"]).tolist() == [2]
     assert hash(vocab) == hash(Vocabulary.from_tokens(["alpha"]))
-
-
-def test_a_vocabulary_index_is_read_only():
-    vocab = Vocabulary.from_tokens(["alpha", "beta"])
-    # an edit would make encode() return another token's id
-    with pytest.raises(TypeError):
-        vocab.index["alpha"] = 3
-    with pytest.raises(TypeError):
-        del vocab.index["alpha"]
-    assert vocab.encode(["alpha", "beta"]).tolist() == [2, 3]
 
 
 @pytest.mark.parametrize("duplicate", [copy.deepcopy,
                                        lambda v: pickle.loads(pickle.dumps(v))])
 def test_a_vocabulary_pickles_and_deep_copies(duplicate):
     vocab = Vocabulary.from_tokens(["alpha", "beta"])
+    met = vocab.encode_text("beta omega")
     again = duplicate(vocab)
-    assert again == vocab and again.index == vocab.index
+    assert again == vocab and hash(again) == hash(vocab)
+    assert again.encode(vocab.tokens).tolist() == [0, 1, 2, 3]
     assert again.encode(["beta", "omega"]).tolist() == [3, 1]
-    with pytest.raises(TypeError):
-        again.index["alpha"] = 3
+    ids = again.encode_text("beta omega")
+    assert ids is not met and ids.tolist() == met.tolist() == [3, 1]
+    assert not ids.flags.writeable
 
 
-def test_vocabulary_contains():
-    vocab = Vocabulary.from_tokens(["alpha"])
-    assert "alpha" in vocab
-    assert PAD_TOKEN in vocab
-    assert "omega" not in vocab
+def test_encode_text_encodes_a_text_once_and_read_only(monkeypatch):
+    vocab = Vocabulary.from_tokens(["alpha", "beta"])
+    calls = []
+    original = Vocabulary.encode
+
+    def counting(self, words):
+        calls.append(words)
+        return original(self, words)
+
+    monkeypatch.setattr(Vocabulary, "encode", counting)
+    for text in ("beta alpha omega", "alpha", "", "beta alpha omega"):
+        ids = vocab.encode_text(text)
+        np.testing.assert_array_equal(ids, original(vocab, text.split()))
+        assert ids.dtype == np.int64
+        with pytest.raises(ValueError, match="read-only"):
+            ids[:1] = 0
+    assert calls == [["beta", "alpha", "omega"], ["alpha"], []]
+    assert vocab.encode_text("alpha") is vocab.encode_text("alpha")
+    # the memo is not part of a vocabulary's value
+    assert vocab == Vocabulary.from_tokens(["alpha", "beta"])
 
 
 # -------------------------------------------------------------- word states
@@ -256,9 +264,10 @@ def test_init_amplitudes_copies_pretrained_rows(tmp_path):
     table = init_amplitudes_from_glove(
         vocab, 4, seed=1, pretrained=read_glove_vectors(str(path), 4)
     )
-    np.testing.assert_allclose(table[vocab.index["alpha"]], [1.0, 2.0, 3.0, 4.0])
+    alpha, beta = vocab.encode(["alpha", "beta"])
+    np.testing.assert_allclose(table[alpha], [1.0, 2.0, 3.0, 4.0])
     # beta missing from the file: falls back to the random band
-    assert np.all(np.abs(table[vocab.index["beta"]]) <= 0.25)
+    assert np.all(np.abs(table[beta]) <= 0.25)
 
 
 @pytest.mark.parametrize("width", [1, 3, 5])

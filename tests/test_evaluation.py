@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qmatch.data import CandidateAnswer, QADataset, QuestionGroup
+from qmatch.embedding import Vocabulary
 from qmatch.errors import DataError, NumericError
 from qmatch.evaluation import (
     MetricReport,
@@ -162,6 +163,16 @@ def test_evaluate_is_deterministic():
     assert a == b
 
 
+def test_a_second_evaluate_with_the_same_vocabulary_encodes_nothing(monkeypatch):
+    ds = oracle_dataset()
+    params, config, vocab = small_setup(ds)
+    first = evaluate(params, ds, config, vocab)
+    calls = []
+    monkeypatch.setattr(Vocabulary, "encode", lambda self, words: calls.append(words))
+    assert evaluate(params, ds, config, vocab) == first
+    assert calls == []
+
+
 def test_ranking_a_question_alone_matches_the_whole_split():
     topics, _ = topic_corpus(train_questions=12, dev_questions=2, seed=3)
     # topic questions share words, and their sentences run past 5 tokens
@@ -178,7 +189,7 @@ def test_evaluate_rejects_non_finite_representations():
     ds = oracle_dataset()
     params, config, vocab = small_setup(ds)
     # a NaN phase row makes every window holding "epsilon" NaN
-    params.phase[vocab.index["epsilon"]] = np.nan
+    params.phase[vocab.encode(["epsilon"])[0]] = np.nan
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericError, match="'q1'"):
             evaluate(params, ds, config, vocab)

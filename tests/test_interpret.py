@@ -55,7 +55,7 @@ def test_word_importance_matches_recomputed_norms():
 
 def test_word_importance_zeroed_row_ranks_last():
     params, _ = setup_model()
-    idx = VOCAB.index["melon"]
+    idx = VOCAB.encode(["melon"])[0]
     params.amplitude[idx] = 0.0
     ranking = word_importance(params, VOCAB)
     assert ranking[-1].token in ("melon", "<pad>")
@@ -67,7 +67,7 @@ def test_word_importance_zeroed_row_ranks_last():
 def test_word_importance_reads_a_tiny_row_as_row_norms_does():
     # a row scaled to 1e-160 squares to subnormals; row_norms rescales first
     params, _ = setup_model()
-    idx = VOCAB.index["melon"]
+    idx = VOCAB.encode(["melon"])[0]
     params.amplitude[idx] *= 1e-160 / np.linalg.norm(params.amplitude[idx])
     norms = {row.token: row.norm for row in word_importance(params, VOCAB)}
     assert norms["melon"] == row_norms(params.amplitude[idx : idx + 1])[0]
@@ -75,7 +75,8 @@ def test_word_importance_reads_a_tiny_row_as_row_norms_does():
 
 def test_word_importance_top_n_and_tie_order():
     params, _ = setup_model()
-    params.amplitude[VOCAB.index["pear"]] = params.amplitude[VOCAB.index["apple"]]
+    pear, apple = VOCAB.encode(["pear", "apple"])
+    params.amplitude[pear] = params.amplitude[apple]
     ranking = word_importance(params, VOCAB, top_n=3)
     assert len(ranking) == 3
     positions = {r.token: i for i, r in enumerate(word_importance(params, VOCAB))}
@@ -101,7 +102,7 @@ def test_match_map_weights_sum_to_one():
     wide = params.copy()
     # a norm-40 word next to norms near 0.4: a gap that overflows a softmax
     # shifted by anything but its own window's max
-    row = wide.amplitude[VOCAB.index["banana"]]
+    row = wide.amplitude[VOCAB.encode(["banana"])[0]]
     row *= 40.0 / np.linalg.norm(row)
     for p, question, answer in (
         (params, "apple banana cherry", "melon orange pear plum"),
@@ -246,8 +247,8 @@ def test_neighbors_match_brute_force_scan():
                 np.vdot(
                     params.measurements[entry.measurement],
                     normalize_word(
-                        params.amplitude[VOCAB.index[t]]
-                        * np.exp(1j * params.phase[VOCAB.index[t]])
+                        params.amplitude[VOCAB.encode([t])[0]]
+                        * np.exp(1j * params.phase[VOCAB.encode([t])[0]])
                     ).state,
                 )
             )
@@ -282,7 +283,7 @@ def test_identical_rows_list_alphabetically_whatever_their_index():
     # token order reversed, so index order and alphabetical order disagree
     flipped = Vocabulary.from_tokens(VOCAB.tokens[:1:-1])
     params, _ = setup_model()
-    first, second = flipped.index["apple"], flipped.index["quince"]
+    first, second = flipped.encode(["apple", "quince"])
     assert first > second
     params.amplitude[second] = params.amplitude[first]
     params.phase[second] = params.phase[first]
@@ -298,7 +299,7 @@ def test_identical_rows_list_alphabetically_whatever_their_index():
 
 def test_measurement_equal_to_word_state_ranks_that_word_first():
     params, _ = setup_model()
-    idx = VOCAB.index["cherry"]
+    idx = VOCAB.encode(["cherry"])[0]
     state = normalize_word(
         params.amplitude[idx] * np.exp(1j * params.phase[idx])
     ).state

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from qmatch.data import QADataset
 from qmatch.embedding import Vocabulary
-from qmatch.errors import ConfigError, NumericError
+from qmatch.errors import ConfigError, DataError, NumericError
 from qmatch.evaluation import evaluate
 from qmatch.model import GradientSet, ParameterSet, TrainerConfig, init_parameters
 from qmatch import training
@@ -382,8 +383,9 @@ def test_train_is_deterministic_to_the_byte():
 
 
 def test_train_encodes_each_text_once(monkeypatch):
-    ds = toy_corpus(num_questions=3)
-    expected = train(ds, None, small_config(epochs=4))
+    # the dev split holds the training questions and two more
+    ds, dev = toy_corpus(num_questions=3), toy_corpus(num_questions=5)
+    expected = train(ds, dev, small_config(epochs=4))
     calls = []
     original = Vocabulary.encode
 
@@ -392,9 +394,21 @@ def test_train_encodes_each_text_once(monkeypatch):
         return original(self, words)
 
     monkeypatch.setattr(Vocabulary, "encode", counting)
-    result = train(ds, None, small_config(epochs=4))
-    assert calls and len(calls) == len(set(calls))
+    result = train(ds, dev, small_config(epochs=4))
+    # each training and dev text once over all epochs and dev passes
+    texts = {tuple(text.token_text.split()) for split in (ds, dev)
+             for q in split.questions for text in (q, *q.candidates)}
+    assert sorted(calls) == sorted(texts)
     assert params_bytes(result.final_params) == params_bytes(expected.final_params)
+    assert result.history == expected.history
+
+
+def test_train_with_an_empty_dev_split_fails_before_its_first_epoch():
+    records = []
+    with pytest.raises(DataError, match="split 'dev' has no questions to evaluate"):
+        train(toy_corpus(num_questions=2), QADataset(split="dev", questions=[]),
+              small_config(epochs=2), log_fn=records.append)
+    assert records == []
 
 
 def test_train_returns_snapshot_of_best_dev_epoch():
