@@ -162,7 +162,10 @@ def _build_config(args):
     })
 
 
-def _load_dataset(path_str: str, format_spec: str, split: str):
+def _load_dataset(path_str: str, format_spec: str, split: str,
+                  purpose: str = "evaluate"):
+    """The split at ``path_str``; a split that keeps no question is a
+    DataError here, before any command opens ``--out``."""
     from .data import load_tsv, resolve_format
     from .evaluation import require_questions
 
@@ -170,8 +173,7 @@ def _load_dataset(path_str: str, format_spec: str, split: str):
     fmt = resolve_format(format_spec)
     dataset, report = load_tsv(path, fmt, split=split)
     print(report.summary(), file=sys.stderr)
-    if split != "train":   # ranked, so it needs a question before --out opens
-        require_questions(dataset)
+    require_questions(dataset, purpose)
     return dataset
 
 
@@ -187,7 +189,7 @@ def cmd_train(args) -> int:
     from .training import train
 
     config = _build_config(args)
-    train_set = _load_dataset(args.dataset, args.format, split="train")
+    train_set = _load_dataset(args.dataset, args.format, "train", "train on")
     dev_set = (
         _load_dataset(args.dev, args.format, split="dev") if args.dev else None
     )
@@ -250,7 +252,7 @@ def cmd_grid_search(args) -> int:
     widths = sorted({cfg.embedding_dim for cfg in configs})
     if args.glove and len(widths) > 1:
         raise ConfigError(f"--glove has one width; grid sweeps embedding_dim {widths}")
-    train_set = _load_dataset(args.dataset, args.format, split="train")
+    train_set = _load_dataset(args.dataset, args.format, "train", "train on")
     dev_set = _load_dataset(args.dev, args.format, split="dev")
     vocab = build_vocab([train_set])
     pretrained = read_glove_vectors(args.glove, widths[0]) if args.glove else None

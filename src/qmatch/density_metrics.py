@@ -176,24 +176,29 @@ def random_densities(rng: np.random.Generator, dims: list[int]) -> list[np.ndarr
     """One mixture of 1..d random pure states with Dirichlet(1,..,1)
     weights per entry d of ``dims``.  The generator is read matrix by
     matrix (the number of states, the weights, then each state's real and
-    imaginary parts); the arithmetic runs once per group of matrices with
-    the same dimension and number of states, and each matrix equals a draw
-    of it alone to the bit."""
-    groups: dict[tuple[int, int], list] = {}
-    for i, dim in enumerate(dims):
+    imaginary parts).  The arithmetic runs once per dimension: a matrix of
+    m < d states is padded to d with the state e_0 at weight 0, whose zero
+    terms leave every bit of rho as it was (rho never holds -0.0), so each
+    matrix equals a draw of it alone to the bit."""
+    draws = []
+    for dim in dims:
         m = int(rng.integers(1, dim + 1))
-        weights = rng.dirichlet(np.ones(m))
-        groups.setdefault((dim, m), []).append(
-            (i, weights, rng.standard_normal((m, 2, dim))))
+        draws.append((rng.dirichlet(np.ones(m)), rng.standard_normal((m, 2, dim))))
     out: list = [None] * len(dims)
-    for (dim, m), members in groups.items():
-        index, weights, z = zip(*members)
-        weights, z = np.array(weights), np.array(z)
+    for dim in set(dims):
+        index = [i for i, d in enumerate(dims) if d == dim]
+        weights = np.zeros((len(index), dim))
+        z = np.zeros((len(index), dim, 2, dim))
+        z[:, :, 0, 0] = 1.0
+        for j, i in enumerate(index):
+            w, states = draws[i]
+            weights[j, : w.size] = w
+            z[j, : w.size] = states
         vec = z[..., 0, :] + 1j * z[..., 1, :]
         vec /= _norms(vec)[..., 0]
         proj = outer_product(vec)
-        rho = np.zeros((len(members), dim, dim), dtype=np.complex128)
-        for k in range(m):
+        rho = np.zeros((len(index), dim, dim), dtype=np.complex128)
+        for k in range(dim):
             rho += weights[:, k, None, None] * proj[:, k]
         for i, r in zip(index, hermitize(rho)):
             out[i] = r

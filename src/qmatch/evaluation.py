@@ -121,10 +121,11 @@ class MetricReport:
                 )
 
 
-def require_questions(dataset: QADataset) -> None:
-    """DataError unless ``dataset`` holds a question to rank."""
+def require_questions(dataset: QADataset, purpose: str = "evaluate") -> None:
+    """DataError unless ``dataset`` holds a question (to rank, or to
+    ``purpose``); the message names the split."""
     if not dataset.questions:
-        raise DataError(f"split {dataset.split!r} has no questions to evaluate")
+        raise DataError(f"split {dataset.split!r} has no questions to {purpose}")
 
 
 def evaluate(

@@ -83,14 +83,16 @@ def backward_batch(
         g_pi = np.zeros(T)
     else:
         # per size, only each measurement's winning window was pooled
-        B = tape.window_probs.shape[0]
+        B = tape.window_probs.shape[1]
         sizes = np.arange(B)[:, None]
         cols = np.arange(k)[:, None]
-        win = np.array([tape.winners(s) for s in sel], dtype=np.int64)
-        win = win.reshape(M, B, k) + tape.starts[sel][:, None, None]  # tape tokens
+        win = np.empty((M, B, k), dtype=np.intp)
+        for i, s in enumerate(sel):
+            tape.winners(s, out=win[i])
+        win += tape.starts[sel][:, None, None]                      # tape tokens
         pos = tape.window_pos[win] - shift[:, None, None, None]     # (M, B, k, W)
-        a = tape.window_weights[sizes, win]                          # (M, B, k, W)
-        pooled = tape.window_probs[sizes, win, np.arange(k)][..., None]
+        a = tape.window_weights[win, sizes]                          # (M, B, k, W)
+        pooled = tape.window_probs[win, sizes, np.arange(k)][..., None]
         # pooled = sum_o a_o inner_sq_o with a = softmax of pi over the window
         g_a = g.reshape(M, B, k, 1) * a                  # d pooled/d inner_sq_o
         g_sq = np.bincount((pos * k + cols).ravel(), g_a.ravel(), minlength=T * k)
@@ -135,9 +137,10 @@ def backward_batch(
         d_measurements=np.zeros_like(params.measurements),
         rows=touched,
     )
+    g_inner_h = g_inner.conj()
     for start, length in zip(offsets, lengths):
         span = slice(start, start + length)
-        g_meas = g_inner[span].conj().T @ states[span]
+        g_meas = g_inner_h[span].T @ states[span]
         if not config.complex_valued:
             g_meas = g_meas.real.astype(np.complex128)
         grads.d_measurements += g_meas

@@ -91,7 +91,9 @@ def match_weight_map(
         q_cols, a_cols = reps[None, :1], reps[None, 1:]
     else:
         widths = config.window_sizes
-        q_cols, a_cols = (tape.window_probs[:, tape.span(s)] for s in (0, 1))
+        q_cols, a_cols = (
+            tape.window_probs[tape.span(s)].transpose(1, 0, 2) for s in (0, 1)
+        )
     sims = cosines(q_cols[:, :, None], a_cols[:, None])[0][..., 0]  # (B, Lq, La)
 
     flat = sims.ravel().tolist()
@@ -106,7 +108,8 @@ def match_weight_map(
         if is_global:
             w = np.full(L, 1.0 / L)
         else:
-            w = tape.window_weights[size, tape.span(s)][j, : min(widths[size], L - j)]
+            t = tape.starts[s] + j
+            w = tape.window_weights[t, size, : min(widths[size], L - j)]
         return WindowWeights(start=int(j), tokens=tokens[j : j + w.size], weights=w)
 
     return MatchWeightMap(

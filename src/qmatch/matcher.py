@@ -16,8 +16,11 @@ The measurement probabilities come from the factored identity
 gives each distinct word (each token occurrence under embedding dropout)
 its weight, unit state and Born row |<v|w>|^2 in one product; a row's bits
 depend on that word alone.  The window stage puts every window's softmax
-in one (sizes, tokens, width) array, each shifted by its own max norm so
-no gap overflows, and max-pools each sentence's windows.  The global
+in one token-major (tokens, sizes, width) array, each shifted by its own
+max norm so no gap overflows; a window reads its own sentence's words
+only, so a non-finite word stays in its sentence.  Window t starts at
+token t, so a sentence's windows are one contiguous block of rows, and
+max-pooling reduces each block in place.  The global
 mixture (one order-blind mixed system per sentence) averages the
 sentence's Born rows in ascending table-row order, so a permuted sentence
 gets the same bits.
@@ -79,7 +82,8 @@ class BatchTape:
     sentence s holds tokens ``starts[s]`` to ``starts[s] + lengths[s]``.
     Word quantities live on table rows: one row per distinct id without
     embedding dropout, one row per token with it (its mask is per token).
-    Window arrays are per token too: window t starts at token t.
+    Window arrays are token-major: window t starts at token t, so sentence
+    s's windows are rows ``span(s)`` of each window array.
     """
 
     lengths: np.ndarray          # (N,) tokens per sentence after truncation
@@ -96,8 +100,8 @@ class BatchTape:
     inner_sq: np.ndarray         # (U, k) |<v_k|w>|^2, the Born table
     # B window sizes, widest W; B = W = 0 under the global mixture
     window_pos: np.ndarray       # (T, W) token at each window offset (clipped)
-    window_weights: np.ndarray   # (B, T, W) softmax word weights, 0 off-window
-    window_probs: np.ndarray     # (B, T, k) measurement probabilities
+    window_weights: np.ndarray   # (T, B, W) softmax word weights, 0 off-window
+    window_probs: np.ndarray     # (T, B, k) measurement probabilities
     pooled_mask: np.ndarray | None   # (N, R) dropout mask on pooled vectors
 
     def span(self, s: int) -> slice:
@@ -105,10 +109,11 @@ class BatchTape:
         start = int(self.starts[s])
         return slice(start, start + int(self.lengths[s]))
 
-    def winners(self, s: int) -> np.ndarray:
+    def winners(self, s: int, out: np.ndarray | None = None) -> np.ndarray:
         """(B, k) start of each measurement's winning window in sentence s,
-        counted from the sentence's first token; ties go to the lowest."""
-        return self.window_probs[:, self.span(s)].argmax(axis=1)
+        counted from the sentence's first token; ties go to the lowest.
+        ``out``, an intp array, takes the result in place."""
+        return self.window_probs[self.span(s)].argmax(axis=0, out=out)
 
 
 def _truncate(token_ids: np.ndarray, config: TrainerConfig) -> np.ndarray:
@@ -176,18 +181,18 @@ def _window_stage(
             [tok_sq[a : a + L].mean(axis=0) for a, L in zip(starts, lengths)]
         )
         no_windows = np.zeros((T, 0), dtype=np.int64)
-        return pooled, no_windows, np.zeros((0, T, 0)), np.zeros((0, T, k))
+        return pooled, no_windows, np.zeros((T, 0, 0)), np.zeros((T, 0, k))
     sizes = np.asarray(config.window_sizes)
     offsets = np.arange(sizes.max())
     tokens = np.arange(T)
     ends = np.repeat(starts + lengths, lengths)          # (T,) sentence ends
     reach = tokens[:, None] + offsets                    # (T, W)
     window_pos = np.minimum(reach, ends[:, None] - 1)
-    inside = (reach < ends[:, None]) & (offsets < sizes[:, None, None])
+    inside = (reach < ends[:, None])[:, None] & (offsets < sizes[:, None])
     # softmax over each window's norms, shifted by that window's max; max
     # and sum run offset by offset, in the order a short reduction takes
     window_rows = rows[window_pos]
-    logits = np.where(inside, pi[window_rows], -np.inf)  # (B, T, W)
+    logits = np.where(inside, pi[window_rows][:, None], -np.inf)  # (T, B, W)
     top = logits[:, :, 0].copy()
     for o in offsets[1:]:
         np.maximum(top, logits[:, :, o], out=top)
@@ -196,10 +201,12 @@ def _window_stage(
     for o in offsets[1:]:
         total += e[:, :, o]
     weights = e / total[:, :, None]
-    probs = (weights[:, :, None, :] @ inner_sq[window_rows])[:, :, 0, :]
-    # max-pool each sentence's windows
-    pooled = np.maximum.reduceat(probs, starts, axis=1)
-    pooled = pooled.transpose(1, 0, 2).reshape(lengths.size, sizes.size * k)
+    probs = (weights[:, :, None, :] @ inner_sq[window_rows][:, None])[:, :, 0]
+    # a sentence's windows are one block of token rows: max-pool each block
+    pooled = np.empty((lengths.size, sizes.size, k))
+    for s, (a, L) in enumerate(zip(starts, lengths)):
+        np.maximum.reduce(probs[a : a + L], axis=0, out=pooled[s])
+    pooled = pooled.reshape(lengths.size, sizes.size * k)
     return pooled, window_pos, weights, probs
 
 

@@ -184,7 +184,9 @@ def train(
 ) -> TrainResult:
     """Full training run; deterministic for a fixed config/seed/data.
     ``pretrained`` maps tokens to amplitude vectors (``read_glove_vectors``).
-    A ``dev_set`` with no question is a DataError before the first epoch."""
+    A ``train_set`` or ``dev_set`` with no question is a DataError before
+    the first epoch."""
+    require_questions(train_set, "train on")
     if dev_set is not None:
         require_questions(dev_set)
     if vocab is None:

@@ -426,9 +426,9 @@ def test_glove_grid_over_two_widths_exits_2_before_reading_data(
 
 
 @pytest.fixture()
-def empty_dev_tsv(tmp_path):
+def empty_tsv(tmp_path):
     """A split whose one question has no positive, so loading keeps none."""
-    path = tmp_path / "empty_dev.tsv"
+    path = tmp_path / "empty.tsv"
     path.write_text("q1\task key0\techo key1 reply\t0\n", encoding="utf-8")
     return path
 
@@ -439,16 +439,16 @@ def with_dev(args, dev_path):
 
 
 def test_train_with_an_empty_dev_split_exits_3_before_writing(
-    toy_tsv, empty_dev_tsv, tmp_path, capsys
+    toy_tsv, empty_tsv, tmp_path, capsys
 ):
     out = tmp_path / "run"
-    assert main(with_dev(train_args(toy_tsv, out), empty_dev_tsv)) == 3
+    assert main(with_dev(train_args(toy_tsv, out), empty_tsv)) == 3
     assert "split 'dev' has no questions to evaluate" in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_grid_search_with_an_empty_dev_split_keeps_an_earlier_search(
-    toy_tsv, empty_dev_tsv, tmp_path, capsys
+    toy_tsv, empty_tsv, tmp_path, capsys
 ):
     out = tmp_path / "grid"
     assert main(grid_args(toy_tsv, tmp_path, {"seed": [1, 2]}, out)) == 0
@@ -456,9 +456,36 @@ def test_grid_search_with_an_empty_dev_split_keeps_an_earlier_search(
               for name in (GRID_RESULTS_NAME, BEST_CHECKPOINT_NAME)}
     capsys.readouterr()
     args = with_dev(grid_args(toy_tsv, tmp_path, {"seed": [1, 2]}, out),
-                    empty_dev_tsv)
+                    empty_tsv)
     assert main(args) == 3
     assert "split 'dev' has no questions to evaluate" in capsys.readouterr().err
+    assert {name: (out / name).read_bytes() for name in before} == before
+
+
+def test_train_with_an_empty_training_split_exits_3_before_writing(
+    toy_tsv, empty_tsv, tmp_path, capsys
+):
+    # the training split keeps no question, so no checkpoint can learn
+    out = tmp_path / "run"
+    args = train_args(toy_tsv, out)
+    args[args.index("--dataset") + 1] = str(empty_tsv)
+    assert main(args) == 3
+    assert "split 'train' has no questions to train on" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_grid_search_with_an_empty_training_split_keeps_an_earlier_search(
+    toy_tsv, empty_tsv, tmp_path, capsys
+):
+    out = tmp_path / "grid"
+    assert main(grid_args(toy_tsv, tmp_path, {"seed": [1, 2]}, out)) == 0
+    before = {name: (out / name).read_bytes()
+              for name in (GRID_RESULTS_NAME, BEST_CHECKPOINT_NAME)}
+    capsys.readouterr()
+    args = grid_args(toy_tsv, tmp_path, {"seed": [1, 2]}, out)
+    args[args.index("--dataset") + 1] = str(empty_tsv)
+    assert main(args) == 3
+    assert "split 'train' has no questions to train on" in capsys.readouterr().err
     assert {name: (out / name).read_bytes() for name in before} == before
 
 

@@ -309,6 +309,17 @@ def test_bulk_draws_equal_single_draws_to_the_bit():
     assert rngs[0].bit_generator.state == rngs[2].bit_generator.state
 
 
+def test_padded_draws_of_mixed_dimensions_equal_the_per_state_oracle():
+    # each dimension is one padded group: its weight-0 e_0 states must not
+    # move a bit of any of 3,000 matrices of 1..d states
+    dims = [int(d) for d in np.random.default_rng(24).integers(2, 10, size=3000)]
+    rngs = [np.random.default_rng(2024) for _ in range(2)]
+    bulk = random_densities(rngs[0], dims)
+    oracle = [per_state_density(rngs[1], d) for d in dims]
+    assert [r.tobytes() for r in bulk] == [r.tobytes() for r in oracle]
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
 @pytest.mark.parametrize("dim", [4, 9])
 def test_stacked_norms_equal_numpy_norm_to_the_bit(dim):
     # dot products over contiguous copies of the real and imaginary parts

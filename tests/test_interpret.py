@@ -176,7 +176,8 @@ def test_match_map_near_tie_goes_to_the_first_pair_in_scan_order():
         params,
         config,
     )
-    q_cols, a_cols = (tape.window_probs[:, tape.span(s)] for s in (0, 1))
+    q_cols, a_cols = (tape.window_probs[tape.span(s)].transpose(1, 0, 2)
+                      for s in (0, 1))
     assert cosines(q_cols[:, :, None], a_cols[:, None])[0].max() > result.similarity
 
 

@@ -15,6 +15,7 @@ from qmatch.matcher import (
     score,
     triplet_loss,
 )
+from qmatch.gradients import backward_batch
 from qmatch.model import TrainerConfig, init_parameters
 from qmatch.reference import represent_dense
 
@@ -318,8 +319,8 @@ def test_forward_batch_equals_represent_per_sentence(overrides):
         span = tape.span(s)
         assert np.array_equal(tape.ids[span], single.ids)
         assert np.array_equal(tape.winners(s), single.winners(0))
-        assert np.array_equal(tape.window_weights[:, span], single.window_weights)
-        assert np.array_equal(tape.window_probs[:, span], single.window_probs)
+        assert np.array_equal(tape.window_weights[span], single.window_weights)
+        assert np.array_equal(tape.window_probs[span], single.window_probs)
 
 
 def test_global_mixture_is_blind_to_token_order():
@@ -345,8 +346,8 @@ def test_winners_ties_go_to_the_lowest_window():
     config = small_config(window_sizes=(1, 2))
     params = make_params(config)
     _, tape = forward_batch([np.array([7, 7, 7, 7]), np.array([5])], params, config)
-    probs = tape.window_probs[:, tape.span(0)]
-    assert np.array_equal(probs, np.broadcast_to(probs[:, :1], probs.shape))
+    probs = tape.window_probs[tape.span(0)]
+    assert np.array_equal(probs, np.broadcast_to(probs[:1], probs.shape))
     for s in range(2):
         assert np.array_equal(tape.winners(s), np.zeros((2, config.num_measurements)))
 
@@ -356,11 +357,85 @@ def test_winners_index_the_pooled_values():
     params = make_params(config)
     reps, tape = forward_batch(mixed_batch(), params, config)
     for s in range(reps.shape[0]):
-        probs = tape.window_probs[:, tape.span(s)]   # (B, L, k)
+        probs = tape.window_probs[tape.span(s)]      # (L, B, k)
         winners = tape.winners(s)                    # (B, k)
-        picked = np.take_along_axis(probs, winners[:, None, :], axis=1)[:, 0]
-        assert np.array_equal(picked, probs.max(axis=1))
+        picked = np.take_along_axis(probs, winners[None], axis=0)[0]
+        assert np.array_equal(picked, probs.max(axis=0))
         assert np.array_equal(picked.ravel(), reps[s])
+
+
+def ragged_batch(rng, high=len(VOCAB)):
+    """Sentences of 1 token, of fewer tokens than the widest window (5
+    below), and past max_sentence_len (6 below)."""
+    return [rng.integers(2, high, size=L) for L in (1, 9, 2, 6, 1, 4, 13, 3)]
+
+
+def test_ragged_sentences_pool_their_own_windows():
+    config = small_config(window_sizes=(5, 1, 3), max_sentence_len=6)
+    params = make_params(config)
+    batch = ragged_batch(np.random.default_rng(41))
+    reps, tape = forward_batch(batch, params, config)
+    k = config.num_measurements
+    for s, ids in enumerate(batch):
+        L = min(ids.size, config.max_sentence_len)
+        assert tape.lengths[s] == L
+        first, rows = tape.starts[s], tape.rows[tape.span(s)]
+        for b, width in enumerate(config.window_sizes):
+            for j in range(L):
+                # window j: the sentence's tokens j .. j + width - 1, cut at
+                # its end
+                pi = tape.pi[rows[j : j + width]]
+                a = np.exp(pi - pi.max())
+                np.testing.assert_allclose(
+                    tape.window_probs[first + j, b],
+                    (a / a.sum()) @ tape.inner_sq[rows[j : j + width]],
+                    rtol=1e-12,
+                )
+            for m in range(k):
+                column = [tape.window_probs[first + j, b, m] for j in range(L)]
+                assert reps[s, b * k + m] == max(column)
+                assert tape.winners(s)[b, m] == column.index(max(column))
+    # the backward pass finds each listed sentence's winners on the batch
+    # tape: its gradient is the sum of the sentences' own
+    listed = [6, 0, 2, 5, 1]
+    g = np.random.default_rng(5).normal(size=(len(listed), reps.shape[1]))
+    sums = [np.zeros((len(VOCAB), config.embedding_dim)) for _ in range(2)]
+    sums.append(np.zeros_like(params.measurements))
+    for i, s in enumerate(listed):
+        _, alone = forward_batch([batch[s]], params, config)
+        grads = backward_batch(g[i : i + 1], alone, [0], params, config)
+        sums[0][grads.rows] += grads.d_amplitude
+        sums[1][grads.rows] += grads.d_phase
+        sums[2] += grads.d_measurements
+    grads = backward_batch(g, tape, listed, params, config)
+    for got, want in zip(
+        (grads.d_amplitude, grads.d_phase, grads.d_measurements),
+        (sums[0][grads.rows], sums[1][grads.rows], sums[2]),
+    ):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_a_nan_word_row_makes_only_its_own_sentence_non_finite(where):
+    # each window reads its own sentence's tokens only: a view running on
+    # past a sentence's end would carry 0 * NaN into its neighbour
+    config = small_config(window_sizes=(5, 1, 3), max_sentence_len=6)
+    params = make_params(config)
+    nan_word = len(VOCAB) - 1
+    params.phase[nan_word] = np.nan   # its state and Born row are NaN
+    batch = ragged_batch(np.random.default_rng(43), high=nan_word)
+    clean, _ = forward_batch(batch, params, config)
+    for s, ids in enumerate(batch):
+        poisoned = [ids.copy() for ids in batch]
+        L = min(ids.size, config.max_sentence_len)
+        poisoned[s][0 if where == "first" else L - 1] = nan_word
+        others = np.arange(len(batch)) != s
+        with np.errstate(invalid="ignore"):
+            reps, _ = forward_batch(poisoned, params, config)
+            grouped = represent_groups([poisoned], params, config)[0]
+        for out in (reps, grouped):
+            assert np.isnan(out[s]).all()
+            assert np.array_equal(out[others], clean[others])
 
 
 @pytest.mark.parametrize(
@@ -410,8 +485,8 @@ def test_window_weights_equal_the_reduction_softmax(widest):
     T = tape.rows.size
     ends = np.repeat(tape.starts + tape.lengths, tape.lengths)
     reach = np.arange(T)[:, None] + np.arange(widest)
-    inside = (reach < ends[:, None]) & (np.arange(widest) < sizes[:, None, None])
-    logits = np.where(inside, tape.pi[tape.rows[tape.window_pos]], -np.inf)
+    inside = (reach < ends[:, None])[:, None] & (np.arange(widest) < sizes[:, None])
+    logits = np.where(inside, tape.pi[tape.rows[tape.window_pos]][:, None], -np.inf)
     e = np.exp(logits - logits.max(axis=2, keepdims=True))
     assert np.array_equal(tape.window_weights, e / e.sum(axis=2, keepdims=True))
 

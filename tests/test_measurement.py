@@ -157,7 +157,7 @@ def max_pool(p):
     )
     params = init_parameters(Vocabulary.from_tokens(["a"]), config)
     _, tape = forward_batch([np.full(length, 2)], params, config)
-    tape = dataclasses.replace(tape, window_probs=p.T[None, :, :])
+    tape = dataclasses.replace(tape, window_probs=p.T[:, None, :])
     winners = tape.winners(0)[0]
     return p[np.arange(k), winners], winners
 

@@ -411,6 +411,14 @@ def test_train_with_an_empty_dev_split_fails_before_its_first_epoch():
     assert records == []
 
 
+def test_train_with_an_empty_training_split_fails_before_its_first_epoch():
+    records = []
+    with pytest.raises(DataError, match="split 'train' has no questions to train on"):
+        train(QADataset(split="train", questions=[]), toy_corpus(num_questions=2),
+              small_config(epochs=2), log_fn=records.append)
+    assert records == []
+
+
 def test_train_returns_snapshot_of_best_dev_epoch():
     ds = toy_corpus(num_questions=4)
     result = train(ds, ds, small_config(epochs=6))
