@@ -352,6 +352,9 @@ def cmd_metric_audit(args) -> int:
     )
     if not names or not args.dims:
         raise ConfigError("--metrics and --dims must each name at least one entry")
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise ConfigError(f"--metrics names {', '.join(repeated)} more than once")
     reports = audit_metrics(names, trials=args.trials, dims=args.dims, seed=args.seed)
     table = render_audit_table(reports)
     out = _out_dir(args)

@@ -64,20 +64,6 @@ def _two_state_family(alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return alpha * p1 + (1.0 - alpha) * p2, p1, p2
 
 
-def identity_counterexample_gap(alpha: float) -> float:
-    """Self-overlap gap tr(rho_a^2) - tr(rho_a rho_b) for the two-state family
-    rho_a = alpha P1 + (1-alpha) P2, rho_b = P1 over an orthonormal pair.
-
-    Equals 2*alpha^2 - 3*alpha + 1 = (alpha-1)(2*alpha-1); its sign change
-    across alpha = 1/2 shows the trace inner product can rate a *different*
-    matrix above a matrix's own self-similarity.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
-    rho_a, p1, _ = _two_state_family(alpha)
-    return trace_inner_product(rho_a, rho_a) - trace_inner_product(rho_a, p1)
-
-
 def _log_density(rho: np.ndarray) -> np.ndarray:
     return matrix_function(rho, np.log, eigen_floor=LOG_EIGEN_FLOOR)
 
@@ -175,34 +161,35 @@ def _norms(vec: np.ndarray) -> np.ndarray:
 def random_densities(rng: np.random.Generator, dims: list[int]) -> list[np.ndarray]:
     """One mixture of 1..d random pure states with Dirichlet(1,..,1)
     weights per entry d of ``dims``.  The generator is read matrix by
-    matrix (the number of states, the weights, then each state's real and
-    imaginary parts).  The arithmetic runs once per dimension: a matrix of
-    m < d states is padded to d with the state e_0 at weight 0, whose zero
-    terms leave every bit of rho as it was (rho never holds -0.0), so each
-    matrix equals a draw of it alone to the bit."""
-    draws = []
+    matrix: the number of states m, m standard exponentials, then each
+    state's real and imaginary parts.  The weights are the exponentials
+    times the reciprocal of their left-to-right sum, which is how
+    ``Generator.dirichlet`` draws at alpha = 1, bit for bit and in the
+    same generator order.  The draws land in one padded stack per
+    dimension, where a matrix of m < d states is padded with the state e_0
+    at weight 0; those zero terms leave every bit of rho as it was (rho
+    never holds -0.0), so each matrix equals a draw of it alone to the bit."""
+    weights = {dim: np.zeros((dims.count(dim), dim)) for dim in dict.fromkeys(dims)}
+    z = {dim: np.zeros((len(w), dim, 2, dim)) for dim, w in weights.items()}
+    for stack in z.values():
+        stack[:, :, 0, 0] = 1.0
+    slots = {dim: zip(w, z[dim]) for dim, w in weights.items()}
     for dim in dims:
+        w, states = next(slots[dim])
         m = int(rng.integers(1, dim + 1))
-        draws.append((rng.dirichlet(np.ones(m)), rng.standard_normal((m, 2, dim))))
-    out: list = [None] * len(dims)
-    for dim in set(dims):
-        index = [i for i, d in enumerate(dims) if d == dim]
-        weights = np.zeros((len(index), dim))
-        z = np.zeros((len(index), dim, 2, dim))
-        z[:, :, 0, 0] = 1.0
-        for j, i in enumerate(index):
-            w, states = draws[i]
-            weights[j, : w.size] = w
-            z[j, : w.size] = states
-        vec = z[..., 0, :] + 1j * z[..., 1, :]
+        rng.standard_exponential(out=w[:m])
+        rng.standard_normal(out=states[:m])
+    rhos = {}
+    for dim, w in weights.items():
+        w *= 1.0 / np.cumsum(w, axis=1)[:, -1:]
+        vec = z[dim][..., 0, :] + 1j * z[dim][..., 1, :]
         vec /= _norms(vec)[..., 0]
         proj = outer_product(vec)
-        rho = np.zeros((len(index), dim, dim), dtype=np.complex128)
+        rho = np.zeros((len(w), dim, dim), dtype=np.complex128)
         for k in range(dim):
-            rho += weights[:, k, None, None] * proj[:, k]
-        for i, r in zip(index, hermitize(rho)):
-            out[i] = r
-    return out
+            rho += w[:, k, None, None] * proj[:, k]
+        rhos[dim] = iter(hermitize(rho))
+    return [next(rhos[dim]) for dim in dims]
 
 
 @dataclass
@@ -392,6 +379,15 @@ def _audit(report: MetricAuditReport, table: Table, drawn: list) -> None:
             _audit_triple(report, max(int(t) - len(injected), -1), cases[t], todo)
 
 
+def _least_int(name: str, value, least: int) -> int:
+    """``value`` as a plain int, if it is an integer (a numpy one too, but
+    not a bool) of at least ``least``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < least):
+        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def audit_metrics(
     metrics: list[str | MetricFn],
     trials: int,
@@ -402,37 +398,44 @@ def audit_metrics(
     """Property-test each measure against the four axioms on one draw.
 
     A measure is a registered name, audited as its registered kind, or a
-    callable of kind ``kind`` (then required).  The ``trials`` random
+    callable of kind ``kind`` (then required: similarity, divergence or
+    distance).  The ``trials`` random
     triples are drawn once and shared; known seeded counterexamples are
-    injected ahead of them and marked with trial index -1.
+    injected ahead of them and marked with trial index -1.  Every argument
+    is checked before anything is drawn: ``trials``, ``seed`` and each of
+    ``dims`` must be integers (numpy ones too, but not bools), and the
+    reports hold them as plain ints.
     """
+    metrics = list(metrics)
+    if not metrics:
+        raise DomainError("metrics must name at least one measure")
     measures = []       # (name, kind, table)
     for metric in metrics:
         if callable(metric):
-            if kind is None:
-                raise DomainError("kind is required for custom metric callables")
+            if kind not in (SIMILARITY, DIVERGENCE, DISTANCE):
+                raise DomainError(f"kind must name a metric kind for a custom "
+                                  f"metric callable, got {kind!r}")
             measures.append((getattr(metric, "__name__", "custom"), kind,
                              functools.partial(_pairwise_table, metric)))
-        elif metric in _MEASURES:
+        elif isinstance(metric, str) and metric in _MEASURES:
             measure_kind, _, table, _ = _MEASURES[metric]
             measures.append((metric, measure_kind, table))
         else:
             raise DomainError(
                 f"unknown metric {metric!r}; choose from {sorted(_MEASURES)}"
             )
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
-    if not dims or any(d < 2 for d in dims):
-        raise DomainError("dims must be dimensions >= 2")
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    trials = _least_int("trials", trials, 1)
+    dims = tuple(_least_int("each of dims", d, 2) for d in dims)
+    if not dims:
+        raise DomainError("dims must name at least one dimension")
+    seed = _least_int("seed", seed, 0)
     mats = random_densities(np.random.default_rng(seed), [
-        int(dims[trial % len(dims)]) for trial in range(trials) for _ in range(3)
+        dims[trial % len(dims)] for trial in range(trials) for _ in range(3)
     ])
     drawn = list(zip(mats[0::3], mats[1::3], mats[2::3]))
     reports = []
     for name, measure_kind, table in measures:
-        reports.append(MetricAuditReport(name, measure_kind, trials, tuple(dims), seed))
+        reports.append(MetricAuditReport(name, measure_kind, trials, dims, seed))
         _audit(reports[-1], table, drawn)
     return reports
 

@@ -18,7 +18,6 @@ bit-identical to what it gets alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -163,37 +162,3 @@ def matrix_function(
             f"matrix function produced non-finite eigenvalues for {_first(bad)[1]}"
         )
     return (eig.vectors * fvals[..., None, :]) @ _dagger(eig.vectors)
-
-
-def complex_add_polar(
-    r1: float, theta1: float, r2: float, theta2: float
-) -> tuple[float, float]:
-    """Add two complex numbers given in polar form, returning polar form.
-
-    Magnitude: r = sqrt(r1^2 + r2^2 + 2 r1 r2 cos(d)), d = theta2 - theta1,
-    evaluated in the half-angle form (r1+r2)^2 - 4 r1 r2 sin^2(d/2) while
-    cos(d) >= 0, so that aligned phases degenerate to plain real addition
-    without roundoff.  Past that the form would cancel, so near-opposite
-    phases use (r1-r2)^2 + 4 r1 r2 cos^2(d/2), a sum of non-negative
-    terms with cos(d/2) taken as sin((pi - d)/2).  Angle: atan2 of the
-    rectangular components; a zero-length result takes theta = 0 by
-    convention.
-    """
-    for name, r in (("r1", r1), ("r2", r2)):
-        if r < 0.0 or not math.isfinite(r):
-            raise DomainError(f"{name} must be a finite non-negative magnitude, got {r}")
-    if not (math.isfinite(theta1) and math.isfinite(theta2)):
-        raise DomainError("phases must be finite")
-    delta = theta2 - theta1
-    half_sin_sq = math.sin(0.5 * delta) ** 2
-    if half_sin_sq <= 0.5:
-        radicand = (r1 + r2) ** 2 - 4.0 * r1 * r2 * half_sin_sq
-    else:
-        half_cos = math.sin(0.5 * (math.pi - delta))
-        radicand = (r1 - r2) ** 2 + 4.0 * r1 * r2 * half_cos**2
-    r = math.sqrt(max(radicand, 0.0))
-    if r == 0.0:
-        return 0.0, 0.0
-    re = r1 * math.cos(theta1) + r2 * math.cos(theta2)
-    im = r1 * math.sin(theta1) + r2 * math.sin(theta2)
-    return r, math.atan2(im, re)

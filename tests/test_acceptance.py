@@ -21,16 +21,16 @@ import numpy as np
 import pytest
 
 import test_gradients as fd
+from oracles import complex_add_polar, identity_counterexample_gap
 from test_scripts import script
 from qmatch.data import FORMAT_PRESETS, load_tsv
 from qmatch.density_metrics import (
     audit_metrics,
-    identity_counterexample_gap,
     random_densities,
     trace_inner_product,
 )
 from qmatch.embedding import assemble_word_vector, normalize_word
-from qmatch.linalg import complex_add_polar, hermitian_eig, outer_product
+from qmatch.linalg import hermitian_eig, outer_product
 from qmatch.reference import global_mixture, local_mixture, measure_all, slide_windows
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")

@@ -632,6 +632,15 @@ def test_metric_audit_empty_list_exits_2(flag, tmp_path, capsys):
     assert not (tmp_path / AUDIT_TABLE_NAME).exists()
 
 
+def test_metric_audit_repeated_metric_exits_2(tmp_path, capsys):
+    out = tmp_path / "audit"
+    rc = main(["metric-audit", "--trials", "5", "--metrics", "fidelity, sym_vn,fidelity",
+               "--out", str(out)])
+    assert rc == 2
+    assert "--metrics names fidelity more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flag, message",
     [

@@ -7,12 +7,14 @@ self-overlap gap.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import identity_counterexample_gap
 from qmatch import density_metrics
 from qmatch.density_metrics import (
     AUDIT_TOL,
@@ -24,7 +26,6 @@ from qmatch.density_metrics import (
     audit_metric,
     audit_metrics,
     fidelity,
-    identity_counterexample_gap,
     random_densities,
     render_audit_table,
     report_to_dict,
@@ -311,13 +312,33 @@ def test_bulk_draws_equal_single_draws_to_the_bit():
 
 def test_padded_draws_of_mixed_dimensions_equal_the_per_state_oracle():
     # each dimension is one padded group: its weight-0 e_0 states must not
-    # move a bit of any of 3,000 matrices of 1..d states
-    dims = [int(d) for d in np.random.default_rng(24).integers(2, 10, size=3000)]
+    # move a bit of any of 3,000 matrices of 1..d states, d = 2..16
+    dims = [int(d) for d in np.random.default_rng(24).integers(2, 17, size=3000)]
     rngs = [np.random.default_rng(2024) for _ in range(2)]
     bulk = random_densities(rngs[0], dims)
     oracle = [per_state_density(rngs[1], d) for d in dims]
     assert [r.tobytes() for r in bulk] == [r.tobytes() for r in oracle]
     assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+def test_exponentials_over_their_running_sum_are_numpys_dirichlet():
+    # random_densities draws Dirichlet(1,..,1) weights as m standard
+    # exponentials times the reciprocal of their left-to-right sum
+    for m in range(1, 17):
+        for seed in range(200):
+            rngs = [np.random.default_rng([seed, m]) for _ in range(2)]
+            expected = rngs[0].dirichlet(np.ones(m))
+            weights = rngs[1].standard_exponential(m)
+            weights *= 1.0 / np.cumsum(weights)[-1]
+            assert weights.tobytes() == expected.tobytes(), (
+                f"Generator.dirichlet at alpha = 1 no longer equals m = {m} "
+                "standard exponentials times the reciprocal of their running "
+                f"sum (seed {seed}); random_densities relies on that construction"
+            )
+            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state, (
+                f"Generator.dirichlet at alpha = 1 reads the generator "
+                f"differently from m = {m} standard exponentials (seed {seed})"
+            )
 
 
 @pytest.mark.parametrize("dim", [4, 9])
@@ -412,6 +433,50 @@ def test_audit_rejects_bad_arguments():
         audit_metric("fidelity", trials=5, dims=(1,))
     with pytest.raises(DomainError, match="seed"):
         audit_metrics(["fidelity"], trials=5, seed=-1)
+
+
+@pytest.mark.parametrize(
+    "arguments, message",
+    [
+        ({"trials": True}, "trials must be an integer >= 1, got True"),
+        ({"trials": 2.5}, "trials must be an integer >= 1, got 2.5"),
+        ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
+        ({"seed": np.True_}, "seed must be an integer >= 0"),
+        ({"dims": (2, 3.0)}, "each of dims must be an integer >= 2, got 3.0"),
+        ({"dims": (2, True)}, "each of dims must be an integer >= 2, got True"),
+        ({"dims": np.array([], dtype=int)}, "dims must name at least one dimension"),
+        ({"metrics": []}, "metrics must name at least one measure"),
+        ({"metrics": [["fidelity"]]}, "unknown metric ['fidelity']"),
+        ({"metrics": [fidelity], "kind": "metric"},
+         "kind must name a metric kind for a custom metric callable, got 'metric'"),
+    ],
+    ids=["trials-bool", "trials-float", "seed-float", "seed-numpy-bool",
+         "dims-float", "dims-bool", "dims-empty-array", "metrics-empty",
+         "metrics-unhashable", "kind-unknown"],
+)
+def test_audit_rejects_mistyped_arguments_before_drawing(arguments, message,
+                                                         monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("random_densities ran before the arguments were checked")
+
+    monkeypatch.setattr(density_metrics, "random_densities", no_draw)
+    call = {"metrics": ["fidelity"], "trials": 3, **arguments}
+    with pytest.raises(DomainError, match=re.escape(message)):
+        audit_metrics(**call)
+
+
+@pytest.mark.parametrize(
+    "arguments",
+    [{"dims": tuple(np.arange(2, 4)), "trials": np.int64(4), "seed": np.uint8(3)},
+     {"dims": np.arange(2, 4), "trials": 4, "seed": 3}],
+    ids=["numpy-scalars", "dims-array"],
+)
+def test_audit_accepts_numpy_integers_and_reports_plain_ints(arguments):
+    report = audit_metric("fidelity", **arguments)
+    plain = audit_metric("fidelity", trials=4, dims=(2, 3), seed=3)
+    assert report.dims == (2, 3)
+    assert [type(x) for x in (report.trials, report.seed, *report.dims)] == [int] * 4
+    assert json.dumps(report_to_dict(report)) == json.dumps(report_to_dict(plain))
 
 
 @pytest.mark.parametrize("seed", [0, 7, 11])
