@@ -180,8 +180,7 @@ def load_tsv(
     ids number the kept candidates of a question from zero in file order.
     """
     report = LoadReport(path=path, split=split)
-    groups: dict[str, QuestionGroup] = {}
-    order: list[str] = []
+    groups: dict[str, QuestionGroup] = {}   # in first-appearance order
     question, q_joined = None, ""   # the last question text seen, its tokens
     with _open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -212,15 +211,13 @@ def load_tsv(
                 continue
             if qid not in groups:
                 groups[qid] = QuestionGroup(qid, question, token_text=q_joined)
-                order.append(qid)
             candidates = groups[qid].candidates
             candidates.append(
                 CandidateAnswer(len(candidates), answer, label, token_text=a_joined)
             )
 
     kept: list[QuestionGroup] = []
-    for qid in order:
-        group = groups[qid]
+    for group in groups.values():
         if not group.positives():
             report.questions_dropped_no_positive += 1
             continue

@@ -2,21 +2,20 @@
 empirical axiom auditor.
 
 The auditor draws random density-matrix triples (a, b, c) once and checks
-every measure against four classical axioms (non-negativity, identity of
-indiscernibles, symmetry, triangle inequality).  Similarity-style measures
-read identity as self-maximum — s(a,a) >= s(a,b) — and apply the triangle
-axiom to the induced squared distance s(a,a) + s(b,b) - 2 s(a,b).  A
-measure's table holds its values on every pair the axioms read, for all
-trials of one dimension: stacked work (each matrix decomposed once) equal
-to the plain function's values to the bit, or plain calls of a callable.
-Each axiom's gap is one array over all trials; a flagged trial's
+every registered measure, as its registered kind, against four classical
+axioms (non-negativity, identity of indiscernibles, symmetry, triangle
+inequality).  Similarity-style measures read identity as self-maximum —
+s(a,a) >= s(a,b) — and apply the triangle axiom to the induced squared
+distance s(a,a) + s(b,b) - 2 s(a,b).  A measure's table holds its values
+on every pair the axioms read, for all trials of one dimension: stacked
+work (each matrix decomposed once) equal to the plain function's values to
+the bit.  Each axiom's gap is one array over all trials; a flagged trial's
 violation is stored with that gap and the matrices it reads, so an audit
-makes no plain call of a registered measure.
+makes no plain call of a measure.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -325,11 +324,6 @@ def _fidelity_table(mats: np.ndarray) -> np.ndarray:
     return out[:, [0, 0, 1, 2, 3, 3, 3]]
 
 
-def _pairwise_table(fn: MetricFn, mats: np.ndarray) -> np.ndarray:
-    """A callable's table: one plain call per trial and pair of ``_PAIRS``."""
-    return np.array([[fn(trio[i], trio[j]) for i, j in zip(_I, _J)] for trio in mats])
-
-
 # One row per registered measure: (kind, plain function, table, the report's
 # cost note in the matrix dimension d).  The table holds the measure's
 # values over ``_PAIRS`` for an (n, 3, d, d) stack of trials, each equal to
@@ -350,7 +344,6 @@ _MEASURES: dict[str, tuple[str, MetricFn, Table, str]] = {
         lambda mats: np.sqrt(np.maximum(0.0, 1.0 - _fidelity_table(mats))),
         "O(d^3), one decomposition per matrix (sqrt) and pair"),
 }
-METRIC_KINDS: dict[str, str] = {name: row[0] for name, row in _MEASURES.items()}
 METRIC_FNS: dict[str, MetricFn] = {name: row[1] for name, row in _MEASURES.items()}
 
 
@@ -389,38 +382,25 @@ def _least_int(name: str, value, least: int) -> int:
 
 
 def audit_metrics(
-    metrics: list[str | MetricFn],
+    metrics: list[str],
     trials: int,
     dims: tuple[int, ...] = (2, 3, 4),
     seed: int = 0,
-    kind: str | None = None,
 ) -> list[MetricAuditReport]:
-    """Property-test each measure against the four axioms on one draw.
+    """Property-test each registered measure named in ``metrics`` against
+    the four axioms on one draw, as its registered kind.
 
-    A measure is a registered name, audited as its registered kind, or a
-    callable of kind ``kind`` (then required: similarity, divergence or
-    distance).  The ``trials`` random
-    triples are drawn once and shared; known seeded counterexamples are
-    injected ahead of them and marked with trial index -1.  Every argument
-    is checked before anything is drawn: ``trials``, ``seed`` and each of
-    ``dims`` must be integers (numpy ones too, but not bools), and the
-    reports hold them as plain ints.
+    The ``trials`` random triples are drawn once and shared; known seeded
+    counterexamples are injected ahead of them and marked with trial index
+    -1.  Every argument is checked before anything is drawn: ``trials``,
+    ``seed`` and each of ``dims`` must be integers (numpy ones too, but not
+    bools), and the reports hold them as plain ints.
     """
     metrics = list(metrics)
     if not metrics:
         raise DomainError("metrics must name at least one measure")
-    measures = []       # (name, kind, table)
     for metric in metrics:
-        if callable(metric):
-            if kind not in (SIMILARITY, DIVERGENCE, DISTANCE):
-                raise DomainError(f"kind must name a metric kind for a custom "
-                                  f"metric callable, got {kind!r}")
-            measures.append((getattr(metric, "__name__", "custom"), kind,
-                             functools.partial(_pairwise_table, metric)))
-        elif isinstance(metric, str) and metric in _MEASURES:
-            measure_kind, _, table, _ = _MEASURES[metric]
-            measures.append((metric, measure_kind, table))
-        else:
+        if not isinstance(metric, str) or metric not in _MEASURES:
             raise DomainError(
                 f"unknown metric {metric!r}; choose from {sorted(_MEASURES)}"
             )
@@ -434,22 +414,22 @@ def audit_metrics(
     ])
     drawn = list(zip(mats[0::3], mats[1::3], mats[2::3]))
     reports = []
-    for name, measure_kind, table in measures:
-        reports.append(MetricAuditReport(name, measure_kind, trials, dims, seed))
+    for name in metrics:
+        kind, _, table, _ = _MEASURES[name]
+        reports.append(MetricAuditReport(name, kind, trials, dims, seed))
         _audit(reports[-1], table, drawn)
     return reports
 
 
 def audit_metric(
-    metric: str | MetricFn,
+    metric: str,
     trials: int,
     dims: tuple[int, ...] = (2, 3, 4),
     seed: int = 0,
-    kind: str | None = None,
 ) -> MetricAuditReport:
-    """Property-test one measure against the four axioms: the one-measure
-    view of ``audit_metrics``."""
-    return audit_metrics([metric], trials, dims, seed, kind)[0]
+    """Property-test one registered measure against the four axioms: the
+    one-measure view of ``audit_metrics``."""
+    return audit_metrics([metric], trials, dims, seed)[0]
 
 
 _AXIOM_COLUMNS = ("non_negativity", "identity", "symmetry", "triangle")
@@ -470,7 +450,7 @@ def render_audit_table(reports: list[MetricAuditReport]) -> str:
             mark = "-" if res.violated else "+"
             cells.append(f"{mark} ({res.status})")
         cells.append("n/a")
-        cells.append(_MEASURES[rep.metric][3] if rep.metric in _MEASURES else "n/a")
+        cells.append(_MEASURES[rep.metric][3])
         rows.append(cells)
     widths = [max(len(r[i]) for r in rows) for i in range(len(headers))]
     lines = []

@@ -14,11 +14,13 @@ dL/dRe(z) + i*dL/dIm(z), which makes the two bilinear rules
 the only complex calculus needed.
 
 ``backward_batch`` differentiates a whole ``forward_batch`` tape in one
-pass, and ``batch_grad`` runs one SGD batch of triplets through both; the
-hinge head scores the batch's row pairs with ``matcher.cosines``, the
-cosine ranking uses.  A gradient set covers the touched vocabulary rows
-only; token gradients reach each row in sentence order and, within a
-sentence, in token order.  ``triplet_grad`` and ``backward_sentence`` are
+pass, and ``batch_grad`` runs one SGD batch of triplets through both,
+with dropout exactly when it is given a generator; the hinge head scores
+the batch's row pairs with ``matcher.cosines``, the cosine ranking uses.
+A gradient set covers the touched vocabulary rows only; token gradients
+reach each row in sentence order and, within a sentence, in token order.
+The real-valued ablation zeroes the phase gradient and the measurements'
+imaginary part.  ``triplet_grad`` and ``backward_sentence`` are
 batches of one that only the tracer calls.
 """
 
@@ -140,10 +142,9 @@ def backward_batch(
     g_inner_h = g_inner.conj()
     for start, length in zip(offsets, lengths):
         span = slice(start, start + length)
-        g_meas = g_inner_h[span].T @ states[span]
-        if not config.complex_valued:
-            g_meas = g_meas.real.astype(np.complex128)
-        grads.d_measurements += g_meas
+        grads.d_measurements += g_inner_h[span].T @ states[span]
+    if not config.complex_valued:
+        grads.d_measurements.imag = 0.0
     return grads
 
 
@@ -162,7 +163,6 @@ def batch_grad(
     triplets,
     params: ParameterSet,
     config: TrainerConfig,
-    train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[list[float], GradientSet]:
     """Losses and gradients of (q, a+, a-) triplets: one forward, one backward.
@@ -172,7 +172,7 @@ def batch_grad(
     contributes nothing.
     """
     sentences = [ids for triplet in triplets for ids in triplet]
-    reps, tape = forward_batch(sentences, params, config, train, rng)
+    reps, tape = forward_batch(sentences, params, config, rng)
     q, p, n = reps.reshape(len(triplets), 3, -1).transpose(1, 0, 2)
     losses = triplet_loss(cosines(q, p)[0], cosines(q, n)[0], config.margin)
     act = np.flatnonzero(losses > 0.0)
@@ -191,12 +191,9 @@ def triplet_grad(
     negative: np.ndarray,
     params: ParameterSet,
     config: TrainerConfig,
-    train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[float, GradientSet]:
     """Loss and gradients of one (q, a+, a-) triplet.  Training calls
     ``batch_grad``; this stays because ``bench/tracing.py`` wraps it."""
-    losses, grads = batch_grad(
-        [(question, positive, negative)], params, config, train, rng
-    )
+    losses, grads = batch_grad([(question, positive, negative)], params, config, rng)
     return losses[0], grads

@@ -4,7 +4,8 @@ Conventions: vectors are 1-D ``complex128`` arrays, operators are square
 ``complex128`` arrays, and eigenvectors are returned as matrix columns.
 The eigensolver is LAPACK's Hermitian driver (``numpy.linalg.eigh``)
 behind the package's own contract: a Hermitian check, a finiteness check,
-descending eigenvalues and errors from ``qmatch.errors``.
+numpy's ``(values, vectors)`` pair with the eigenvalues descending, and
+errors from ``qmatch.errors``.
 
 ``outer_product`` also takes a ``(..., d)`` stack of vectors, each
 vector's projector bit-identical to what it gets alone.  ``hermitize``,
@@ -18,7 +19,6 @@ bit-identical to what it gets alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -78,29 +78,17 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + _dagger(a))
 
 
-@dataclass
-class EigenDecomposition:
-    """Eigenvalues (descending, real) and matching orthonormal columns;
-    ``values`` is ``(..., d)`` and ``vectors`` ``(..., d, d)`` for a stack."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.vectors
-        return (v * self.values[..., None, :]) @ _dagger(v)
-
-
 def _scale(a: np.ndarray) -> np.ndarray:
     """Each matrix's scale ``max(1, ||A||_F)``, which sets its tolerances."""
     return np.maximum(1.0, _frobenius(a))
 
 
-def hermitian_eig(a: np.ndarray) -> EigenDecomposition:
+def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, or of each matrix in a
     stack, by LAPACK (``numpy.linalg.eigh``).
 
-    Returns eigenvalues sorted descending with eigenvectors as columns.
+    Returns numpy's ``(values, vectors)`` pair, ``(..., d)`` real values
+    sorted descending and ``(..., d, d)`` matching orthonormal columns.
     Raises DomainError for a non-Hermitian matrix (deviation past
     ``HERMITIAN_ATOL * max(1, ||A||_F)``), and NumericError for non-finite
     entries (which LAPACK would turn into NaN eigenvalues silently) or when
@@ -129,7 +117,7 @@ def hermitian_eig(a: np.ndarray) -> EigenDecomposition:
         values, vectors = np.linalg.eigh(0.5 * (a + dagger))
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolver failed: {exc}") from exc
-    return EigenDecomposition(values=values[..., ::-1], vectors=vectors[..., ::-1])
+    return values[..., ::-1], vectors[..., ::-1]
 
 
 def matrix_function(
@@ -144,8 +132,8 @@ def matrix_function(
     log/inverse-style functions on nearly singular input.  The result is
     V f(Lambda) V^dagger.
     """
-    eig = hermitian_eig(a)
-    smallest = eig.values.min(axis=-1)
+    values, vectors = hermitian_eig(a)
+    smallest = values.min(axis=-1)
     # as in hermitian_eig: a scale is needed only past -HERMITIAN_ATOL
     if (smallest < -HERMITIAN_ATOL).any():
         bad = smallest < -HERMITIAN_ATOL * _scale(_as_square(a))
@@ -155,10 +143,10 @@ def matrix_function(
                 f"{name} is not positive semidefinite: min eigenvalue "
                 f"{smallest[i]:.3e}"
             )
-    fvals = np.asarray(f(np.maximum(eig.values, eigen_floor)), dtype=np.float64)
+    fvals = np.asarray(f(np.maximum(values, eigen_floor)), dtype=np.float64)
     if not np.isfinite(fvals).all():
         bad = ~np.isfinite(fvals).all(axis=-1)
         raise NumericError(
             f"matrix function produced non-finite eigenvalues for {_first(bad)[1]}"
         )
-    return (eig.vectors * fvals[..., None, :]) @ _dagger(eig.vectors)
+    return (vectors * fvals[..., None, :]) @ _dagger(vectors)

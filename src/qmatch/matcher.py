@@ -26,9 +26,10 @@ sentence's Born rows in ascending table-row order, so a permuted sentence
 gets the same bits.
 
 ``BatchTape`` is the one tape: training runs an SGD batch per
-``forward_batch`` call, the analytic backward pass differentiates its
-tape, and ``interpret`` reads a match map's window columns and weights off
-one tape over the question and the answer.
+``forward_batch`` call, passing the generator that makes it train mode
+(dropout runs exactly when one is given), the analytic backward pass
+differentiates its tape, and ``interpret`` reads a match map's window
+columns and weights off one tape over the question and the answer.
 Evaluation ranks through ``represent_groups``: it lays a split out once,
 runs the word stage once over the split's distinct words and the window
 stage once per question and its candidates, with the bits
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import DEGENERATE_WEIGHT, ZERO_NORM, row_norms, uniform_state
-from .errors import ConfigError, DegenerateInputError, ShapeError
+from .errors import DegenerateInputError, ShapeError
 from .model import GLOBAL_MIXTURE, ParameterSet, TrainerConfig
 
 # The dense oracle lives in ``reference``; bench/workloads.py reads it as
@@ -214,13 +215,14 @@ def forward_batch(
     id_lists,
     params: ParameterSet,
     config: TrainerConfig,
-    train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, BatchTape]:
     """Factored forward pass over N sentences; returns (reps (N, R), tape).
 
-    Dropout masks are drawn sentence by sentence (amplitude rows, then the
-    pooled vector), so the random stream is that of N single-sentence calls.
+    A generator means train mode: dropout runs exactly when ``rng`` is
+    given.  Its masks are drawn sentence by sentence (amplitude rows, then
+    the pooled vector), so the random stream is that of N single-sentence
+    calls.
     """
     ids, starts, lengths = _lay_out(id_lists, config)
     T = ids.size
@@ -229,9 +231,7 @@ def forward_batch(
 
     keep = config.keep_probability
     emb_mask = pooled_mask = None
-    if train and keep < 1.0:
-        if rng is None:
-            raise ConfigError("dropout in train mode needs a random generator")
+    if rng is not None and keep < 1.0:
         masks = [
             (_dropout_mask((L, n), keep, rng), _dropout_mask(R, keep, rng))
             for L in lengths
@@ -310,19 +310,18 @@ def forward_sentence(
     token_ids: np.ndarray,
     params: ParameterSet,
     config: TrainerConfig,
-    train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, BatchTape]:
     """Batch-of-one forward pass; returns (representation, tape).  The
     package never calls it: ``bench/tracing.py`` wraps it by name."""
-    reps, tape = forward_batch([token_ids], params, config, train, rng)
+    reps, tape = forward_batch([token_ids], params, config, rng)
     return reps[0], tape
 
 
 def represent(
     token_ids: np.ndarray, params: ParameterSet, config: TrainerConfig
 ) -> np.ndarray:
-    """Deterministic (eval mode) sentence representation."""
+    """Deterministic (eval mode, no dropout) sentence representation."""
     reps, _ = forward_batch([token_ids], params, config)
     return reps[0]
 

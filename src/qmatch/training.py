@@ -217,9 +217,7 @@ def train(
             if sgd is not None:   # the forward pass reads decayed rows
                 read = np.concatenate([ids for triplet in batch for ids in triplet])
                 sgd.catch_up(params, config, read)
-            batch_losses, grads = batch_grad(
-                batch, params, config, train=True, rng=dropout
-            )
+            batch_losses, grads = batch_grad(batch, params, config, dropout)
             batch_loss = 0.0
             for loss in batch_losses:
                 batch_loss += loss

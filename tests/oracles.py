@@ -3,12 +3,18 @@
 ``complex_add_polar`` is polar-form complex addition, checked against
 rectangular addition.  ``identity_counterexample_gap`` is the self-overlap
 gap of the two-state family that the audit injects as the trace inner
-product's identity counterexample.
+product's identity counterexample.  ``pairwise_table`` is a measure's audit
+table from one plain call per pair, the oracle the stacked tables are
+pinned against; ``pairwise_measure`` makes it a registry row, which a test
+installs in ``density_metrics._MEASURES`` to audit a plain function.
 """
 
+import functools
 import math
 
-from qmatch.density_metrics import _two_state_family, trace_inner_product
+import numpy as np
+
+from qmatch.density_metrics import _I, _J, _two_state_family, trace_inner_product
 from qmatch.errors import DomainError
 
 
@@ -58,3 +64,15 @@ def identity_counterexample_gap(alpha: float) -> float:
         raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
     rho_a, p1, _ = _two_state_family(alpha)
     return trace_inner_product(rho_a, rho_a) - trace_inner_product(rho_a, p1)
+
+
+def pairwise_table(fn, mats: np.ndarray) -> np.ndarray:
+    """``fn``'s audit table over an (n, 3, d, d) stack of trials: one plain
+    call per trial and pair of ``density_metrics._PAIRS``."""
+    return np.array([[fn(trio[i], trio[j]) for i, j in zip(_I, _J)] for trio in mats])
+
+
+def pairwise_measure(kind: str, fn) -> tuple:
+    """A ``density_metrics._MEASURES`` row that audits ``fn`` as ``kind``
+    through ``pairwise_table``."""
+    return kind, fn, functools.partial(pairwise_table, fn), "one plain call per pair"

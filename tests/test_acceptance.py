@@ -178,9 +178,8 @@ def test_trace_inner_product_equals_overlap_double_sum():
         else:
             # eigendecompositions of generic random densities
             rho_a, rho_b = random_densities(rng, [dim, dim])
-            ea, eb = hermitian_eig(rho_a), hermitian_eig(rho_b)
-            pa, va = ea.values, ea.vectors.T
-            pb, vb = eb.values, eb.vectors.T
+            (pa, va), (pb, vb) = hermitian_eig(rho_a), hermitian_eig(rho_b)
+            va, vb = va.T, vb.T
         tip = trace_inner_product(rho_a, rho_b)
         double = sum(
             float(pa[i] * pb[j]) * abs(np.vdot(va[i], vb[j])) ** 2

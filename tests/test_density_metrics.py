@@ -14,13 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import identity_counterexample_gap
+from oracles import identity_counterexample_gap, pairwise_measure, pairwise_table
 from qmatch import density_metrics
 from qmatch.density_metrics import (
     AUDIT_TOL,
     DISTANCE,
+    DIVERGENCE,
     METRIC_FNS,
-    METRIC_KINDS,
     REPORTED_VIOLATIONS,
     SIMILARITY,
     audit_metric,
@@ -412,18 +412,6 @@ def test_audit_is_deterministic():
     ]
 
 
-def test_audit_accepts_custom_callable_with_kind():
-    def everywhere_zero(a, b):
-        return 0.0
-
-    report = audit_metric(everywhere_zero, trials=10, kind=DISTANCE)
-    assert report.metric == "everywhere_zero"
-    for axiom in ("non_negativity", "identity", "symmetry", "triangle"):
-        assert not report.axiom(axiom).violated
-    with pytest.raises(DomainError, match="kind"):
-        audit_metric(everywhere_zero, trials=10)
-
-
 def test_audit_rejects_bad_arguments():
     with pytest.raises(DomainError, match="unknown metric"):
         audit_metric("hamming", trials=5)
@@ -447,12 +435,11 @@ def test_audit_rejects_bad_arguments():
         ({"dims": np.array([], dtype=int)}, "dims must name at least one dimension"),
         ({"metrics": []}, "metrics must name at least one measure"),
         ({"metrics": [["fidelity"]]}, "unknown metric ['fidelity']"),
-        ({"metrics": [fidelity], "kind": "metric"},
-         "kind must name a metric kind for a custom metric callable, got 'metric'"),
+        ({"metrics": [fidelity]}, "unknown metric <function fidelity"),
     ],
     ids=["trials-bool", "trials-float", "seed-float", "seed-numpy-bool",
          "dims-float", "dims-bool", "dims-empty-array", "metrics-empty",
-         "metrics-unhashable", "kind-unknown"],
+         "metrics-unhashable", "metrics-callable"],
 )
 def test_audit_rejects_mistyped_arguments_before_drawing(arguments, message,
                                                          monkeypatch):
@@ -481,19 +468,19 @@ def test_audit_accepts_numpy_integers_and_reports_plain_ints(arguments):
 
 @pytest.mark.parametrize("seed", [0, 7, 11])
 @pytest.mark.parametrize("name", sorted(METRIC_FNS))
-def test_stacked_audit_equals_the_pairwise_oracle(name, seed):
-    # a callable audit evaluates every pair with the plain function; the
-    # registered name reads its stacked table (d = 9 also sums traces past
-    # numpy's 8-element pairwise-summation block)
+def test_stacked_audit_equals_the_pairwise_oracle(name, seed, monkeypatch):
+    # the registered table against the same measure installed with one
+    # plain call per pair (d = 9 also sums traces past numpy's 8-element
+    # pairwise-summation block)
     dims = (2, 3, 4, 9)
     stacked = audit_metric(name, trials=40, dims=dims, seed=seed)
-    pairwise = audit_metric(METRIC_FNS[name], trials=40, dims=dims, seed=seed,
-                            kind=METRIC_KINDS[name])
+    kind = density_metrics._MEASURES[name][0]
+    monkeypatch.setitem(density_metrics._MEASURES, name,
+                        pairwise_measure(kind, METRIC_FNS[name]))
+    pairwise = audit_metric(name, trials=40, dims=dims, seed=seed)
 
     def payload(report):
-        out = report_to_dict(report)
-        del out["metric"]
-        return json.dumps(out, sort_keys=True)
+        return json.dumps(report_to_dict(report), sort_keys=True)
 
     def every_violation(report):
         return [(axiom, v.gap, v.trial, [m.tobytes() for m in v.matrices])
@@ -513,22 +500,23 @@ def test_every_table_equals_the_pairwise_table_to_the_bit(name):
         mats = np.array(random_densities(rng, [dim] * 60)).reshape(20, 3, dim, dim)
         _, _, table_of, _ = density_metrics._MEASURES[name]
         table = table_of(mats)
-        oracle = density_metrics._pairwise_table(METRIC_FNS[name], mats)
+        oracle = pairwise_table(METRIC_FNS[name], mats)
         assert table.tobytes() == oracle.tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 7, 11])
-def test_one_draw_audits_equal_one_audit_per_measure(seed):
+def test_one_draw_audits_equal_one_audit_per_measure(seed, monkeypatch):
     def everywhere_zero(a, b):
         return 0.0
 
-    metrics = [*sorted(METRIC_FNS), everywhere_zero]
+    monkeypatch.setitem(density_metrics._MEASURES, "everywhere_zero",
+                        pairwise_measure(DISTANCE, everywhere_zero))
+    metrics = [*sorted(METRIC_FNS), "everywhere_zero"]
     dims = (2, 3, 4, 9)
-    shared = audit_metrics(metrics, trials=40, dims=dims, seed=seed, kind=DISTANCE)
-    alone = [audit_metric(m, trials=40, dims=dims, seed=seed, kind=DISTANCE)
-             for m in metrics]
-    assert [r.kind for r in shared] == [*(METRIC_KINDS[m] for m in metrics[:-1]),
-                                        DISTANCE]
+    shared = audit_metrics(metrics, trials=40, dims=dims, seed=seed)
+    alone = [audit_metric(m, trials=40, dims=dims, seed=seed) for m in metrics]
+    assert [r.kind for r in shared] == [SIMILARITY, DISTANCE, DIVERGENCE,
+                                        SIMILARITY, DIVERGENCE, DISTANCE]
     assert json.dumps([report_to_dict(r) for r in shared]) == json.dumps(
         [report_to_dict(r) for r in alone])
 
@@ -616,7 +604,7 @@ def test_report_to_dict_is_json_serializable():
     text = json.dumps(payload)
     again = json.loads(text)
     assert again["metric"] == "trace_inner_product"
-    assert again["kind"] == METRIC_KINDS["trace_inner_product"]
+    assert again["kind"] == SIMILARITY
     identity = again["axioms"]["identity"]
     assert identity["status"] == "violated"
     assert len(identity["violations"]) <= 5

@@ -341,12 +341,9 @@ def test_batch_grad_losses_and_rows_equal_one_triplet_at_a_time(dropout_rate):
     # dropout masks are drawn sentence by sentence, so one-triplet batches
     # on one generator draw the batch's masks
     triplets, params, config = batch_instance(dropout_rate)
-    train = dropout_rate > 0.0
-    losses, grads = batch_grad(
-        triplets, params, config, train=train, rng=np.random.default_rng(4)
-    )
+    losses, grads = batch_grad(triplets, params, config, np.random.default_rng(4))
     rng = np.random.default_rng(4)
-    alone = [batch_grad([t], params, config, train=train, rng=rng) for t in triplets]
+    alone = [batch_grad([t], params, config, rng) for t in triplets]
     assert losses == [loss for (loss,), _ in alone]
     assert 0.0 in losses and max(losses) > 0.0
     # sorted, unique, and the words of the open triplets only
@@ -366,17 +363,14 @@ def test_batch_grad_with_one_open_hinge_is_that_triplets_gradient(
     # closed hinges add nothing, so the batch's gradient is the open
     # triplet's own, bit for bit, once its masks replay the batch's stream
     triplets, params, config = batch_instance(dropout_rate)
-    train = dropout_rate > 0.0
     batch = [triplets[i] for i in picks]
-    losses, grads = batch_grad(
-        batch, params, config, train=train, rng=np.random.default_rng(4)
-    )
+    losses, grads = batch_grad(batch, params, config, np.random.default_rng(4))
     (t,) = np.flatnonzero(losses)
     assert t > 0                      # a closed hinge runs first
     rng = np.random.default_rng(4)
     forward_batch([ids for triplet in batch[:t] for ids in triplet],
-                  params, config, train, rng)
-    (loss,), alone = batch_grad([batch[t]], params, config, train=train, rng=rng)
+                  params, config, rng)
+    (loss,), alone = batch_grad([batch[t]], params, config, rng)
     assert loss == losses[t]
     assert np.array_equal(grads.rows, alone.rows)
     assert np.array_equal(grads.d_amplitude, alone.d_amplitude)

@@ -22,6 +22,11 @@ def random_psd(n, rng=RNG):
     return a @ a.conj().T / n
 
 
+def reconstruct(values, vectors):
+    """V diag(values) V^dagger of an eigenpair, or of each pair of a stack."""
+    return (vectors * values[..., None, :]) @ np.swapaxes(vectors.conj(), -1, -2)
+
+
 def test_outer_product_hand_expanded():
     v = np.array([1.0, 1j]) / math.sqrt(2.0)
     p = linalg.outer_product(v)
@@ -58,45 +63,46 @@ def test_outer_product_rejects_a_scalar():
 
 
 def test_eig_diagonal_real():
-    d = linalg.hermitian_eig(np.diag([3.0, -1.0, 2.0]).astype(complex))
-    np.testing.assert_allclose(d.values, [3.0, 2.0, -1.0], atol=1e-14)
-    np.testing.assert_allclose(np.abs(d.vectors), np.eye(3)[:, [0, 2, 1]], atol=1e-14)
+    values, vectors = linalg.hermitian_eig(np.diag([3.0, -1.0, 2.0]).astype(complex))
+    np.testing.assert_allclose(values, [3.0, 2.0, -1.0], atol=1e-14)
+    np.testing.assert_allclose(np.abs(vectors), np.eye(3)[:, [0, 2, 1]], atol=1e-14)
 
 
 def test_eig_pauli_x():
-    d = linalg.hermitian_eig(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
-    np.testing.assert_allclose(d.values, [1.0, -1.0], atol=1e-14)
+    values, _ = linalg.hermitian_eig(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+    np.testing.assert_allclose(values, [1.0, -1.0], atol=1e-14)
 
 
 def test_eig_pauli_y():
     # purely imaginary off-diagonal entries
     y = np.array([[0.0, -1j], [1j, 0.0]])
-    d = linalg.hermitian_eig(y)
-    np.testing.assert_allclose(d.values, [1.0, -1.0], atol=1e-14)
-    np.testing.assert_allclose(d.reconstruct(), y, atol=1e-14)
+    values, vectors = linalg.hermitian_eig(y)
+    np.testing.assert_allclose(values, [1.0, -1.0], atol=1e-14)
+    np.testing.assert_allclose(reconstruct(values, vectors), y, atol=1e-14)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 21, 50])
 def test_eig_random_hermitian_against_numpy(n):
     a = random_hermitian(n)
-    d = linalg.hermitian_eig(a)
+    values, vectors = linalg.hermitian_eig(a)
     # descending order
-    assert np.all(np.diff(d.values) <= 1e-12)
+    assert np.all(np.diff(values) <= 1e-12)
     # orthonormal columns
     np.testing.assert_allclose(
-        d.vectors.conj().T @ d.vectors, np.eye(n), atol=1e-10
+        vectors.conj().T @ vectors, np.eye(n), atol=1e-10
     )
     # reconstruction
-    assert np.linalg.norm(d.reconstruct() - a) <= 1e-8 * max(1.0, np.linalg.norm(a))
+    rebuilt = reconstruct(values, vectors)
+    assert np.linalg.norm(rebuilt - a) <= 1e-8 * max(1.0, np.linalg.norm(a))
     # eigenvalues agree with the library solver
-    np.testing.assert_allclose(d.values, np.linalg.eigvalsh(a)[::-1], atol=1e-9)
+    np.testing.assert_allclose(values, np.linalg.eigvalsh(a)[::-1], atol=1e-9)
 
 
 def test_eig_scale_extremes():
     for scale in (1e-10, 1e8):
         a = random_hermitian(6, scale=scale)
-        d = linalg.hermitian_eig(a)
-        assert np.linalg.norm(d.reconstruct() - a) <= 1e-8 * np.linalg.norm(a)
+        rebuilt = reconstruct(*linalg.hermitian_eig(a))
+        assert np.linalg.norm(rebuilt - a) <= 1e-8 * np.linalg.norm(a)
 
 
 def test_eig_rejects_non_hermitian():
@@ -127,9 +133,9 @@ def test_eig_lapack_failure_becomes_numeric_error(monkeypatch):
 
 
 def test_eig_one_by_one():
-    d = linalg.hermitian_eig(np.array([[2.5]], dtype=complex))
-    np.testing.assert_array_equal(d.values, [2.5])
-    np.testing.assert_allclose(np.abs(d.vectors), [[1.0]])
+    values, vectors = linalg.hermitian_eig(np.array([[2.5]], dtype=complex))
+    np.testing.assert_array_equal(values, [2.5])
+    np.testing.assert_allclose(np.abs(vectors), [[1.0]])
 
 
 def test_matrix_function_sqrt_diagonal():
@@ -167,16 +173,16 @@ def test_matrix_function_rejects_indefinite():
 def test_stacked_calls_equal_per_matrix_calls_to_the_bit(d):
     rng = np.random.default_rng(d)
     stack = np.array([[random_psd(d, rng) for _ in range(3)] for _ in range(2)])
-    eig = linalg.hermitian_eig(stack)
-    rebuilt = eig.reconstruct()
+    values, vectors = linalg.hermitian_eig(stack)
+    rebuilt = reconstruct(values, vectors)
     roots = linalg.matrix_function(stack, np.sqrt)
     logs = linalg.matrix_function(stack, np.log, eigen_floor=1e-12)
-    assert eig.values.shape == (2, 3, d) and eig.vectors.shape == (2, 3, d, d)
+    assert values.shape == (2, 3, d) and vectors.shape == (2, 3, d, d)
     for i in np.ndindex(2, 3):
         alone = linalg.hermitian_eig(stack[i])
-        np.testing.assert_array_equal(eig.values[i], alone.values)
-        np.testing.assert_array_equal(eig.vectors[i], alone.vectors)
-        np.testing.assert_array_equal(rebuilt[i], alone.reconstruct())
+        np.testing.assert_array_equal(values[i], alone[0])
+        np.testing.assert_array_equal(vectors[i], alone[1])
+        np.testing.assert_array_equal(rebuilt[i], reconstruct(*alone))
         np.testing.assert_array_equal(
             roots[i], linalg.matrix_function(stack[i], np.sqrt)
         )
@@ -281,5 +287,5 @@ def test_add_polar_matches_rectangular(r1, t1, r2, t2):
 @settings(max_examples=40, deadline=None)
 def test_eig_property_reconstruction(n):
     a = random_hermitian(n)
-    d = linalg.hermitian_eig(a)
-    assert np.linalg.norm(d.reconstruct() - a) <= 1e-8 * max(1.0, np.linalg.norm(a))
+    rebuilt = reconstruct(*linalg.hermitian_eig(a))
+    assert np.linalg.norm(rebuilt - a) <= 1e-8 * max(1.0, np.linalg.norm(a))

@@ -72,24 +72,27 @@ def spy(monkeypatch, name):
 # and to the pooled vectors (pooled_mask).
 
 
-def dropout_masks(rate, train=True, rng=None, length=20_000):
-    """forward_batch's masks over one sentence of ``length`` tokens.  A bad
-    rate fails when the config is made, before forward_batch runs."""
+def dropout_masks(rate, rng=None, length=20_000):
+    """forward_batch's masks over one sentence of ``length`` tokens; no
+    generator means eval mode.  A bad rate fails when the config is made,
+    before forward_batch runs."""
     params = make_params(small_config(), scramble=False)
     config = small_config(dropout_rate=rate, max_sentence_len=length)
     _, tape = forward_batch(
-        [random_ids(length, np.random.default_rng(1))], params, config,
-        train=train, rng=rng,
+        [random_ids(length, np.random.default_rng(1))], params, config, rng
     )
     return tape.emb_mask, tape.pooled_mask
 
 
 def test_apply_dropout_eval_mode_is_identity():
-    assert dropout_masks(0.5, train=False, length=8) == (None, None)
+    assert dropout_masks(0.5, length=8) == (None, None)
 
 
 def test_apply_dropout_zero_rate_is_identity():
-    assert dropout_masks(0.0, rng=np.random.default_rng(0), length=8) == (None, None)
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    assert dropout_masks(0.0, rng=rng, length=8) == (None, None)
+    assert rng.bit_generator.state == before
 
 
 def test_apply_dropout_scales_survivors():
@@ -112,11 +115,6 @@ def test_apply_dropout_rejects_bad_rates():
     for rate in (1.0, -0.1, np.nan):
         with pytest.raises(ConfigError):
             dropout_masks(rate, rng=np.random.default_rng(0), length=3)
-
-
-def test_apply_dropout_needs_rng_in_train_mode():
-    with pytest.raises(ConfigError):
-        dropout_masks(0.5, rng=None, length=3)
 
 
 # ------------------------------------------------- forward representation
@@ -223,9 +221,7 @@ def test_forward_train_mode_dropout_changes_output():
     params = make_params(config)
     ids = random_ids(8)
     rep_eval = represent(ids, params, config)
-    rep_train, _ = forward_sentence(
-        ids, params, config, train=True, rng=np.random.default_rng(21)
-    )
+    rep_train, _ = forward_sentence(ids, params, config, np.random.default_rng(21))
     assert not np.allclose(rep_eval, rep_train)
 
 
@@ -233,9 +229,7 @@ def test_forward_train_mode_without_dropout_matches_eval():
     config = small_config(dropout_rate=0.0)
     params = make_params(config)
     ids = random_ids(8)
-    rep_train, tape = forward_sentence(
-        ids, params, config, train=True, rng=np.random.default_rng(2)
-    )
+    rep_train, tape = forward_sentence(ids, params, config, np.random.default_rng(2))
     np.testing.assert_allclose(rep_train, represent(ids, params, config), atol=0)
     assert tape.emb_mask is None
     assert tape.pooled_mask is None
@@ -524,12 +518,10 @@ def test_forward_batch_draws_dropout_masks_sentence_by_sentence():
     config = small_config(dropout_rate=0.5)
     params = make_params(config)
     batch = mixed_batch()
-    reps, tape = forward_batch(
-        batch, params, config, train=True, rng=np.random.default_rng(9)
-    )
+    reps, tape = forward_batch(batch, params, config, np.random.default_rng(9))
     rng = np.random.default_rng(9)
     for s, ids in enumerate(batch):
-        rep, single = forward_batch([ids], params, config, train=True, rng=rng)
+        rep, single = forward_batch([ids], params, config, rng)
         assert np.array_equal(reps[s], rep[0])
         assert np.array_equal(tape.emb_mask[tape.span(s)], single.emb_mask)
         assert np.array_equal(tape.pooled_mask[s], single.pooled_mask[0])
