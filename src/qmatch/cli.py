@@ -53,10 +53,14 @@ def _configure_threads() -> None:
     value = os.environ.get("QMATCH_THREADS")
     if value is None:
         return
-    if not value.isdigit() or int(value) < 1:
+    try:
+        count = int(value) if value.isdecimal() else 0
+    except ValueError:  # more digits than int() converts
+        count = 0
+    if count < 1:
         raise ConfigError(f"QMATCH_THREADS must be a positive integer, got {value!r}")
     for var in _THREAD_VARS:
-        os.environ.setdefault(var, value)
+        os.environ.setdefault(var, str(count))
 
 
 def _parse_bool(text: str) -> bool:
@@ -69,7 +73,7 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parse_natural(text: str, low: int = 0) -> int:
-    if not text.isdigit() or int(text) < low:
+    if not text.isdecimal() or int(text) < low:
         raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
     return int(text)
 

@@ -185,9 +185,9 @@ def random_densities(rng: np.random.Generator, dims: list[int]) -> list[np.ndarr
         vec /= _norms(vec)[..., 0]
         proj = outer_product(vec)
         rho = np.zeros((len(w), dim, dim), dtype=np.complex128)
-        for k in range(dim):
+        for k in range(dim):  # Hermitian to the bit, as each real-weighted proj is
             rho += w[:, k, None, None] * proj[:, k]
-        rhos[dim] = iter(hermitize(rho))
+        rhos[dim] = iter(rho)
     return [next(rhos[dim]) for dim in dims]
 
 
@@ -214,6 +214,10 @@ class AxiomResult:
         return "violated" if self.violated else "holds"
 
 
+# The audited axioms in column order, each a field of ``MetricAuditReport``.
+_AXIOM_COLUMNS = ("non_negativity", "identity", "symmetry", "triangle")
+
+
 @dataclass
 class MetricAuditReport:
     metric: str
@@ -227,12 +231,9 @@ class MetricAuditReport:
     triangle: AxiomResult = field(default_factory=AxiomResult)
 
     def axiom(self, name: str) -> AxiomResult:
-        return {
-            "non_negativity": self.non_negativity,
-            "identity": self.identity,
-            "symmetry": self.symmetry,
-            "triangle": self.triangle,
-        }[name]
+        if name not in _AXIOM_COLUMNS:
+            raise KeyError(name)
+        return getattr(self, name)
 
 
 MetricFn = Callable[[np.ndarray, np.ndarray], float]
@@ -430,9 +431,6 @@ def audit_metric(
     """Property-test one registered measure against the four axioms: the
     one-measure view of ``audit_metrics``."""
     return audit_metrics([metric], trials, dims, seed)[0]
-
-
-_AXIOM_COLUMNS = ("non_negativity", "identity", "symmetry", "triangle")
 
 
 def render_audit_table(reports: list[MetricAuditReport]) -> str:

@@ -64,12 +64,11 @@ class TrainerConfig:
         # a list (from JSON or a grid pool) is kept as a tuple, so equal
         # configs compare and hash alike
         object.__setattr__(self, "window_sizes", tuple(self.window_sizes))
-        if self.embedding_dim < 1:
-            raise ConfigError(f"embedding_dim must be >= 1, got {self.embedding_dim}")
-        if self.num_measurements < 1:
-            raise ConfigError(
-                f"num_measurements must be >= 1, got {self.num_measurements}"
-            )
+        least = {"embedding_dim": 1, "num_measurements": 1, "batch_size": 1,
+                 "max_sentence_len": 1, "epochs": 0, "seed": 0}
+        for name, low in least.items():
+            if (value := getattr(self, name)) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {value}")
         if self.mixture not in (LOCAL_MIXTURE, GLOBAL_MIXTURE):
             raise ConfigError(f"unknown mixture kind {self.mixture!r}")
         if self.mixture == LOCAL_MIXTURE:
@@ -77,30 +76,17 @@ class TrainerConfig:
                 raise ConfigError("window_sizes must not be empty for local mixture")
             if any(w < 1 for w in self.window_sizes):
                 raise ConfigError(f"window sizes must be >= 1, got {self.window_sizes}")
-        if not 0 < self.margin < math.inf:
-            raise ConfigError(f"margin must be positive and finite, got {self.margin}")
-        if not 0 < self.learning_rate < math.inf:
-            raise ConfigError(
-                f"learning_rate must be positive and finite, got {self.learning_rate}"
-            )
+        for name in ("margin", "learning_rate"):
+            if not 0 < (value := getattr(self, name)) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
         if not 0 <= self.l2_lambda < math.inf:
             raise ConfigError(f"l2_lambda must be >= 0 and finite, got {self.l2_lambda}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(
                 f"dropout_rate must be in [0, 1), got {self.dropout_rate}"
             )
         if self.optimizer not in ("sgd", "adam"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        if self.max_sentence_len < 1:
-            raise ConfigError(
-                f"max_sentence_len must be >= 1, got {self.max_sentence_len}"
-            )
 
     @property
     def keep_probability(self) -> float:

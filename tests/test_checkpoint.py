@@ -241,6 +241,26 @@ def test_validate_rejects_a_non_finite_rate(name, value):
         TrainerConfig(**{name: value})
 
 
+# every lower bound, with its message in full
+BOUNDS = [
+    ("embedding_dim", 0, "embedding_dim must be >= 1, got 0"),
+    ("num_measurements", 0, "num_measurements must be >= 1, got 0"),
+    ("batch_size", 0, "batch_size must be >= 1, got 0"),
+    ("max_sentence_len", 0, "max_sentence_len must be >= 1, got 0"),
+    ("epochs", -1, "epochs must be >= 0, got -1"),
+    ("seed", -1, "seed must be >= 0, got -1"),
+    ("margin", 0.0, "margin must be positive and finite, got 0.0"),
+    ("learning_rate", -1.0, "learning_rate must be positive and finite, got -1.0"),
+]
+
+
+@pytest.mark.parametrize("name, value, message", BOUNDS, ids=[b[0] for b in BOUNDS])
+def test_an_out_of_range_field_names_itself_and_its_value(name, value, message):
+    with pytest.raises(ConfigError) as info:
+        TrainerConfig(**{name: value})
+    assert str(info.value) == message
+
+
 def test_a_config_cannot_change_after_it_is_made():
     config = TrainerConfig()
     with pytest.raises(dataclasses.FrozenInstanceError):

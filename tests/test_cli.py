@@ -22,6 +22,8 @@ from qmatch.cli import (
     GRID_RESULTS_NAME,
     TRAIN_LOG_NAME,
     _CONFIG_FLAGS,
+    _THREAD_VARS,
+    _configure_threads,
     main,
 )
 from qmatch.data import write_canonical_tsv
@@ -646,11 +648,12 @@ def test_metric_audit_repeated_metric_exits_2(tmp_path, capsys):
     [
         (["--trials", "0"], "expected an integer >= 1, got '0'"),
         (["--trials", "-3"], "expected an integer >= 1, got '-3'"),
+        (["--trials", "²"], "expected an integer >= 1, got '²'"),
         (["--dims", "1"], "expected dimensions >= 2, got '1'"),
         (["--dims", "2,0,3"], "expected dimensions >= 2, got '2,0,3'"),
         (["--seed", "-1"], "expected an integer >= 0, got '-1'"),
     ],
-    ids=["trials-0", "trials-negative", "dims-1", "dims-0", "seed-negative"],
+    ids=["trials-0", "trials-negative", "trials-superscript", "dims-1", "dims-0", "seed-negative"],
 )
 def test_metric_audit_bad_trials_or_dims_exit_2(flag, message, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -735,6 +738,24 @@ def test_invalid_thread_env_exits_2(monkeypatch, capsys):
     rc = main(["metric-audit", "--trials", "1"])
     assert rc == 2
     assert "QMATCH_THREADS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["²", "1" * 5000], ids=["superscript", "5000-digits"])
+def test_a_thread_count_int_cannot_read_exits_2(monkeypatch, capsys, value):
+    # str.isdigit accepts "²", which int() rejects; int() also rejects a
+    # decimal string past its digit limit
+    monkeypatch.setenv("QMATCH_THREADS", value)
+    assert main(["metric-audit", "--trials", "1"]) == 2
+    assert "QMATCH_THREADS must be a positive integer" in capsys.readouterr().err
+
+
+def test_a_thread_count_reaches_the_thread_variables_as_ascii(monkeypatch):
+    # "١" (Arabic-Indic one) is a decimal int() reads as 1; C libraries
+    # read the variables with atoi, which would see no digit at all
+    environ = {"QMATCH_THREADS": "١"}
+    monkeypatch.setattr(os, "environ", environ)
+    _configure_threads()
+    assert environ == {"QMATCH_THREADS": "١", **dict.fromkeys(_THREAD_VARS, "1")}
 
 
 def test_invalid_thread_env_exits_2_from_subprocess():

@@ -35,7 +35,7 @@ from qmatch.density_metrics import (
     vn_divergence,
 )
 from qmatch.errors import DomainError, ShapeError
-from qmatch.linalg import outer_product
+from qmatch.linalg import hermitize, outer_product
 
 
 def diag_density(*values):
@@ -280,6 +280,15 @@ def test_random_density_is_a_density_matrix(seed, dim):
     assert np.linalg.eigvalsh(rho).min() >= -1e-12
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_random_densities_are_hermitian_to_the_bit(seed):
+    # no symmetrising pass runs: each matrix already equals its conjugate
+    # transpose, and hermitize would move none of its bits
+    for rho in random_densities(np.random.default_rng(seed), [2, 3, 4, 5, 6] * 25):
+        np.testing.assert_array_equal(rho, rho.conj().T)
+        assert hermitize(rho).tobytes() == rho.tobytes()
+
+
 def test_random_density_is_deterministic():
     a = random_densities(np.random.default_rng(33), [4])[0]
     b = random_densities(np.random.default_rng(33), [4])[0]
@@ -379,6 +388,15 @@ def test_audit_vn_divergence_breaks_symmetry_only():
     assert report.symmetry.violated
     assert report.identity.status == "holds"
     assert report.non_negativity.status == "holds"
+
+
+def test_axiom_reads_the_four_axiom_fields_and_nothing_else():
+    report = audit_metric("vn_divergence", trials=3)
+    names = ("non_negativity", "identity", "symmetry", "triangle")
+    assert [report.axiom(n) for n in names] == [getattr(report, n) for n in names]
+    for name in ("metric", "trials", "differentiability"):
+        with pytest.raises(KeyError):
+            report.axiom(name)
 
 
 def test_audit_symmetrization_restores_symmetry():

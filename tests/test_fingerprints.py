@@ -13,14 +13,17 @@ it rewrites the record only when given ``--write``.  When a move is
 intended, regenerate the record in the same change with ``--write`` and
 name the moved digests, and why they moved, in the change's notes.
 
-The bits rest on the numpy version and the BLAS build, so the record
-names the environment it was made in.  Under any other environment the
+The bits rest on the numpy version, the BLAS build and, for numpy's
+bundled OpenBLAS, the kernel it picked for the CPU, so the record names
+the environment it was made in.  Under any other environment the
 comparisons are skipped, with a reason naming both environments.
 """
 
 import argparse
+import ctypes
 import functools
 import hashlib
+import importlib
 import json
 import platform
 import runpy
@@ -63,7 +66,25 @@ def environment() -> dict:
         blas = f"{blas['name']} {blas['version']}"
     except (TypeError, KeyError):  # numpy < 1.26 has no config dicts
         blas = "unknown"
-    return {"numpy": np.__version__, "blas": blas, "machine": platform.machine()}
+    env = {"numpy": np.__version__, "blas": blas, "machine": platform.machine()}
+    if (kernel := openblas_kernel()) is not None:
+        env["openblas_kernel"] = kernel
+    return env
+
+
+def openblas_kernel() -> str | None:
+    """The kernel numpy's bundled OpenBLAS runs on this CPU (e.g. SkylakeX),
+    or None when the library exports no ``scipy_openblas_get_corename64_``."""
+    try:
+        umath = importlib.import_module("numpy._core._multiarray_umath")
+    except ImportError:  # numpy < 2
+        umath = importlib.import_module("numpy.core._multiarray_umath")
+    try:  # the extension's handle also finds the symbols of the libraries it loads
+        corename = ctypes.CDLL(umath.__file__).scipy_openblas_get_corename64_
+    except (OSError, AttributeError):
+        return None
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
 
 
 @functools.cache

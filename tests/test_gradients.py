@@ -10,6 +10,7 @@ two-sided difference straddles the kink.
 import numpy as np
 import pytest
 
+from qmatch import gradients
 from qmatch.embedding import Vocabulary
 from qmatch.gradients import batch_grad, cosine_grad, triplet_grad
 from qmatch.matcher import forward_batch, score, triplet_loss
@@ -235,6 +236,27 @@ def test_batch_grad_losses_equal_the_one_triplet_hinge():
     for loss, (q, p, n) in zip(losses, triplets):
         want, *_ = forward_triplet(q, p, n, params, config)
         assert abs(loss - want) <= 1e-15
+
+
+def test_batch_grad_scores_and_differentiates_both_answers_in_one_call(monkeypatch):
+    # one cosines call scores the batch and one cosine_grad call (which
+    # makes the second cosines call) differentiates every open hinge
+    calls = {"cosines": 0, "cosine_grad": 0}
+
+    def counted(name):
+        real = getattr(gradients, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(gradients, name, counted(name))
+    triplets, params, config = batch_instance(0.0)
+    losses, _ = batch_grad(triplets, params, config)
+    assert 0 < sum(loss > 0.0 for loss in losses) < len(losses)
+    assert calls == {"cosines": 2, "cosine_grad": 1}
 
 
 def test_nan_representation_gives_a_nan_loss():
