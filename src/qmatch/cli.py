@@ -455,8 +455,9 @@ def main(argv: list[str] | None = None) -> int:
             parser.print_help()
             return 2
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: missing path: {exc}", file=sys.stderr)
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            FileExistsError) as exc:
+        print(f"error: bad path: {exc}", file=sys.stderr)
         return 2
     except (ConfigError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -59,7 +59,7 @@ def read_format_descriptor(path: str) -> DatasetFormat:
     """Parse a key=value text file into a DatasetFormat.
 
     Recognised keys: question_id_col, question_col, answer_col, label_col
-    (integers) and has_header (true/false).  '#' starts a comment.
+    (integers >= 0) and has_header (true/false).  '#' starts a comment.
     """
     values: dict[str, object] = {}
     with _open_text(path) as fh:
@@ -81,6 +81,8 @@ def read_format_descriptor(path: str) -> DatasetFormat:
                     values[key] = int(value)
                 except ValueError:
                     raise ParseError(f"{path}:{lineno}: bad integer {value!r}") from None
+                if values[key] < 0:
+                    raise ParseError(f"{path}:{lineno}: negative column {value!r}")
             else:
                 raise ParseError(f"{path}:{lineno}: unknown key {key!r}")
     return DatasetFormat(**values)  # type: ignore[arg-type]

@@ -146,45 +146,26 @@ def sqrt_fidelity_distance(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
     return float(np.sqrt(max(0.0, 1.0 - fidelity(rho_a, rho_b))))
 
 
-def _norms(vec: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm`` of each complex vector of a stack, to the bit, as
-    ``(..., 1, 1)``.  The dot products must read the strided ``.real`` and
-    ``.imag`` views of the complex array, as ``norm`` does: on contiguous
-    copies OpenBLAS takes another kernel, which rounds some norms
-    differently (seen at d = 4 and 9)."""
-    re, im = vec.real, vec.imag
-    return np.sqrt(re[..., None, :] @ re[..., :, None]
-                   + im[..., None, :] @ im[..., :, None])
-
-
 def random_densities(rng: np.random.Generator, dims: list[int]) -> list[np.ndarray]:
     """One mixture of 1..d random pure states with Dirichlet(1,..,1)
-    weights per entry d of ``dims``.  The generator is read matrix by
-    matrix: the number of states m, m standard exponentials, then each
-    state's real and imaginary parts.  The weights are the exponentials
-    times the reciprocal of their left-to-right sum, which is how
-    ``Generator.dirichlet`` draws at alpha = 1, bit for bit and in the
-    same generator order.  The draws land in one padded stack per
-    dimension, where a matrix of m < d states is padded with the state e_0
-    at weight 0; those zero terms leave every bit of rho as it was (rho
-    never holds -0.0), so each matrix equals a draw of it alone to the bit."""
-    weights = {dim: np.zeros((dims.count(dim), dim)) for dim in dict.fromkeys(dims)}
-    z = {dim: np.zeros((len(w), dim, 2, dim)) for dim, w in weights.items()}
-    for stack in z.values():
-        stack[:, :, 0, 0] = 1.0
-    slots = {dim: zip(w, z[dim]) for dim, w in weights.items()}
-    for dim in dims:
-        w, states = next(slots[dim])
-        m = int(rng.integers(1, dim + 1))
-        rng.standard_exponential(out=w[:m])
-        rng.standard_normal(out=states[:m])
+    weights per entry d of ``dims``, in the order of ``dims``.  Each
+    dimension's n matrices are drawn as one block, dimensions in order of
+    first appearance: n state counts m, then n rows of d standard
+    exponentials, then each state's real and imaginary parts.  A matrix's
+    first m exponentials over their sum weight its first m states; the
+    rest weigh 0."""
     rhos = {}
-    for dim, w in weights.items():
-        w *= 1.0 / np.cumsum(w, axis=1)[:, -1:]
-        vec = z[dim][..., 0, :] + 1j * z[dim][..., 1, :]
-        vec /= _norms(vec)[..., 0]
+    for dim in dict.fromkeys(dims):
+        n = dims.count(dim)
+        m = rng.integers(1, dim + 1, size=(n, 1))
+        w = rng.standard_exponential((n, dim))
+        w[np.arange(dim) >= m] = 0.0
+        w /= w.sum(axis=1, keepdims=True)
+        z = rng.standard_normal((n, dim, 2, dim))
+        vec = z[..., 0, :] + 1j * z[..., 1, :]
+        vec /= np.linalg.norm(vec, axis=-1, keepdims=True)
         proj = outer_product(vec)
-        rho = np.zeros((len(w), dim, dim), dtype=np.complex128)
+        rho = np.zeros((n, dim, dim), dtype=np.complex128)
         for k in range(dim):  # Hermitian to the bit, as each real-weighted proj is
             rho += w[:, k, None, None] * proj[:, k]
         rhos[dim] = iter(rho)

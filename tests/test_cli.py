@@ -680,6 +680,40 @@ def test_missing_dataset_exits_2(tmp_path, capsys):
     assert "no such dataset" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--dataset", "--format", "--glove", "--config", "--grid"])
+def test_a_directory_given_as_a_file_exits_2(flag, toy_tsv, tmp_path, capsys):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    out = tmp_path / "run"
+    args = (grid_args(toy_tsv, tmp_path, {"seed": [1]}, out) if flag == "--grid"
+            else train_args(toy_tsv, out))
+    if flag in args:
+        args[args.index(flag) + 1] = str(folder)
+    else:
+        args += [flag, str(folder)]
+    assert main(args) == 2
+    assert f"error: bad path: [Errno 21] Is a directory: '{folder}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_directory_given_as_a_checkpoint_exits_2(toy_tsv, tmp_path, capsys):
+    rc = main(["eval", "--checkpoint", str(tmp_path), "--dataset", str(toy_tsv)])
+    assert rc == 2
+    assert f"Is a directory: '{tmp_path}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+def test_an_out_that_is_a_file_exits_2(below, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("keep me", encoding="utf-8")
+    out = taken / "sub" if below else taken
+    assert main(["metric-audit", "--trials", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad path: [Errno")
+    assert f"'{out if below else taken}'" in err
+    assert taken.read_text(encoding="utf-8") == "keep me"
+
+
 def test_bad_config_json_exits_2(toy_tsv, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")

@@ -66,6 +66,7 @@ def test_resolve_format_reads_descriptor_file():
     [
         ("just words\n", "expected key = value"),
         ("question_col = abc\n", "bad integer"),
+        ("answer_col = -1\n", "negative column '-1'"),
         ("colour = 3\n", "unknown key"),
         ("has_header = maybe\n", "bad boolean"),
     ],
