@@ -229,8 +229,8 @@ def cmd_eval(args) -> int:
 
     params, config, vocab = _load_checkpoint_for(args)
     dataset = _load_dataset(args.dataset, args.format, split=args.split)
-    report = evaluate(params, dataset, config, vocab)
     out = _out_dir(args)
+    report = evaluate(params, dataset, config, vocab)
     report_path = out / EVAL_REPORT_NAME
     report.write_jsonl(report_path)
     print(report.format_table())
@@ -359,9 +359,13 @@ def cmd_metric_audit(args) -> int:
     repeated = sorted({n for n in names if names.count(n) > 1})
     if repeated:
         raise ConfigError(f"--metrics names {', '.join(repeated)} more than once")
+    unknown = [n for n in names if n not in METRIC_FNS]
+    if unknown:
+        raise ConfigError(f"unknown metric {', '.join(unknown)}; "
+                          f"choose from {', '.join(sorted(METRIC_FNS))}")
+    out = _out_dir(args)
     reports = audit_metrics(names, trials=args.trials, dims=args.dims, seed=args.seed)
     table = render_audit_table(reports)
-    out = _out_dir(args)
     (out / AUDIT_TABLE_NAME).write_text(table, encoding="utf-8")
     details = [report_to_dict(rep) for rep in reports]
     (out / AUDIT_DETAILS_NAME).write_text(

@@ -7,7 +7,7 @@ axioms (non-negativity, identity of indiscernibles, symmetry, triangle
 inequality).  Similarity-style measures read identity as self-maximum —
 s(a,a) >= s(a,b) — and apply the triangle axiom to the induced squared
 distance s(a,a) + s(b,b) - 2 s(a,b).  A measure's table holds its values
-on every pair the axioms read, for all trials of one dimension: stacked
+on every pair the axioms read, for one stack of a dimension's trials: stacked
 work (each matrix decomposed once) equal to the plain function's values to
 the bit.  Each axiom's gap is one array over all trials; a flagged trial's
 violation is stored with that gap and the matrices it reads, so an audit
@@ -146,30 +146,23 @@ def sqrt_fidelity_distance(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
     return float(np.sqrt(max(0.0, 1.0 - fidelity(rho_a, rho_b))))
 
 
-def random_densities(rng: np.random.Generator, dims: list[int]) -> list[np.ndarray]:
-    """One mixture of 1..d random pure states with Dirichlet(1,..,1)
-    weights per entry d of ``dims``, in the order of ``dims``.  Each
-    dimension's n matrices are drawn as one block, dimensions in order of
-    first appearance: n state counts m, then n rows of d standard
-    exponentials, then each state's real and imaginary parts.  A matrix's
-    first m exponentials over their sum weight its first m states; the
-    rest weigh 0."""
-    rhos = {}
-    for dim in dict.fromkeys(dims):
-        n = dims.count(dim)
-        m = rng.integers(1, dim + 1, size=(n, 1))
-        w = rng.standard_exponential((n, dim))
-        w[np.arange(dim) >= m] = 0.0
-        w /= w.sum(axis=1, keepdims=True)
-        z = rng.standard_normal((n, dim, 2, dim))
-        vec = z[..., 0, :] + 1j * z[..., 1, :]
-        vec /= np.linalg.norm(vec, axis=-1, keepdims=True)
-        proj = outer_product(vec)
-        rho = np.zeros((n, dim, dim), dtype=np.complex128)
-        for k in range(dim):  # Hermitian to the bit, as each real-weighted proj is
-            rho += w[:, k, None, None] * proj[:, k]
-        rhos[dim] = iter(rho)
-    return [next(rhos[dim]) for dim in dims]
+def random_densities(rng: np.random.Generator, dim: int, n: int) -> np.ndarray:
+    """An (n, dim, dim) stack of mixtures of 1..dim random pure states with
+    Dirichlet(1,..,1) weights, drawn as n state counts m, n rows of dim
+    standard exponentials, then each state's real and imaginary parts; a
+    matrix's first m exponentials over their sum weight its first m states."""
+    m = rng.integers(1, dim + 1, size=(n, 1))
+    w = rng.standard_exponential((n, dim))
+    w[np.arange(dim) >= m] = 0.0
+    w /= w.sum(axis=1, keepdims=True)
+    z = rng.standard_normal((n, dim, 2, dim))
+    vec = z[..., 0, :] + 1j * z[..., 1, :]
+    vec /= np.linalg.norm(vec, axis=-1, keepdims=True)
+    proj = outer_product(vec)
+    rho = np.zeros((n, dim, dim), dtype=np.complex128)
+    for k in range(dim):  # Hermitian to the bit, as each real-weighted proj is
+        rho += w[:, k, None, None] * proj[:, k]
+    return rho
 
 
 @dataclass
@@ -221,10 +214,10 @@ MetricFn = Callable[[np.ndarray, np.ndarray], float]
 Table = Callable[[np.ndarray], np.ndarray]
 
 
-# Seeded triples known to expose violations, audited like any trial: the
-# two-state family at alpha = 0.75 rates rho_b above rho_a's own
-# self-similarity.
-_INJECTED = {"trace_inner_product": [_two_state_family(0.75)]}
+# Seeded trials known to expose violations, as (n, 3, d, d) stacks audited
+# like any trial: the two-state family at alpha = 0.75 rates rho_b above
+# rho_a's own self-similarity.
+_INJECTED = {"trace_inner_product": [np.array([_two_state_family(0.75)])]}
 
 # Every pair any axiom reads, as a table's columns; pair "ab" is fn(a, b) of
 # a trial's matrices (a, b, c) = (0, 1, 2).
@@ -259,7 +252,7 @@ _DISTANCE_AXIOMS: tuple[_Axiom, ...] = (
 )
 
 
-def _audit_triple(report: MetricAuditReport, trial: int, trio: tuple,
+def _audit_triple(report: MetricAuditReport, trial: int, trio: np.ndarray,
                   flagged: list[tuple[_Axiom, float]]) -> None:
     """Store one trial's violations: each flagged axiom with its table gap
     and copies of the matrices its pairs read."""
@@ -329,29 +322,27 @@ _MEASURES: dict[str, tuple[str, MetricFn, Table, str]] = {
 METRIC_FNS: dict[str, MetricFn] = {name: row[1] for name, row in _MEASURES.items()}
 
 
-def _audit(report: MetricAuditReport, table: Table, drawn: list) -> None:
-    """Fill ``report`` from the drawn trials, the measure's injected cases
-    (trial -1) first, in one table pass per dimension."""
-    injected = _INJECTED.get(report.metric, [])
-    cases = injected + drawn
-    sizes = np.array([len(a) for a, _, _ in cases])
-    values = np.empty((len(cases), len(_PAIRS)))
-    for dim in dict.fromkeys(sizes.tolist()):
-        rows = np.flatnonzero(sizes == dim)
-        values[rows] = table(np.array([cases[t] for t in rows]))
+def _audit(report: MetricAuditReport, table: Table, drawn: list[np.ndarray]) -> None:
+    """Fill ``report`` from the drawn (n, 3, d, d) stacks of trials, the
+    measure's injected cases (trial -1) first, one table call per stack."""
+    stacks = [*_INJECTED.get(report.metric, []), *drawn]
+    starts = np.cumsum([0, *map(len, stacks)])
+    skip = starts[len(stacks) - len(drawn)]     # the injected trials
+    values = np.concatenate([table(stack) for stack in stacks])
     axioms = _SIMILARITY_AXIOMS if report.kind == SIMILARITY else _DISTANCE_AXIOMS
     columns = dict(zip(_PAIRS, values.T))
     gaps = np.array([gap_of(*(columns[p] for p in pairs))
                      for _, pairs, gap_of, _ in axioms])
     results = [report.axiom(axiom) for axiom, *_ in axioms]
     for result in results:
-        result.checked = len(cases)
+        result.checked = len(values)
     flagged = gaps > AUDIT_TOL
     for t in np.flatnonzero(flagged.any(axis=0)):
         todo = [(axiom, float(gaps[k, t])) for k, axiom in enumerate(axioms)
                 if flagged[k, t] and len(results[k].violations) < REPORTED_VIOLATIONS]
         if todo:
-            _audit_triple(report, max(int(t) - len(injected), -1), cases[t], todo)
+            s = int(np.searchsorted(starts, t, side="right")) - 1
+            _audit_triple(report, max(int(t - skip), -1), stacks[s][t - starts[s]], todo)
 
 
 def _least_int(name: str, value, least: int) -> int:
@@ -372,11 +363,12 @@ def audit_metrics(
     """Property-test each registered measure named in ``metrics`` against
     the four axioms on one draw, as its registered kind.
 
-    The ``trials`` random triples are drawn once and shared; known seeded
-    counterexamples are injected ahead of them and marked with trial index
-    -1.  Every argument is checked before anything is drawn: ``trials``,
-    ``seed`` and each of ``dims`` must be integers (numpy ones too, but not
-    bools), and the reports hold them as plain ints.
+    The ``trials`` random triples are drawn once and shared: dealt round
+    robin over ``dims``, then drawn and numbered entry by entry.  Known
+    seeded counterexamples are injected ahead of them as trial -1.  Every
+    argument is checked before anything is drawn: ``trials``, ``seed`` and
+    each of ``dims`` must be integers (numpy ones too, but not bools), and
+    the reports hold them as plain ints.
     """
     metrics = list(metrics)
     if not metrics:
@@ -391,10 +383,10 @@ def audit_metrics(
     if not dims:
         raise DomainError("dims must name at least one dimension")
     seed = _least_int("seed", seed, 0)
-    mats = random_densities(np.random.default_rng(seed), [
-        dims[trial % len(dims)] for trial in range(trials) for _ in range(3)
-    ])
-    drawn = list(zip(mats[0::3], mats[1::3], mats[2::3]))
+    rng = np.random.default_rng(seed)
+    shares = np.bincount(np.arange(trials) % len(dims))  # one per entry with a trial
+    drawn = [random_densities(rng, d, 3 * n).reshape(n, 3, d, d)
+             for d, n in zip(dims, shares)]
     reports = []
     for name in metrics:
         kind, _, table, _ = _MEASURES[name]

@@ -42,11 +42,6 @@ def _dagger(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a.conj(), -1, -2)
 
 
-def _frobenius(a: np.ndarray) -> np.ndarray:
-    """Per-matrix Frobenius norms of a stack, shape ``a.shape[:-2]``."""
-    return np.sqrt(np.add.reduce((a.conj() * a).real, axis=(-2, -1)))
-
-
 def _first(bad: np.ndarray) -> tuple[tuple, str]:
     """The first matrix a per-matrix mask flags: its stack index and its
     name, ``matrix`` for a single matrix and ``matrix 3`` (or ``matrix 1, 2``)
@@ -80,7 +75,7 @@ def hermitize(a: np.ndarray) -> np.ndarray:
 
 def _scale(a: np.ndarray) -> np.ndarray:
     """Each matrix's scale ``max(1, ||A||_F)``, which sets its tolerances."""
-    return np.maximum(1.0, _frobenius(a))
+    return np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)))
 
 
 def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -101,7 +96,7 @@ def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             f"non-finite entries in {_first(bad)[1]} passed to hermitian_eig"
         )
     dagger = _dagger(a)
-    deviation = _frobenius(a - dagger)
+    deviation = np.linalg.norm(a - dagger, axis=(-2, -1))
     # every tolerance is at least HERMITIAN_ATOL, so norms are needed only
     # when some deviation passes that
     if (deviation > HERMITIAN_ATOL).any():

@@ -177,7 +177,7 @@ def test_trace_inner_product_equals_overlap_double_sum():
             pb, vb, rho_b = mixture()
         else:
             # eigendecompositions of generic random densities
-            rho_a, rho_b = random_densities(rng, [dim, dim])
+            rho_a, rho_b = random_densities(rng, dim, 2)
             (pa, va), (pb, vb) = hermitian_eig(rho_a), hermitian_eig(rho_b)
             va, vb = va.T, vb.T
         tip = trace_inner_product(rho_a, rho_b)

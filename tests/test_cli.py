@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+from qmatch import density_metrics, evaluation
 from qmatch.checkpoint import load_checkpoint
 from qmatch.cli import (
     AUDIT_DETAILS_NAME,
@@ -241,6 +242,29 @@ def test_checkpoint_commands_take_no_config_flags(command, flag, capsys):
         main([command, "--checkpoint", "c.qmatch", *CHECKPOINT_COMMANDS[command], *flag])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+def taken_file(tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("keep me", encoding="utf-8")
+    return taken
+
+
+def must_not_run(name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} ran before --out was checked")
+    return fail
+
+
+def test_eval_checks_out_before_evaluating(trained, toy_tsv, tmp_path, monkeypatch,
+                                           capsys):
+    monkeypatch.setattr(evaluation, "evaluate", must_not_run("evaluate"))
+    taken = taken_file(tmp_path)
+    rc = main(["eval", "--checkpoint", str(trained), "--dataset", str(toy_tsv),
+               "--out", str(taken)])
+    assert rc == 2
+    assert f"error: bad path: [Errno 17] File exists: '{taken}'" in capsys.readouterr().err
+    assert taken.read_text(encoding="utf-8") == "keep me"
 
 
 def test_eval_out_of_range_stored_config_exits_2(trained, toy_tsv, tmp_path, capsys):
@@ -616,13 +640,15 @@ def test_metric_audit_writes_table_and_details(tmp_path, capsys):
     assert "triangle" in capsys.readouterr().out
 
 
-def test_metric_audit_unknown_metric_exits_4(tmp_path, capsys):
+def test_metric_audit_unknown_metric_exits_2(tmp_path, capsys):
+    out = tmp_path / "audit"
     rc = main(
-        ["metric-audit", "--trials", "5", "--metrics", "hamming",
-         "--out", str(tmp_path)]
+        ["metric-audit", "--trials", "5", "--metrics", "fidelity,hamming",
+         "--out", str(out)]
     )
-    assert rc == 4
-    assert "unknown metric" in capsys.readouterr().err
+    assert rc == 2
+    assert "unknown metric hamming; choose from fidelity" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", [["--metrics", ","], ["--dims", ""]],
@@ -661,6 +687,15 @@ def test_metric_audit_bad_trials_or_dims_exit_2(flag, message, tmp_path, capsys)
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / AUDIT_TABLE_NAME).exists()
+
+
+def test_metric_audit_checks_out_before_auditing(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(density_metrics, "audit_metrics", must_not_run("audit_metrics"))
+    taken = taken_file(tmp_path)
+    rc = main(["metric-audit", "--trials", "5", "--out", str(taken)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: bad path: [Errno")
+    assert taken.read_text(encoding="utf-8") == "keep me"
 
 
 # ---------------------------------------------------------------------------
@@ -704,8 +739,7 @@ def test_a_directory_given_as_a_checkpoint_exits_2(toy_tsv, tmp_path, capsys):
 
 @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
 def test_an_out_that_is_a_file_exits_2(below, tmp_path, capsys):
-    taken = tmp_path / "taken"
-    taken.write_text("keep me", encoding="utf-8")
+    taken = taken_file(tmp_path)
     out = taken / "sub" if below else taken
     assert main(["metric-audit", "--trials", "1", "--out", str(out)]) == 2
     err = capsys.readouterr().err

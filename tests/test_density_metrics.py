@@ -49,7 +49,7 @@ def pure(vec):
 
 def random_pair(seed, dim=3):
     rng = np.random.default_rng(seed)
-    return tuple(random_densities(rng, [dim, dim]))
+    return tuple(random_densities(rng, dim, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +261,7 @@ def test_fidelity_symmetric_to_the_bit(seed):
 def test_sqrt_fidelity_distance_triangle_samples():
     rng = np.random.default_rng(21)
     for _ in range(25):
-        a, b, c = random_densities(rng, [3, 3, 3])
+        a, b, c = random_densities(rng, 3, 3)
         lhs = sqrt_fidelity_distance(a, c)
         rhs = sqrt_fidelity_distance(a, b) + sqrt_fidelity_distance(b, c)
         assert lhs <= rhs + AUDIT_TOL
@@ -274,7 +274,7 @@ def test_sqrt_fidelity_distance_triangle_samples():
 @given(st.integers(min_value=0, max_value=200), st.integers(min_value=2, max_value=5))
 @settings(max_examples=60, deadline=None)
 def test_random_density_is_a_density_matrix(seed, dim):
-    rho = random_densities(np.random.default_rng(seed), [dim])[0]
+    rho = random_densities(np.random.default_rng(seed), dim, 1)[0]
     np.testing.assert_array_equal(rho, rho.conj().T)
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.eigvalsh(rho).min() >= -1e-12
@@ -284,35 +284,31 @@ def test_random_density_is_a_density_matrix(seed, dim):
 def test_random_densities_are_hermitian_to_the_bit(seed):
     # no symmetrising pass runs: each matrix already equals its conjugate
     # transpose, and hermitize would move none of its bits
-    for rho in random_densities(np.random.default_rng(seed), [2, 3, 4, 5, 6] * 25):
-        np.testing.assert_array_equal(rho, rho.conj().T)
-        assert hermitize(rho).tobytes() == rho.tobytes()
+    rng = np.random.default_rng(seed)
+    for dim in range(2, 7):
+        for rho in random_densities(rng, dim, 25):
+            np.testing.assert_array_equal(rho, rho.conj().T)
+            assert hermitize(rho).tobytes() == rho.tobytes()
 
 
 def test_random_density_is_deterministic():
-    a = random_densities(np.random.default_rng(33), [4])[0]
-    b = random_densities(np.random.default_rng(33), [4])[0]
+    a = random_densities(np.random.default_rng(33), 4, 1)[0]
+    b = random_densities(np.random.default_rng(33), 4, 1)[0]
     np.testing.assert_array_equal(a, b)
 
 
 @pytest.mark.parametrize("dim", range(2, 7))
 def test_random_density_ranks_cover_one_to_d(dim):
     # a matrix mixes 1..d states, each count drawn uniformly
-    rhos = random_densities(np.random.default_rng(dim), [dim] * 400)
+    rhos = random_densities(np.random.default_rng(dim), dim, 400)
     ranks = {int(np.linalg.matrix_rank(rho, tol=1e-10, hermitian=True)) for rho in rhos}
     assert ranks == set(range(1, dim + 1))
 
 
 def test_random_densities_average_to_the_maximally_mixed_state():
     # the draw is unitarily invariant, so its mean is I / d
-    rhos = random_densities(np.random.default_rng(3), [3] * 4000)
+    rhos = random_densities(np.random.default_rng(3), 3, 4000)
     assert np.abs(np.mean(rhos, axis=0) - np.eye(3) / 3).max() < 0.02
-
-
-def test_random_densities_of_mixed_dimensions_keep_their_order():
-    dims = [2, 5, 3, 5, 2, 4, 6, 3, 2]
-    rhos = random_densities(np.random.default_rng(8), dims)
-    assert [rho.shape for rho in rhos] == [(d, d) for d in dims]
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +370,26 @@ def test_audit_counts_every_trial():
     assert report.dims == (2, 3)
     assert report.symmetry.checked == 25  # no injected cases for this one
     assert report.identity.checked == 25
+
+
+def test_audit_numbers_trials_dimension_by_dimension():
+    # dims (3, 2) deal trials round robin, 3 to each dimension, but the
+    # audit draws and numbers all of 3's first: trials 0-2 are the rows of
+    # the 3 x 3 stack, trials 3-5 those of the 2 x 2 stack
+    rng = np.random.default_rng(2)
+    stacks = [random_densities(rng, d, 9).reshape(3, 3, d, d) for d in (3, 2)]
+    report = audit_metric("vn_divergence", trials=6, dims=(3, 2), seed=2)
+    reads = {axiom: ["abc".index(m) for m in sorted(set("".join(pairs)))]
+             for axiom, pairs, _, _ in density_metrics._DISTANCE_AXIOMS}
+    seen = []
+    for axiom, rows in reads.items():
+        for violation in report.axiom(axiom).violations:
+            trio = stacks[violation.trial // 3][violation.trial % 3]
+            assert len(violation.matrices) == len(rows)
+            for held, row in zip(violation.matrices, rows):
+                assert held.tobytes() == trio[row].tobytes()
+            seen.append(violation.trial)
+    assert set(seen) == {0, 1, 2, 3, 5}
 
 
 def test_audit_is_deterministic():
@@ -470,7 +486,7 @@ def test_every_table_equals_the_pairwise_table_to_the_bit(name):
     # trials a report shows, matches one plain call per pair
     rng = np.random.default_rng(5)
     for dim in (2, 3, 4, 9, 16):
-        mats = np.array(random_densities(rng, [dim] * 60)).reshape(20, 3, dim, dim)
+        mats = random_densities(rng, dim, 60).reshape(20, 3, dim, dim)
         _, _, table_of, _ = density_metrics._MEASURES[name]
         table = table_of(mats)
         oracle = pairwise_table(METRIC_FNS[name], mats)
