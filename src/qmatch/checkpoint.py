@@ -8,7 +8,9 @@ blocks as little-endian float64 in C order:
 
 Writing the same parameters twice produces byte-identical files — there
 are no timestamps or compression headers.  Saves go through a renamed
-temporary file, so a failed save never leaves a half-written checkpoint.
+temporary file, so a failed save never leaves a half-written checkpoint,
+and ``_check_loadable`` is the one rule of what a checkpoint may hold:
+save refuses what load would reject.
 """
 
 from __future__ import annotations
@@ -36,17 +38,32 @@ def _blocks(params: ParameterSet) -> list[np.ndarray]:
     ]
 
 
+def _check_loadable(params: ParameterSet, config: TrainerConfig, vocab_size: int):
+    """Raise ConfigError (NumericError for a non-finite block) unless the
+    parameters hold one row per vocabulary token, blocks of the config's
+    shapes, finite values and unit measurement rows."""
+    if params.vocab_size != vocab_size:
+        raise ConfigError(
+            f"vocabulary has {vocab_size} tokens but parameters cover "
+            f"{params.vocab_size}"
+        )
+    n, k = config.embedding_dim, config.num_measurements
+    shapes = [params.amplitude.shape, params.phase.shape, params.measurements.shape]
+    if shapes != (want := [(vocab_size, n), (vocab_size, n), (k, n)]):
+        raise ConfigError(f"parameter blocks of shapes {shapes} disagree with the "
+                          f"config's {want} (embedding_dim {n}, num_measurements {k})")
+    params.check_finite()
+    if np.any(np.abs(row_norms(params.measurements) - 1.0) > UNIT_NORM_ATOL):
+        raise ConfigError("measurement rows are not unit norm")
+
+
 def save_checkpoint(
     path: str | Path,
     params: ParameterSet,
     config: TrainerConfig,
     vocab: Vocabulary,
 ) -> None:
-    if len(vocab) != params.vocab_size:
-        raise ConfigError(
-            f"vocabulary has {len(vocab)} tokens but parameters cover "
-            f"{params.vocab_size}"
-        )
+    _check_loadable(params, config, len(vocab))
     vocab_line = json.dumps(list(vocab.tokens), ensure_ascii=False)
     header = (
         f"{MAGIC} v{FORMAT_VERSION}\n"
@@ -122,10 +139,6 @@ def load_checkpoint(
         vocab = Vocabulary(tokens)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    if len(tokens) != vocab_size:
-        raise ParseError(
-            f"{path}: header claims {vocab_size} tokens, found {len(tokens)}"
-        )
 
     shapes = [(vocab_size, dim), (vocab_size, dim), (k, dim), (k, dim)]
     expected = sum(r * c for r, c in shapes) * 8
@@ -148,12 +161,8 @@ def load_checkpoint(
     params = ParameterSet(
         amplitude=amplitude, phase=phase, measurements=meas_re + 1j * meas_im
     )
-    if config.embedding_dim != dim or config.num_measurements != k:
-        raise ParseError(
-            f"{path}: header dimensions disagree with stored config"
-        )
-    params.check_finite()
-    norms = row_norms(params.measurements)
-    if np.any(np.abs(norms - 1.0) > UNIT_NORM_ATOL):
-        raise ParseError(f"{path}: measurement rows are not unit norm")
+    try:
+        _check_loadable(params, config, len(vocab))
+    except ConfigError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     return params, config, vocab

@@ -188,7 +188,7 @@ class AxiomResult:
         return "violated" if self.violated else "holds"
 
 
-# The audited axioms in column order, each a field of ``MetricAuditReport``.
+# The audited axioms in column order: the keys of ``MetricAuditReport.axioms``.
 _AXIOM_COLUMNS = ("non_negativity", "identity", "symmetry", "triangle")
 
 
@@ -199,15 +199,11 @@ class MetricAuditReport:
     trials: int
     dims: tuple[int, ...]
     seed: int
-    non_negativity: AxiomResult = field(default_factory=AxiomResult)
-    identity: AxiomResult = field(default_factory=AxiomResult)
-    symmetry: AxiomResult = field(default_factory=AxiomResult)
-    triangle: AxiomResult = field(default_factory=AxiomResult)
+    axioms: dict[str, AxiomResult] = field(
+        default_factory=lambda: {name: AxiomResult() for name in _AXIOM_COLUMNS})
 
     def axiom(self, name: str) -> AxiomResult:
-        if name not in _AXIOM_COLUMNS:
-            raise KeyError(name)
-        return getattr(self, name)
+        return self.axioms[name]
 
 
 MetricFn = Callable[[np.ndarray, np.ndarray], float]
@@ -409,15 +405,12 @@ def audit_metric(
 def render_audit_table(reports: list[MetricAuditReport]) -> str:
     """Text table: one row per metric, one column per audited axiom,
     plus differentiability (not audited) and an informative cost column."""
-    headers = [
-        "metric", "kind", "non-negativity", "identity", "symmetry",
-        "triangle", "differentiability", "complexity",
-    ]
+    headers = ["metric", "kind", *(a.replace("_", "-") for a in _AXIOM_COLUMNS),
+               "differentiability", "complexity"]
     rows = [headers]
     for rep in reports:
         cells = [rep.metric, rep.kind]
-        for axiom in _AXIOM_COLUMNS:
-            res = rep.axiom(axiom)
+        for res in rep.axioms.values():
             mark = "-" if res.violated else "+"
             cells.append(f"{mark} ({res.status})")
         cells.append("n/a")
@@ -442,8 +435,7 @@ def report_to_dict(rep: MetricAuditReport) -> dict:
         "seed": rep.seed,
         "axioms": {},
     }
-    for axiom in _AXIOM_COLUMNS:
-        res = rep.axiom(axiom)
+    for axiom, res in rep.axioms.items():
         out["axioms"][axiom] = {
             "status": res.status,
             "checked": res.checked,

@@ -16,7 +16,8 @@ the only complex calculus needed.
 ``backward_batch`` differentiates a whole ``forward_batch`` tape in one
 pass, and ``batch_grad`` runs one SGD batch of triplets through both,
 with dropout exactly when it is given a generator; one ``matcher.cosines``
-call (the ranking's cosine) and one ``cosine_grad`` call serve both answers.
+call scores both answers, and one ``cosine_grad`` call differentiates that
+call's open rows.
 A gradient set covers the touched vocabulary rows only; token gradients
 reach each row in sentence order and, within a sentence, in token order.
 The real-valued ablation zeroes the phase gradient and the measurements'
@@ -33,12 +34,13 @@ from .model import GLOBAL_MIXTURE, GradientSet, ParameterSet, TrainerConfig
 
 
 def cosine_grad(
-    u: np.ndarray, v: np.ndarray, g_s
+    u: np.ndarray, v: np.ndarray, scored, g_s
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradient of g_s * cosine(u, v) wrt u and v, row pair by row pair over
-    the last axis (zero for a pair with a zero row); ``g_s`` is a number or
-    an array that broadcasts over the pairs."""
-    s, nu, nv, zero = cosines(u, v)
+    the last axis (zero for a pair with a zero row).  ``scored`` is the
+    ``matcher.cosines(u, v)`` tuple; ``g_s`` is a number or an array that
+    broadcasts over the pairs."""
+    s, nu, nv, zero = scored
     g_s = np.where(zero, 0.0, np.asarray(g_s, dtype=np.float64)[..., None])
     g_u = g_s * (v / (nu * nv) - s * u / (nu * nu))
     g_v = g_s * (u / (nu * nv) - s * v / (nv * nv))
@@ -174,11 +176,13 @@ def batch_grad(
     sentences = [ids for triplet in triplets for ids in triplet]
     reps, tape = forward_batch(sentences, params, config, rng)
     q, answers = np.split(reps.reshape(len(triplets), 3, -1), [1], axis=1)
-    s_pos, s_neg = cosines(q, answers)[0].transpose(1, 0, 2)
+    scored = cosines(q, answers)
+    s_pos, s_neg = scored[0].transpose(1, 0, 2)
     losses = triplet_loss(s_pos, s_neg, config.margin)
     act = np.flatnonzero(losses > 0.0)
     # d loss = -d s_pos + d s_neg while the hinge is active
-    g_q, g_answers = cosine_grad(q[act], answers[act], [-1.0, 1.0])
+    g_q, g_answers = cosine_grad(q[act], answers[act],
+                                 [part[act] for part in scored], [-1.0, 1.0])
     g_reps = np.concatenate([g_q[:, :1] + g_q[:, 1:], g_answers], axis=1)
     g_reps = g_reps.reshape(-1, reps.shape[1])
     active = (3 * act[:, None] + np.arange(3)).ravel()

@@ -220,24 +220,17 @@ def forward_batch(
     """Factored forward pass over N sentences; returns (reps (N, R), tape).
 
     A generator means train mode: dropout runs exactly when ``rng`` is
-    given.  Its masks are drawn sentence by sentence (amplitude rows, then
-    the pooled vector), so the random stream is that of N single-sentence
-    calls.
+    given.  It draws every token's amplitude mask as one (T, n) block, then
+    every sentence's pooled mask as one (N, R) block.
     """
     ids, starts, lengths = _lay_out(id_lists, config)
     T = ids.size
-    n = params.dim
-    R = config.representation_len
 
     keep = config.keep_probability
     emb_mask = pooled_mask = None
     if rng is not None and keep < 1.0:
-        masks = [
-            (_dropout_mask((L, n), keep, rng), _dropout_mask(R, keep, rng))
-            for L in lengths
-        ]
-        emb_mask = np.concatenate([m for m, _ in masks])
-        pooled_mask = np.stack([m for _, m in masks])
+        emb_mask = _dropout_mask((T, params.dim), keep, rng)
+        pooled_mask = _dropout_mask((lengths.size, config.representation_len), keep, rng)
 
     words, rows = np.unique(ids, return_inverse=True)
     eiph = np.exp(1j * params.phase[words])   # phases are never masked

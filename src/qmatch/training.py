@@ -118,6 +118,9 @@ class AdamState:
     def zeros_like(cls, params: ParameterSet) -> "AdamState":
         return cls([(np.zeros_like(x), np.zeros_like(x)) for x in _coordinates(params)])
 
+    def catch_up(self, params: ParameterSet, config: TrainerConfig, rows=None) -> None:
+        """A no-op: Adam decays every row on every step, so none is pending."""
+
 
 def adam_step(
     params: ParameterSet,
@@ -195,11 +198,11 @@ def train(
     streams = seed_streams(config.seed)
     sampling = streams["sampling"]
     dropout = streams["dropout"]
-    adam = sgd = None
+    # looked up per call, so a wrapper set on the module by name sees each step
     if config.optimizer == "adam":
-        adam = AdamState.zeros_like(params)
+        state, step = AdamState.zeros_like(params), adam_step
     else:
-        sgd = SGDState.zeros_like(params)
+        state, step = SGDState.zeros_like(params), sgd_step
 
     best_params: ParameterSet | None = None
     best_report: MetricReport | None = None
@@ -214,19 +217,16 @@ def train(
         losses = []
         for batch_no, start in enumerate(range(0, len(order), config.batch_size)):
             batch = [triplets[idx] for idx in order[start : start + config.batch_size]]
-            if sgd is not None:   # the forward pass reads decayed rows
-                read = np.concatenate([ids for triplet in batch for ids in triplet])
-                sgd.catch_up(params, config, read)
+            # the forward pass reads decayed rows
+            read = np.concatenate([ids for triplet in batch for ids in triplet])
+            state.catch_up(params, config, read)
             batch_losses, grads = batch_grad(batch, params, config, dropout)
             batch_loss = 0.0
             for loss in batch_losses:
                 batch_loss += loss
             grads.scale_(1.0 / len(batch))
             batch_loss /= len(batch)
-            if adam is None:
-                sgd_step(params, grads, config, sgd)
-            else:
-                adam_step(params, grads, config, adam)
+            step(params, grads, config, state)
             losses.append(batch_loss)
             if log_fn is not None:
                 log_fn(
@@ -238,8 +238,7 @@ def train(
                     }
                 )
 
-        if sgd is not None:
-            sgd.catch_up(params, config)
+        state.catch_up(params, config)
         params.check_finite()
         mean_loss = float(np.mean(losses)) if losses else 0.0
         dev_map = dev_mrr = None

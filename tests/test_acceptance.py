@@ -325,13 +325,13 @@ def test_metric_audit_reproduces_axiom_pattern():
     elapsed = time.perf_counter() - t0
     checks = {
         "trace_inner_product symmetry holds":
-            not reports["trace_inner_product"].symmetry.violated,
+            not reports["trace_inner_product"].axiom("symmetry").violated,
         "trace_inner_product identity violated":
-            reports["trace_inner_product"].identity.violated,
+            reports["trace_inner_product"].axiom("identity").violated,
         "vn_divergence asymmetry detected":
-            reports["vn_divergence"].symmetry.violated,
-        "sym_vn symmetry holds": not reports["sym_vn"].symmetry.violated,
-        "fidelity symmetry holds": not reports["fidelity"].symmetry.violated,
+            reports["vn_divergence"].axiom("symmetry").violated,
+        "sym_vn symmetry holds": not reports["sym_vn"].axiom("symmetry").violated,
+        "fidelity symmetry holds": not reports["fidelity"].axiom("symmetry").violated,
     }
     failed = [label for label, passed in checks.items() if not passed]
     ok = not failed

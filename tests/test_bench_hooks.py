@@ -88,3 +88,24 @@ def test_traced_audit_labels_its_trials_and_calls_no_measure():
               if name == "density_metrics.trial"]
     assert trials and set(trials) == {"vn_divergence"}
     assert "density_metrics.vn_divergence" not in tracer.names
+
+
+TRACER_ONLY = ("forward_sentence", "backward_sentence", "triplet_grad")
+
+
+def test_the_tracer_only_wrappers_have_no_caller_in_the_package_or_tests():
+    # the tracer wraps these batches of one by name and nothing else uses
+    # them, so they can go with the benchmark's last read of them
+    root = BENCH.parent
+    defined, used = [], []
+    for path in sorted([*(root / "src").rglob("*.py"), *(root / "tests").rglob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and node.name in TRACER_ONLY:
+                defined.append(node.name)
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name in TRACER_ONLY:
+                used.append(f"{path.relative_to(root)}:{node.lineno} {name}")
+    assert sorted(defined) == sorted(TRACER_ONLY)
+    assert used == []

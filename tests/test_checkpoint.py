@@ -129,6 +129,21 @@ def test_load_rejects_missing_fields(tmp_path):
         load_checkpoint(bad)
 
 
+def test_load_rejects_a_non_integer_header_field(tmp_path, saved):
+    bad = tmp_path / "field.qmatch"
+    bad.write_bytes(saved.read_bytes().replace(b"\ndim: 5\n", b"\ndim: five\n", 1))
+    with pytest.raises(ParseError, match="field.qmatch: bad checkpoint field"):
+        load_checkpoint(bad)
+
+
+def test_load_rejects_a_vocabulary_record_with_no_newline(tmp_path, saved):
+    head, rest = saved.read_bytes().split(b"\n\n", 1)
+    bad = tmp_path / "cut.qmatch"
+    bad.write_bytes(head + b"\n\n" + rest.split(b"\n", 1)[0])
+    with pytest.raises(ParseError, match="cut.qmatch: truncated vocabulary record"):
+        load_checkpoint(bad)
+
+
 def test_load_rejects_token_count_mismatch(tmp_path, saved):
     data = saved.read_bytes()
     head, rest = data.split(b"\n\n", 1)
@@ -172,23 +187,75 @@ def test_load_rejects_duplicate_tokens(tmp_path, saved):
         load_checkpoint(bad)
 
 
+def save_edited(path, edit):
+    """Save ``setup_state()`` at ``path``, then write ``edit(params)``'s
+    blocks over its payload: a file edited by hand, which save refuses to
+    write."""
+    params, config, vocab = setup_state()
+    save_checkpoint(path, params, config, vocab)
+    edit(params)
+    payload = b"".join(np.ascontiguousarray(block, dtype="<f8").tobytes()
+                       for block in checkpoint._blocks(params))
+    path.write_bytes(path.read_bytes()[: -len(payload)] + payload)
+
+
 @pytest.mark.parametrize("block", ["amplitude", "phase", "measurements"])
 def test_load_rejects_non_finite_blocks(tmp_path, block):
-    params, config, vocab = setup_state()
-    getattr(params, block)[2, 1] = np.nan
+    def poison(params):
+        getattr(params, block)[2, 1] = np.nan
+
     path = tmp_path / "nan.qmatch"
-    save_checkpoint(path, params, config, vocab)
+    save_edited(path, poison)
     with pytest.raises(NumericError, match=f"parameter block '{block}'"):
         load_checkpoint(path)
 
 
 def test_load_rejects_non_unit_measurement_rows(tmp_path):
-    params, config, vocab = setup_state()
-    params.measurements[1] *= 1.0 + 1e-4
+    def stretch(params):
+        params.measurements[1] *= 1.0 + 1e-4
+
     path = tmp_path / "norm.qmatch"
-    save_checkpoint(path, params, config, vocab)
-    with pytest.raises(ParseError, match="measurement rows are not unit norm"):
+    save_edited(path, stretch)
+    with pytest.raises(ParseError, match="norm.qmatch: measurement rows are not unit"):
         load_checkpoint(path)
+
+
+def test_load_rejects_a_stored_config_whose_dimensions_disagree(tmp_path, saved):
+    # the header's dimensions fit the payload, the stored config's do not
+    bad = tmp_path / "dims.qmatch"
+    edit_stored_config(saved, bad, embedding_dim=4)
+    with pytest.raises(ParseError, match="dims.qmatch: parameter blocks of shapes"):
+        load_checkpoint(bad)
+
+
+def nan_amplitude(params):
+    params.amplitude[2, 1] = np.nan
+
+
+def double_a_measurement_row(params):
+    params.measurements[1] *= 2.0
+
+
+@pytest.mark.parametrize(
+    "overrides, edit, error, message",
+    [
+        ({"embedding_dim": 4}, None, ConfigError, "disagree with the config"),
+        ({"num_measurements": 2}, None, ConfigError, "disagree with the config"),
+        ({}, nan_amplitude, NumericError, "parameter block 'amplitude'"),
+        ({}, double_a_measurement_row, ConfigError, "rows are not unit norm"),
+    ],
+    ids=["embedding-dim", "measurement-count", "nan-amplitude", "rows-scaled-by-2"],
+)
+def test_save_refuses_what_load_would_reject(tmp_path, overrides, edit, error, message):
+    params, config, vocab = setup_state()
+    config = config.with_overrides(**overrides)
+    if edit is not None:
+        edit(params)
+    path = tmp_path / "refused.qmatch"
+    with pytest.raises(error, match=message):
+        save_checkpoint(path, params, config, vocab)
+    assert not path.exists()
+    assert not (tmp_path / "refused.qmatch.tmp").exists()
 
 
 def edit_stored_config(path, out, **changes):
@@ -283,6 +350,30 @@ def test_a_grid_config_with_a_list_of_windows_equals_its_tuple_config(tmp_path):
 def test_from_dict_rejects_a_non_object(data):
     with pytest.raises(ConfigError, match="a config must be an object"):
         TrainerConfig.from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [({"mixture": "mean"}, "unknown mixture kind 'mean'"),
+     ({"window_sizes": ()}, "window_sizes must not be empty for local mixture"),
+     ({"window_sizes": (2, 0)}, "window sizes must be >= 1, got (2, 0)"),
+     ({"optimizer": "rmsprop"}, "unknown optimizer 'rmsprop'")],
+    ids=["mixture", "no-windows", "window-below-1", "optimizer"],
+)
+def test_a_bad_choice_names_itself(fields, message):
+    with pytest.raises(ConfigError) as info:
+        TrainerConfig(**fields)
+    assert str(info.value) == message
+
+
+def test_the_global_mixture_reads_no_window_sizes():
+    config = TrainerConfig(mixture="global", window_sizes=())
+    assert config.representation_len == config.num_measurements
+
+
+def test_from_dict_rejects_unknown_keys():
+    with pytest.raises(ConfigError, match=r"unknown config keys: \['colour', 'size'\]"):
+        TrainerConfig.from_dict({"margin": 0.2, "size": 1, "colour": "red"})
 
 
 def test_from_dict_accepts_ints_for_float_fields():

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from qmatch import density_metrics, evaluation
+from qmatch import density_metrics, evaluation, training
 from qmatch.checkpoint import load_checkpoint
 from qmatch.cli import (
     AUDIT_DETAILS_NAME,
@@ -352,6 +352,24 @@ def test_grid_search_row_without_epochs_equals_the_train_dev_summary(
     (row,) = read_rows(grid_out)
     summary = json.loads((train_out / DEV_REPORT_NAME).read_text().splitlines()[0])
     assert (row["dev_map"], row["dev_mrr"]) == (summary["map"], summary["mrr"])
+
+
+def test_grid_file_that_is_not_an_object_exits_2(toy_tsv, tmp_path, capsys):
+    out = tmp_path / "grid"
+    assert main(grid_args(toy_tsv, tmp_path, [{"seed": [1]}], out)) == 2
+    assert "grid.json: expected an object of pools" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_grid_search_without_a_grid_sweeps_the_default_pools(
+    toy_tsv, tmp_path, monkeypatch
+):
+    monkeypatch.setattr(training, "DEFAULT_GRID_POOLS", {"margin": [0.3, 0.4]})
+    out = tmp_path / "grid"
+    args = grid_args(toy_tsv, tmp_path, {}, out, epochs="0")
+    assert args[-2] == "--grid"
+    assert main(args[:-2]) == 0
+    assert [row["config"]["margin"] for row in read_rows(out)] == [0.3, 0.4]
 
 
 def test_grid_search_pool_that_is_not_a_list_exits_2(toy_tsv, tmp_path, capsys):
@@ -775,6 +793,30 @@ def test_mistyped_config_exits_2(data, toy_tsv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert " must be " in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, stored", [("yes", True), ("0", False)])
+def test_complex_valued_flag_reads_a_boolean(text, stored, toy_tsv, tmp_path):
+    out = tmp_path / "run"
+    args = [*train_args(toy_tsv, out, epochs="0"), "--complex-valued", text]
+    assert main(args) == 0
+    _, config, _ = load_checkpoint(out / CHECKPOINT_NAME)
+    assert config.complex_valued is stored
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--complex-valued", "maybe", "expected a boolean, got 'maybe'"),
+     ("--window-sizes", "1,x", "expected comma-separated ints")],
+    ids=["complex-valued", "window-sizes"],
+)
+def test_a_malformed_flag_exits_2(flag, value, message, toy_tsv, tmp_path, capsys):
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--dataset", str(toy_tsv), flag, value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

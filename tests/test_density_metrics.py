@@ -317,16 +317,16 @@ def test_random_densities_average_to_the_maximally_mixed_state():
 
 def test_audit_finds_the_self_overlap_counterexample():
     report = audit_metric("trace_inner_product", trials=40, seed=1)
-    assert report.identity.violated
-    trials = [v.trial for v in report.identity.violations]
+    assert report.axiom("identity").violated
+    trials = [v.trial for v in report.axiom("identity").violations]
     assert -1 in trials  # the seeded two-state family is always included
-    assert report.symmetry.status == "holds"
-    assert report.non_negativity.status == "holds"
+    assert report.axiom("symmetry").status == "holds"
+    assert report.axiom("non_negativity").status == "holds"
 
 
 def test_audit_violations_are_reproducible_from_stored_matrices():
     report = audit_metric("trace_inner_product", trials=40, seed=1)
-    violation = report.identity.violations[0]
+    violation = report.axiom("identity").violations[0]
     a, b = violation.matrices
     fn = METRIC_FNS["trace_inner_product"]
     gap = max(fn(a, b) - fn(a, a), fn(a, b) - fn(b, b))
@@ -336,15 +336,16 @@ def test_audit_violations_are_reproducible_from_stored_matrices():
 
 def test_audit_vn_divergence_breaks_symmetry_only():
     report = audit_metric("vn_divergence", trials=30, seed=2)
-    assert report.symmetry.violated
-    assert report.identity.status == "holds"
-    assert report.non_negativity.status == "holds"
+    assert report.axiom("symmetry").violated
+    assert report.axiom("identity").status == "holds"
+    assert report.axiom("non_negativity").status == "holds"
 
 
 def test_axiom_reads_the_four_axiom_fields_and_nothing_else():
     report = audit_metric("vn_divergence", trials=3)
     names = ("non_negativity", "identity", "symmetry", "triangle")
-    assert [report.axiom(n) for n in names] == [getattr(report, n) for n in names]
+    assert list(report.axioms) == list(names)
+    assert [report.axiom(n) for n in names] == list(report.axioms.values())
     for name in ("metric", "trials", "differentiability"):
         with pytest.raises(KeyError):
             report.axiom(name)
@@ -352,13 +353,13 @@ def test_axiom_reads_the_four_axiom_fields_and_nothing_else():
 
 def test_audit_symmetrization_restores_symmetry():
     report = audit_metric("sym_vn", trials=30, seed=2)
-    assert report.symmetry.status == "holds"
+    assert report.axiom("symmetry").status == "holds"
 
 
 def test_audit_fidelity_family():
     fid = audit_metric("fidelity", trials=30, seed=3)
-    assert fid.symmetry.status == "holds"
-    assert fid.identity.status == "holds"
+    assert fid.axiom("symmetry").status == "holds"
+    assert fid.axiom("identity").status == "holds"
     dist = audit_metric("sqrt_fidelity_distance", trials=30, seed=3)
     for axiom in ("non_negativity", "identity", "symmetry", "triangle"):
         assert dist.axiom(axiom).status == "holds", axiom
@@ -368,8 +369,8 @@ def test_audit_counts_every_trial():
     report = audit_metric("sym_vn", trials=25, seed=0, dims=(2, 3))
     assert report.trials == 25
     assert report.dims == (2, 3)
-    assert report.symmetry.checked == 25  # no injected cases for this one
-    assert report.identity.checked == 25
+    assert report.axiom("symmetry").checked == 25  # no injected cases for this one
+    assert report.axiom("identity").checked == 25
 
 
 def test_audit_numbers_trials_dimension_by_dimension():
@@ -395,9 +396,9 @@ def test_audit_numbers_trials_dimension_by_dimension():
 def test_audit_is_deterministic():
     a = audit_metric("vn_divergence", trials=20, seed=5)
     b = audit_metric("vn_divergence", trials=20, seed=5)
-    assert len(a.symmetry.violations) == len(b.symmetry.violations)
-    assert [v.trial for v in a.symmetry.violations] == [
-        v.trial for v in b.symmetry.violations
+    assert len(a.axiom("symmetry").violations) == len(b.axiom("symmetry").violations)
+    assert [v.trial for v in a.axiom("symmetry").violations] == [
+        v.trial for v in b.axiom("symmetry").violations
     ]
 
 

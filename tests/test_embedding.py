@@ -227,6 +227,14 @@ def test_read_glove_vectors(tmp_path):
     np.testing.assert_allclose(vecs["dog"], [-1.0, 0.5, 2.5])
 
 
+def test_read_glove_vectors_skips_blank_lines(tmp_path):
+    path = tmp_path / "vectors.txt"
+    path.write_text("\ncat 0.1 0.2 0.3\n   \n\t\ndog -1.0 0.5 2.5\n\n")
+    vecs = read_glove_vectors(str(path), 3)
+    assert list(vecs) == ["cat", "dog"]
+    np.testing.assert_allclose(vecs["dog"], [-1.0, 0.5, 2.5])
+
+
 def test_read_glove_vectors_wrong_width(tmp_path):
     path = tmp_path / "vectors.txt"
     path.write_text("cat 0.1 0.2 0.3\ndog 1.0\n")

@@ -4,7 +4,8 @@ Central differences on the triplet loss, compared per parameter class
 (amplitude, phase, measurement real/imaginary parts) as vector norms.
 Coordinates whose perturbation flips a max-pool winner or closes the
 hinge are excluded: the loss is non-differentiable there and the
-two-sided difference straddles the kink.
+two-sided difference straddles the kink.  Under dropout every evaluation
+runs on a fresh generator of one seed, so each draws the same masks.
 """
 
 import numpy as np
@@ -12,8 +13,8 @@ import pytest
 
 from qmatch import gradients
 from qmatch.embedding import Vocabulary
-from qmatch.gradients import batch_grad, cosine_grad, triplet_grad
-from qmatch.matcher import forward_batch, score, triplet_loss
+from qmatch.gradients import batch_grad, cosine_grad
+from qmatch.matcher import cosines, forward_batch, score, triplet_loss
 from qmatch.model import TrainerConfig, init_parameters
 
 FD_STEP = 1e-5
@@ -22,14 +23,21 @@ REL_TOL = 1e-4
 VOCAB = Vocabulary.from_tokens([f"w{i}" for i in range(10)])
 
 
-def forward_triplet(q, p, n, params, config):
-    """(loss, s_pos, s_neg, tape) of one eval-mode forward over q, a+, a-."""
-    reps, tape = forward_batch([q, p, n], params, config)
+def mask_rng(seed):
+    """No generator (eval mode) for no seed, else a fresh one of ``seed``."""
+    return None if seed is None else np.random.default_rng(seed)
+
+
+def forward_triplet(q, p, n, params, config, seed=None):
+    """(loss, s_pos, s_neg, tape) of one forward over q, a+, a-, in train
+    mode on ``mask_rng(seed)`` when a seed is given."""
+    reps, tape = forward_batch([q, p, n], params, config, mask_rng(seed))
     s_pos, s_neg = score(reps[0], reps[1]), score(reps[0], reps[2])
     return triplet_loss(s_pos, s_neg, config.margin), s_pos, s_neg, tape
 
 
-def make_instance(seed, mixture="local", complex_valued=True, norm=None):
+def make_instance(seed, mixture="local", complex_valued=True, norm=None,
+                  dropout_rate=0.0, mask_seed=None):
     rng = np.random.default_rng(seed)
     config = TrainerConfig(
         embedding_dim=4,
@@ -37,7 +45,7 @@ def make_instance(seed, mixture="local", complex_valued=True, norm=None):
         window_sizes=(1, 2),
         mixture=mixture,
         complex_valued=complex_valued,
-        dropout_rate=0.0,
+        dropout_rate=dropout_rate,
         max_sentence_len=40,
         seed=seed,
     )
@@ -65,18 +73,18 @@ def make_instance(seed, mixture="local", complex_valued=True, norm=None):
         row = params.amplitude[q[0]]
         row *= norm / np.linalg.norm(row)
     # pick a margin that keeps the hinge strictly open at the base point
-    _, s_pos, s_neg, _ = forward_triplet(q, p, n, params, config)
+    _, s_pos, s_neg, _ = forward_triplet(q, p, n, params, config, mask_seed)
     config = config.with_overrides(margin=max(0.05, s_pos - s_neg + 0.2))
     return q, p, n, params, config
 
 
-def eval_loss(q, p, n, params, config):
-    loss, _, _, tape = forward_triplet(q, p, n, params, config)
+def eval_loss(q, p, n, params, config, mask_seed=None):
+    loss, _, _, tape = forward_triplet(q, p, n, params, config, mask_seed)
     pool_state = tuple(int(x) for s in range(3) for x in tape.winners(s).ravel())
     return loss, (loss > 0.0, pool_state)
 
 
-def fd_class(view, q, p, n, params, config, base_sig):
+def fd_class(view, q, p, n, params, config, base_sig, mask_seed=None):
     """Central-difference gradient for one real-valued parameter view.
 
     Returns (gradient, validity mask); a coordinate is invalid when either
@@ -89,9 +97,9 @@ def fd_class(view, q, p, n, params, config, base_sig):
     for idx in np.ndindex(view.shape):
         orig = view[idx]
         view[idx] = orig + FD_STEP
-        f_plus, sig_plus = eval_loss(q, p, n, params, config)
+        f_plus, sig_plus = eval_loss(q, p, n, params, config, mask_seed)
         view[idx] = orig - FD_STEP
-        f_minus, sig_minus = eval_loss(q, p, n, params, config)
+        f_minus, sig_minus = eval_loss(q, p, n, params, config, mask_seed)
         view[idx] = orig
         grad[idx] = (f_plus - f_minus) / (2.0 * FD_STEP)
         valid[idx] = sig_plus == base_sig and sig_minus == base_sig
@@ -116,36 +124,30 @@ def dense_rows(grads, params):
     return d_amplitude, d_phase
 
 
-def run_fd_check(seed, mixture="local", complex_valued=True, norm=None):
-    q, p, n, params, config = make_instance(seed, mixture, complex_valued, norm)
-    (loss,), grads = batch_grad([(q, p, n)], params, config)
+def run_fd_check(seed, mixture="local", complex_valued=True, norm=None,
+                 dropout_rate=0.0, mask_seed=None):
+    q, p, n, params, config = make_instance(
+        seed, mixture, complex_valued, norm, dropout_rate, mask_seed
+    )
+    (loss,), grads = batch_grad([(q, p, n)], params, config, mask_rng(mask_seed))
     assert loss > 0.0
     d_amplitude, d_phase = dense_rows(grads, params)
-    _, base_sig = eval_loss(q, p, n, params, config)
+    _, base_sig = eval_loss(q, p, n, params, config, mask_seed)
 
-    fd_amp, ok_amp = fd_class(params.amplitude, q, p, n, params, config, base_sig)
-    compare_class("amplitude", d_amplitude, fd_amp, ok_amp)
+    def fd(view):
+        return fd_class(view, q, p, n, params, config, base_sig, mask_seed)
 
+    compare_class("amplitude", d_amplitude, *fd(params.amplitude))
+    compare_class("measurement.re", grads.d_measurements.real,
+                  *fd(params.measurements.real))
     if complex_valued:
-        fd_ph, ok_ph = fd_class(params.phase, q, p, n, params, config, base_sig)
-        compare_class("phase", d_phase, fd_ph, ok_ph)
-
-        fd_re, ok_re = fd_class(
-            params.measurements.real, q, p, n, params, config, base_sig
-        )
-        compare_class("measurement.re", grads.d_measurements.real, fd_re, ok_re)
-        fd_im, ok_im = fd_class(
-            params.measurements.imag, q, p, n, params, config, base_sig
-        )
-        compare_class("measurement.im", grads.d_measurements.imag, fd_im, ok_im)
+        compare_class("phase", d_phase, *fd(params.phase))
+        compare_class("measurement.im", grads.d_measurements.imag,
+                      *fd(params.measurements.imag))
     else:
         # frozen by policy in the real-only ablation
         assert np.all(grads.d_phase == 0.0)
         assert np.all(grads.d_measurements.imag == 0.0)
-        fd_re, ok_re = fd_class(
-            params.measurements.real, q, p, n, params, config, base_sig
-        )
-        compare_class("measurement.re", grads.d_measurements.real, fd_re, ok_re)
 
 
 @pytest.mark.parametrize(
@@ -167,6 +169,12 @@ def test_fd_agreement_real_only_model(seed):
     run_fd_check(seed, complex_valued=False)
 
 
+@pytest.mark.parametrize("mixture", ("local", "global"))
+def test_fd_agreement_under_dropout(mixture):
+    # one seed's masks at every evaluation: the masked loss is a fixed function
+    run_fd_check(6, mixture=mixture, dropout_rate=0.5, mask_seed=40)
+
+
 # ------------------------------------------------------------- cosine grad
 
 
@@ -174,7 +182,7 @@ def test_cosine_grad_matches_fd():
     rng = np.random.default_rng(4)
     u = rng.uniform(0.1, 1.0, size=6)
     v = rng.uniform(0.1, 1.0, size=6)
-    g_u, g_v = cosine_grad(u, v, 1.0)
+    g_u, g_v = cosine_grad(u, v, cosines(u, v), 1.0)
     h = 1e-7
     for vec, grad in ((u, g_u), (v, g_v)):
         fd = np.zeros_like(vec)
@@ -192,14 +200,15 @@ def test_cosine_grad_matches_fd():
 def test_cosine_grad_scales_with_upstream():
     rng = np.random.default_rng(9)
     u, v = rng.uniform(size=5), rng.uniform(size=5)
-    g1_u, g1_v = cosine_grad(u, v, 1.0)
-    g2_u, g2_v = cosine_grad(u, v, -2.5)
+    g1_u, g1_v = cosine_grad(u, v, cosines(u, v), 1.0)
+    g2_u, g2_v = cosine_grad(u, v, cosines(u, v), -2.5)
     np.testing.assert_allclose(g2_u, -2.5 * g1_u, atol=1e-14)
     np.testing.assert_allclose(g2_v, -2.5 * g1_v, atol=1e-14)
 
 
 def test_cosine_grad_zero_vector_yields_zero():
-    g_u, g_v = cosine_grad(np.zeros(4), np.ones(4), 1.0)
+    u, v = np.zeros(4), np.ones(4)
+    g_u, g_v = cosine_grad(u, v, cosines(u, v), 1.0)
     assert np.all(g_u == 0.0)
     assert np.all(g_v == 0.0)
 
@@ -221,7 +230,7 @@ def test_cosine_grad_on_stacked_rows_equals_one_pair_at_a_time():
     u[3] = 0.0
     v[5] *= 1e-13          # under the zero-norm guard
     g_s = rng.normal(size=20)
-    g_u, g_v = cosine_grad(u, v, g_s)
+    g_u, g_v = cosine_grad(u, v, cosines(u, v), g_s)
     for i in range(20):
         want_u, want_v = one_pair_cosine_grad(u[i], v[i], g_s[i])
         np.testing.assert_allclose(g_u[i], want_u, rtol=0, atol=1e-15)
@@ -239,8 +248,8 @@ def test_batch_grad_losses_equal_the_one_triplet_hinge():
 
 
 def test_batch_grad_scores_and_differentiates_both_answers_in_one_call(monkeypatch):
-    # one cosines call scores the batch and one cosine_grad call (which
-    # makes the second cosines call) differentiates every open hinge
+    # one cosines call scores the batch, and one cosine_grad call
+    # differentiates every open hinge from that call's rows
     calls = {"cosines": 0, "cosine_grad": 0}
 
     def counted(name):
@@ -256,7 +265,7 @@ def test_batch_grad_scores_and_differentiates_both_answers_in_one_call(monkeypat
     triplets, params, config = batch_instance(0.0)
     losses, _ = batch_grad(triplets, params, config)
     assert 0 < sum(loss > 0.0 for loss in losses) < len(losses)
-    assert calls == {"cosines": 2, "cosine_grad": 1}
+    assert calls == {"cosines": 1, "cosine_grad": 1}
 
 
 def test_nan_representation_gives_a_nan_loss():
@@ -288,7 +297,7 @@ def test_inactive_hinge_produces_zero_gradient():
     n = rng.integers(1, len(VOCAB), size=4)
     loss, s_pos, s_neg, _ = forward_triplet(q, p, n, params, config)
     if loss == 0.0:
-        loss2, grads = triplet_grad(q, p, n, params, config)
+        (loss2,), grads = batch_grad([(q, p, n)], params, config)
         assert loss2 == 0.0
         assert np.all(grads.d_amplitude == 0.0)
         assert np.all(grads.d_phase == 0.0)
@@ -297,8 +306,8 @@ def test_inactive_hinge_produces_zero_gradient():
 
 def test_triplet_grad_deterministic():
     q, p, n, params, config = make_instance(42)
-    _, g1 = triplet_grad(q, p, n, params, config)
-    _, g2 = triplet_grad(q, p, n, params, config)
+    _, g1 = batch_grad([(q, p, n)], params, config)
+    _, g2 = batch_grad([(q, p, n)], params, config)
     assert np.array_equal(g1.d_amplitude, g2.d_amplitude)
     assert np.array_equal(g1.d_phase, g2.d_phase)
     assert np.array_equal(g1.d_measurements, g2.d_measurements)
@@ -320,7 +329,7 @@ def test_identical_answers_cancel_exactly():
     # two cosine branches are exact negations of each other, so every
     # accumulated gradient must cancel to zero
     q, p, _, params, config = make_instance(13)
-    loss, grads_same = triplet_grad(q, p, p.copy(), params, config)
+    (loss,), grads_same = batch_grad([(q, p, p.copy())], params, config)
     assert abs(loss - config.margin) < 1e-15
     assert np.all(grads_same.d_amplitude == 0.0)
     assert np.all(grads_same.d_phase == 0.0)
@@ -358,10 +367,11 @@ def batch_instance(dropout_rate):
     return triplets, params, config
 
 
-@pytest.mark.parametrize("dropout_rate", (0.0, 0.5), ids=["eval", "dropout"])
+# Without dropout only: a batch draws its dropout masks as whole blocks,
+# which one-triplet batches do not replay; test_fd_agreement_under_dropout
+# checks the gradient under dropout instead.
+@pytest.mark.parametrize("dropout_rate", (0.0,), ids=["eval"])
 def test_batch_grad_losses_and_rows_equal_one_triplet_at_a_time(dropout_rate):
-    # dropout masks are drawn sentence by sentence, so one-triplet batches
-    # on one generator draw the batch's masks
     triplets, params, config = batch_instance(dropout_rate)
     losses, grads = batch_grad(triplets, params, config, np.random.default_rng(4))
     rng = np.random.default_rng(4)
@@ -374,25 +384,18 @@ def test_batch_grad_losses_and_rows_equal_one_triplet_at_a_time(dropout_rate):
     assert np.array_equal(grads.rows, np.unique(open_rows))
 
 
-@pytest.mark.parametrize(
-    "dropout_rate, picks",
-    [(0.0, [1, 2, 3]), (0.5, [0, 1, 2])],
-    ids=["eval", "dropout"],
-)
+@pytest.mark.parametrize("dropout_rate, picks", [(0.0, [1, 2, 3])], ids=["eval"])
 def test_batch_grad_with_one_open_hinge_is_that_triplets_gradient(
     dropout_rate, picks
 ):
     # closed hinges add nothing, so the batch's gradient is the open
-    # triplet's own, bit for bit, once its masks replay the batch's stream
+    # triplet's own, bit for bit
     triplets, params, config = batch_instance(dropout_rate)
     batch = [triplets[i] for i in picks]
     losses, grads = batch_grad(batch, params, config, np.random.default_rng(4))
     (t,) = np.flatnonzero(losses)
     assert t > 0                      # a closed hinge runs first
-    rng = np.random.default_rng(4)
-    forward_batch([ids for triplet in batch[:t] for ids in triplet],
-                  params, config, rng)
-    (loss,), alone = batch_grad([batch[t]], params, config, rng)
+    (loss,), alone = batch_grad([batch[t]], params, config)
     assert loss == losses[t]
     assert np.array_equal(grads.rows, alone.rows)
     assert np.array_equal(grads.d_amplitude, alone.d_amplitude)

@@ -9,7 +9,6 @@ from qmatch.errors import ConfigError, DegenerateInputError, ShapeError
 from qmatch.matcher import (
     cosines,
     forward_batch,
-    forward_sentence,
     represent,
     represent_groups,
     score,
@@ -221,7 +220,7 @@ def test_forward_train_mode_dropout_changes_output():
     params = make_params(config)
     ids = random_ids(8)
     rep_eval = represent(ids, params, config)
-    rep_train, _ = forward_sentence(ids, params, config, np.random.default_rng(21))
+    (rep_train,), _ = forward_batch([ids], params, config, np.random.default_rng(21))
     assert not np.allclose(rep_eval, rep_train)
 
 
@@ -229,7 +228,7 @@ def test_forward_train_mode_without_dropout_matches_eval():
     config = small_config(dropout_rate=0.0)
     params = make_params(config)
     ids = random_ids(8)
-    rep_train, tape = forward_sentence(ids, params, config, np.random.default_rng(2))
+    (rep_train,), tape = forward_batch([ids], params, config, np.random.default_rng(2))
     np.testing.assert_allclose(rep_train, represent(ids, params, config), atol=0)
     assert tape.emb_mask is None
     assert tape.pooled_mask is None
@@ -514,17 +513,26 @@ def test_represent_groups_word_stage_sees_only_the_truncated_words(monkeypatch):
     assert np.array_equal(seen, params.amplitude[[4, 5, 6]])
 
 
-def test_forward_batch_draws_dropout_masks_sentence_by_sentence():
+@pytest.mark.parametrize("one", [False, True], ids=["batch", "one-sentence"])
+def test_forward_batch_draws_dropout_masks_in_two_blocks(monkeypatch, one):
+    # every token's amplitude mask as one block, then every sentence's
+    # pooled mask as one, and no other draw; a one-sentence call draws what
+    # a (L, n) block and a length-R vector draw
     config = small_config(dropout_rate=0.5)
     params = make_params(config)
-    batch = mixed_batch()
-    reps, tape = forward_batch(batch, params, config, np.random.default_rng(9))
+    batch = mixed_batch()[4:5] if one else mixed_batch()
+    mask = matcher._dropout_mask
+    draws = spy(monkeypatch, "_dropout_mask")
     rng = np.random.default_rng(9)
-    for s, ids in enumerate(batch):
-        rep, single = forward_batch([ids], params, config, rng)
-        assert np.array_equal(reps[s], rep[0])
-        assert np.array_equal(tape.emb_mask[tape.span(s)], single.emb_mask)
-        assert np.array_equal(tape.pooled_mask[s], single.pooled_mask[0])
+    _, tape = forward_batch(batch, params, config, rng)
+    T, N, R = tape.ids.size, len(batch), config.representation_len
+    assert [shape for shape, _, _ in draws] == [(T, config.embedding_dim), (N, R)]
+    want = np.random.default_rng(9)
+    keep = config.keep_probability
+    assert np.array_equal(tape.emb_mask, mask((T, config.embedding_dim), keep, want))
+    pooled = mask(R if one else (N, R), keep, want)
+    assert np.array_equal(tape.pooled_mask, pooled.reshape(N, R))
+    assert rng.bit_generator.state == want.bit_generator.state
 
 
 def test_forward_batch_rejects_empty_input():
