@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .embedding import Vocabulary, row_norms
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, NumericError, ParseError
 from .model import UNIT_NORM_ATOL, ParameterSet, TrainerConfig
 
 MAGIC = "qmatch-checkpoint"
@@ -158,11 +158,15 @@ def load_checkpoint(
         )
         offset += count * 8
     amplitude, phase, meas_re, meas_im = blocks
-    params = ParameterSet(
-        amplitude=amplitude, phase=phase, measurements=meas_re + 1j * meas_im
-    )
+    # each part written in place: meas_re + 1j * meas_im would turn an inf
+    # imaginary entry into nan+infj, with a warning, before the finite check
+    measurements = np.empty((k, dim), dtype=np.complex128)
+    measurements.real, measurements.imag = meas_re, meas_im
+    params = ParameterSet(amplitude=amplitude, phase=phase, measurements=measurements)
     try:
         _check_loadable(params, config, len(vocab))
     except ConfigError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    except NumericError as exc:
+        raise NumericError(f"{path}: {exc}") from exc
     return params, config, vocab

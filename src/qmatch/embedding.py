@@ -116,6 +116,15 @@ def assemble_word_vector(amplitudes: np.ndarray, phases: np.ndarray) -> np.ndarr
     return amplitudes * np.exp(1j * phases)
 
 
+def phase_factor(phases: np.ndarray) -> np.ndarray:
+    """exp(i * phases) as one complex array: cos into its real part, sin
+    into its imaginary part.  A NaN phase gives NaN in both parts."""
+    out = np.empty(np.shape(phases), dtype=np.complex128)
+    np.cos(phases, out=out.real)
+    np.sin(phases, out=out.imag)
+    return out
+
+
 def uniform_state(dim: int) -> np.ndarray:
     """Zero-phase state with equal mass on every coordinate."""
     return np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import Vocabulary, row_norms, tokenize
+from .embedding import Vocabulary, phase_factor, row_norms, tokenize
 from .errors import DegenerateInputError
 from .matcher import _word_stage, cosines, forward_batch
 from .model import GLOBAL_MIXTURE, ParameterSet, TrainerConfig
@@ -140,7 +140,7 @@ def measurement_neighbors(
     word_ids = np.arange(2, len(vocab))
     *_, inner, _ = _word_stage(
         params.amplitude[word_ids],
-        np.exp(1j * params.phase[word_ids]),
+        phase_factor(params.phase[word_ids]),
         params.measurements,
     )
     sims = np.abs(inner).T  # (k, |words|)

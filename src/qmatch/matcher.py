@@ -18,12 +18,15 @@ its weight, unit state and Born row |<v|w>|^2 in one product; a row's bits
 depend on that word alone.  The window stage puts every window's softmax
 in one token-major (tokens, sizes, width) array, each shifted by its own
 max norm so no gap overflows; a window reads its own sentence's words
-only, so a non-finite word stays in its sentence.  Window t starts at
-token t, so a sentence's windows are one contiguous block of rows, and
-max-pooling reduces each block in place.  The global
-mixture (one order-blind mixed system per sentence) averages the
-sentence's Born rows in ascending table-row order, so a permuted sentence
-gets the same bits.
+only, so a non-finite word stays in its sentence.  The weighted Born sum
+is one (sizes, width) @ (width, k) product per token: every window of
+every size starting at that token at once, in a product of one shape in
+any batch, so a token's probabilities do not depend on its batch.  Window
+t starts at token t, so a sentence's windows are one contiguous block of
+rows, and max-pooling reduces each block in place.  The global mixture
+(one order-blind mixed system per sentence) averages the sentence's Born
+rows in ascending table-row order, so a permuted sentence gets the same
+bits.
 
 ``BatchTape`` is the one tape: training runs an SGD batch per
 ``forward_batch`` call, passing the generator that makes it train mode
@@ -45,7 +48,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import DEGENERATE_WEIGHT, ZERO_NORM, row_norms, uniform_state
+from .embedding import (
+    DEGENERATE_WEIGHT,
+    ZERO_NORM,
+    phase_factor,
+    row_norms,
+    uniform_state,
+)
 from .errors import DegenerateInputError, ShapeError
 from .model import GLOBAL_MIXTURE, ParameterSet, TrainerConfig
 
@@ -202,7 +211,7 @@ def _window_stage(
     for o in offsets[1:]:
         total += e[:, :, o]
     weights = e / total[:, :, None]
-    probs = (weights[:, :, None, :] @ inner_sq[window_rows][:, None])[:, :, 0]
+    probs = weights @ inner_sq[window_rows]   # one (B, W) @ (W, k) per token
     # a sentence's windows are one block of token rows: max-pool each block
     pooled = np.empty((lengths.size, sizes.size, k))
     for s, (a, L) in enumerate(zip(starts, lengths)):
@@ -233,7 +242,7 @@ def forward_batch(
         pooled_mask = _dropout_mask((lengths.size, config.representation_len), keep, rng)
 
     words, rows = np.unique(ids, return_inverse=True)
-    eiph = np.exp(1j * params.phase[words])   # phases are never masked
+    eiph = phase_factor(params.phase[words])   # phases are never masked
     amp_eff = params.amplitude[words]
     if emb_mask is not None:
         amp_eff = amp_eff[rows] * emb_mask
@@ -287,7 +296,7 @@ def represent_groups(
         chunk = slice(start, start + _TABLE_CHUNK)
         pi[chunk], _, _, _, inner_sq[chunk] = _word_stage(
             params.amplitude[words[chunk]],
-            np.exp(1j * params.phase[words[chunk]]),
+            phase_factor(params.phase[words[chunk]]),
             params.measurements,
         )
     ends = np.cumsum([ids.size for ids, _, _ in laid])

@@ -210,6 +210,21 @@ def test_load_rejects_non_finite_blocks(tmp_path, block):
         load_checkpoint(path)
 
 
+def test_load_rejects_an_infinite_imaginary_entry_without_a_warning(tmp_path):
+    # the suite turns RuntimeWarnings into errors: reading the blocks as
+    # re + 1j * im would warn on inf * 0 before the finite check ran
+    def poison(params):
+        params.measurements.imag[2, 1] = np.inf
+
+    path = tmp_path / "inf.qmatch"
+    save_edited(path, poison)
+    with pytest.raises(
+        NumericError,
+        match="inf.qmatch: non-finite values in parameter block 'measurements'",
+    ):
+        load_checkpoint(path)
+
+
 def test_load_rejects_non_unit_measurement_rows(tmp_path):
     def stretch(params):
         params.measurements[1] *= 1.0 + 1e-4

@@ -224,6 +224,20 @@ def test_eval_non_finite_checkpoint_exits_4(trained, toy_tsv, tmp_path, capsys):
     assert "'measurements'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_eval_non_finite_checkpoint_names_the_file(value, trained, toy_tsv, tmp_path,
+                                                   capsys):
+    data = bytearray(trained.read_bytes())
+    data[-8:] = np.array([value], dtype="<f8").tobytes()   # last imaginary entry
+    trained.write_bytes(bytes(data))
+    rc = main(["eval", "--checkpoint", str(trained), "--dataset", str(toy_tsv),
+               "--out", str(tmp_path / "eval")])
+    assert rc == 4
+    assert capsys.readouterr().err == (
+        f"error: {trained}: non-finite values in parameter block 'measurements'\n"
+    )
+
+
 CHECKPOINT_COMMANDS = {
     "eval": ["--dataset", "toy.tsv"],
     "inspect-words": [],

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmatch import embedding
+from qmatch import embedding, interpret, matcher
 from qmatch.embedding import (
     DEGENERATE_WEIGHT,
     PAD_TOKEN,
@@ -18,11 +18,13 @@ from qmatch.embedding import (
     init_amplitudes_from_glove,
     init_phases,
     normalize_word,
+    phase_factor,
     read_glove_vectors,
     tokenize,
     uniform_state,
 )
 from qmatch.errors import ParseError, ShapeError
+from qmatch.model import TrainerConfig, init_parameters
 
 RNG = np.random.default_rng(20260814)
 
@@ -158,6 +160,48 @@ def test_assemble_word_vector_negative_amplitude_is_phase_flip():
 def test_assemble_word_vector_shape_mismatch():
     with pytest.raises(ShapeError):
         assemble_word_vector(np.zeros(3), np.zeros(4))
+
+
+def test_phase_factor_is_exp_i_phase_within_one_ulp():
+    # the init range, and the wider one training can drift to
+    phases = np.concatenate([RNG.uniform(-math.pi, math.pi, size=(500, 40)),
+                             RNG.normal(scale=30.0, size=(500, 40))])
+    got, want = phase_factor(phases), np.exp(1j * phases)
+    assert got.shape == phases.shape and got.dtype == np.complex128
+    np.testing.assert_array_max_ulp(got.real, want.real, maxulp=1)
+    np.testing.assert_array_max_ulp(got.imag, want.imag, maxulp=1)
+
+
+def test_phase_factor_passes_nan_through():
+    got = phase_factor(np.array([[0.5, np.nan], [np.nan, -2.0]]))
+    assert np.array_equal(np.isnan(got.real), [[False, True], [True, False]])
+    assert np.array_equal(np.isnan(got.imag), [[False, True], [True, False]])
+
+
+@pytest.mark.parametrize(
+    "entry", ["forward_batch", "represent_groups", "measurement_neighbors"]
+)
+def test_each_word_stage_caller_reaches_phase_factor(entry, monkeypatch):
+    vocab = Vocabulary.from_tokens(["a", "b", "c"])
+    config = TrainerConfig(embedding_dim=4, num_measurements=3, window_sizes=(1, 2))
+    params = init_parameters(vocab, config)
+    seen = []
+
+    def spy(phases):
+        seen.append(phases)
+        return phase_factor(phases)
+
+    monkeypatch.setattr(matcher, "phase_factor", spy)
+    monkeypatch.setattr(interpret, "phase_factor", spy)
+    ids = np.array([4, 2, 3, 2])
+    {
+        "forward_batch": lambda: matcher.forward_batch([ids], params, config),
+        "represent_groups": lambda: matcher.represent_groups([[ids]], params, config),
+        "measurement_neighbors": lambda: interpret.measurement_neighbors(params, vocab),
+    }[entry]()
+    # each reads the phase rows of words 2, 3 and 4, once
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], params.phase[2:5])
 
 
 def test_uniform_state_is_unit_norm():

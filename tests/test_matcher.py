@@ -296,8 +296,12 @@ def mixed_batch():
         {},
         {"mixture": "global", "window_sizes": (1,)},
         {"complex_valued": False},
+        # numpy sends a one-row (B = 1) or one-column (k = 1) Born product
+        # to gemv, not gemm
+        {"window_sizes": (3,)},
+        {"num_measurements": 1},
     ],
-    ids=["local", "global", "real"],
+    ids=["local", "global", "real", "one-size", "one-measurement"],
 )
 def test_forward_batch_equals_represent_per_sentence(overrides):
     config = small_config(max_sentence_len=6, **overrides)
