@@ -20,8 +20,8 @@ import numpy as np
 
 from qmatch.data import build_vocab
 from qmatch.model import TrainerConfig
-from qmatch.synthetic import order_corpus
 from qmatch.training import train
+from synthetic import order_corpus
 
 
 def ablation_maps(seeds=range(5), epochs: int = 200) -> dict[str, list[float]]:

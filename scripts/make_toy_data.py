@@ -5,7 +5,7 @@ import argparse
 from pathlib import Path
 
 from qmatch.data import write_canonical_tsv
-from qmatch.synthetic import order_corpus, topic_corpus, toy_corpus
+from synthetic import order_corpus, topic_corpus, toy_corpus
 
 
 def main() -> None:

@@ -12,8 +12,8 @@ import argparse
 from qmatch.data import build_vocab
 from qmatch.evaluation import evaluate
 from qmatch.model import TrainerConfig, init_parameters
-from qmatch.synthetic import topic_corpus
 from qmatch.training import train
+from synthetic import topic_corpus
 
 
 def lift_per_seed(seeds=range(10), epochs: int = 60) -> list[tuple[float, float]]:

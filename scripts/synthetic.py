@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import CandidateAnswer, QADataset, QuestionGroup
+from qmatch.data import CandidateAnswer, QADataset, QuestionGroup
 
 
 def _group(qid: str, text: str, answers: list[tuple[str, int]]) -> QuestionGroup:

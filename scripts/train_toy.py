@@ -8,8 +8,8 @@ dozen epochs.  The acceptance suite runs ``toy_overfit`` as defined here.
 import argparse
 
 from qmatch.model import TrainerConfig
-from qmatch.synthetic import toy_corpus
 from qmatch.training import train
+from synthetic import toy_corpus
 
 
 def toy_overfit(epochs: int = 50, seed: int = 3):

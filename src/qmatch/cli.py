@@ -166,10 +166,9 @@ def _build_config(args):
     })
 
 
-def _load_dataset(path_str: str, format_spec: str, split: str,
-                  purpose: str = "evaluate"):
-    """The split at ``path_str``; a split that keeps no question is a
-    DataError here, before any command opens ``--out``."""
+def _load_dataset(path_str: str, format_spec: str, split: str, require=None):
+    """The split at ``path_str``, checked by ``require`` (by default, that it
+    keeps a question): a DataError here, before any command opens ``--out``."""
     from .data import load_tsv, resolve_format
     from .evaluation import require_questions
 
@@ -177,7 +176,7 @@ def _load_dataset(path_str: str, format_spec: str, split: str,
     fmt = resolve_format(format_spec)
     dataset, report = load_tsv(path, fmt, split=split)
     print(report.summary(), file=sys.stderr)
-    require_questions(dataset, purpose)
+    (require or require_questions)(dataset)
     return dataset
 
 
@@ -190,10 +189,10 @@ def _load_checkpoint_for(args):
 def cmd_train(args) -> int:
     from .checkpoint import save_checkpoint
     from .embedding import read_glove_vectors
-    from .training import train
+    from .training import require_triplets, train
 
     config = _build_config(args)
-    train_set = _load_dataset(args.dataset, args.format, "train", "train on")
+    train_set = _load_dataset(args.dataset, args.format, "train", require_triplets)
     dev_set = (
         _load_dataset(args.dev, args.format, split="dev") if args.dev else None
     )
@@ -242,7 +241,7 @@ def cmd_grid_search(args) -> int:
     from .checkpoint import save_checkpoint
     from .data import build_vocab
     from .embedding import read_glove_vectors
-    from .training import DEFAULT_GRID_POOLS, enumerate_grid, train
+    from .training import DEFAULT_GRID_POOLS, enumerate_grid, require_triplets, train
 
     config = _build_config(args)
     if args.grid is not None:
@@ -256,7 +255,7 @@ def cmd_grid_search(args) -> int:
     widths = sorted({cfg.embedding_dim for cfg in configs})
     if args.glove and len(widths) > 1:
         raise ConfigError(f"--glove has one width; grid sweeps embedding_dim {widths}")
-    train_set = _load_dataset(args.dataset, args.format, "train", "train on")
+    train_set = _load_dataset(args.dataset, args.format, "train", require_triplets)
     dev_set = _load_dataset(args.dev, args.format, split="dev")
     vocab = build_vocab([train_set])
     pretrained = read_glove_vectors(args.glove, widths[0]) if args.glove else None

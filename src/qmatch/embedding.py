@@ -96,26 +96,6 @@ class Vocabulary:
         return self._texts[token_text]
 
 
-@dataclass
-class WordState:
-    """Unit-norm complex state plus the norm it was stripped of."""
-
-    state: np.ndarray
-    weight: float
-
-
-def assemble_word_vector(amplitudes: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """Combine one amplitude row and one phase row into a complex vector."""
-    amplitudes = np.asarray(amplitudes, dtype=np.float64)
-    phases = np.asarray(phases, dtype=np.float64)
-    if amplitudes.shape != phases.shape or amplitudes.ndim != 1:
-        raise ShapeError(
-            f"amplitude/phase rows must be matching vectors, "
-            f"got {amplitudes.shape} and {phases.shape}"
-        )
-    return amplitudes * np.exp(1j * phases)
-
-
 def phase_factor(phases: np.ndarray) -> np.ndarray:
     """exp(i * phases) as one complex array: cos into its real part, sin
     into its imaginary part.  A NaN phase gives NaN in both parts."""
@@ -140,22 +120,6 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     return norms
 
 
-def normalize_word(vector: np.ndarray) -> WordState:
-    """Split a raw word vector into a unit state and its norm.
-
-    A numerically zero vector (padding, or fully dropped out) has no
-    direction; it becomes the uniform state with weight DEGENERATE_WEIGHT
-    so downstream softmax weighting treats it as negligible.
-    """
-    vector = np.asarray(vector, dtype=np.complex128)
-    if vector.ndim != 1 or vector.size == 0:
-        raise ShapeError(f"expected a non-empty vector, got shape {vector.shape}")
-    weight = float(row_norms(vector[None, :])[0])
-    if weight < ZERO_NORM:
-        return WordState(state=uniform_state(vector.size), weight=DEGENERATE_WEIGHT)
-    return WordState(state=vector / weight, weight=weight)
-
-
 def init_phases(vocab_size: int, dim: int, seed: int) -> np.ndarray:
     """Phase table drawn uniformly from [-pi, pi), deterministic per seed."""
     rng = np.random.default_rng(seed)
@@ -168,10 +132,11 @@ def _pad_row(dim: int) -> np.ndarray:
 
 @contextmanager
 def _open_text(path: str):
-    """``path`` opened as UTF-8 text.  A byte that does not decode raises a
-    ParseError naming the first line that is not UTF-8; the reader decodes
-    ahead in chunks, so the caller's line count cannot say which it is."""
-    with open(path, encoding="utf-8") as fh:
+    """``path`` opened as UTF-8 text, less a leading byte-order mark.  A byte
+    that does not decode raises a ParseError naming the first line that is
+    not UTF-8; the reader decodes ahead in chunks, so the caller's line
+    count cannot say which it is."""
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             yield fh
         except UnicodeDecodeError:

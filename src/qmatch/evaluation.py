@@ -94,31 +94,13 @@ class MetricReport:
         return "\n".join(lines) + "\n"
 
     def write_jsonl(self, path: str) -> None:
+        rows = [{"kind": "summary", "split": self.split, "map": self.map,
+                 "mrr": self.mrr, "questions": len(self.per_question)}]
+        rows += [{"kind": "question", "question_id": row.question_id,
+                  "ap": row.average_precision, "rr": row.reciprocal_rank}
+                 for row in self.per_question]
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(
-                json.dumps(
-                    {
-                        "kind": "summary",
-                        "split": self.split,
-                        "map": self.map,
-                        "mrr": self.mrr,
-                        "questions": len(self.per_question),
-                    }
-                )
-                + "\n"
-            )
-            for row in self.per_question:
-                fh.write(
-                    json.dumps(
-                        {
-                            "kind": "question",
-                            "question_id": row.question_id,
-                            "ap": row.average_precision,
-                            "rr": row.reciprocal_rank,
-                        }
-                    )
-                    + "\n"
-                )
+            fh.writelines(json.dumps(row) + "\n" for row in rows)
 
 
 def require_questions(dataset: QADataset, purpose: str = "evaluate") -> None:

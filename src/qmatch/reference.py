@@ -1,5 +1,8 @@
 """The explicit density-matrix route, kept as the reference oracle.
 
+Each word is a particle in its own state: ``normalize_word`` splits the
+vector ``assemble_word_vector`` builds from its amplitude and phase rows
+into a unit state and the norm it was stripped of (a ``WordState``).
 A window of words becomes a mixed quantum state: each unit word state
 contributes its rank-one projector, weighted either uniformly (global
 mixture over a whole sentence) or by a softmax over the word norms
@@ -16,14 +19,51 @@ building rho; the test suite pins their agreement.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .embedding import WordState, assemble_word_vector, normalize_word, row_norms
+from .embedding import DEGENERATE_WEIGHT, ZERO_NORM, row_norms, uniform_state
 from .errors import ConfigError, DegenerateInputError, DomainError, ShapeError
 from .linalg import hermitize
 from .model import GLOBAL_MIXTURE, UNIT_NORM_ATOL, ParameterSet, TrainerConfig
+
+
+@dataclass
+class WordState:
+    """Unit-norm complex state plus the norm it was stripped of."""
+
+    state: np.ndarray
+    weight: float
+
+
+def assemble_word_vector(amplitudes: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Combine one amplitude row and one phase row into a complex vector."""
+    amplitudes = np.asarray(amplitudes, dtype=np.float64)
+    phases = np.asarray(phases, dtype=np.float64)
+    if amplitudes.shape != phases.shape or amplitudes.ndim != 1:
+        raise ShapeError(
+            f"amplitude/phase rows must be matching vectors, "
+            f"got {amplitudes.shape} and {phases.shape}"
+        )
+    return amplitudes * np.exp(1j * phases)
+
+
+def normalize_word(vector: np.ndarray) -> WordState:
+    """Split a raw word vector into a unit state and its norm.
+
+    A numerically zero vector (padding, or fully dropped out) has no
+    direction; it becomes the uniform state with weight DEGENERATE_WEIGHT
+    so downstream softmax weighting treats it as negligible.
+    """
+    vector = np.asarray(vector, dtype=np.complex128)
+    if vector.ndim != 1 or vector.size == 0:
+        raise ShapeError(f"expected a non-empty vector, got shape {vector.shape}")
+    weight = float(row_norms(vector[None, :])[0])
+    if weight < ZERO_NORM:
+        return WordState(state=uniform_state(vector.size), weight=DEGENERATE_WEIGHT)
+    return WordState(state=vector / weight, weight=weight)
 
 
 def slide_windows(items: Sequence, width: int) -> list[Sequence]:

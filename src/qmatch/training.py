@@ -30,7 +30,7 @@ import numpy as np
 
 from .data import QADataset, build_vocab, sample_triplets
 from .embedding import ZERO_NORM, Vocabulary, row_norms
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DataError, DomainError
 from .evaluation import MetricReport, evaluate, require_questions
 from .gradients import batch_grad
 from .model import (
@@ -177,6 +177,16 @@ class TrainResult:
         return None if self.best_report is None else self.best_report.map
 
 
+def require_triplets(dataset: QADataset) -> None:
+    """``require_questions``, and then a DataError naming the split unless
+    some question has a positive and a negative answer: without one, every
+    epoch would draw no triplet and train nothing."""
+    require_questions(dataset, "train on")
+    if not any(q.positives() and q.negatives() for q in dataset.questions):
+        raise DataError(f"split {dataset.split!r} has no question with both a "
+                        "positive and a negative answer to train on")
+
+
 def train(
     train_set: QADataset,
     dev_set: QADataset | None,
@@ -187,9 +197,9 @@ def train(
 ) -> TrainResult:
     """Full training run; deterministic for a fixed config/seed/data.
     ``pretrained`` maps tokens to amplitude vectors (``read_glove_vectors``).
-    A ``train_set`` or ``dev_set`` with no question is a DataError before
-    the first epoch."""
-    require_questions(train_set, "train on")
+    A ``dev_set`` with no question, or a ``train_set`` with no triplet
+    (``require_triplets``), is a DataError before the first epoch."""
+    require_triplets(train_set)
     if dev_set is not None:
         require_questions(dev_set)
     if vocab is None:
@@ -240,7 +250,7 @@ def train(
 
         state.catch_up(params, config)
         params.check_finite()
-        mean_loss = float(np.mean(losses)) if losses else 0.0
+        mean_loss = float(np.mean(losses))
         dev_map = dev_mrr = None
         if dev_set is not None:
             report = evaluate(params, dev_set, config, vocab)

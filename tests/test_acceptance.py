@@ -29,9 +29,15 @@ from qmatch.density_metrics import (
     random_densities,
     trace_inner_product,
 )
-from qmatch.embedding import assemble_word_vector, normalize_word
 from qmatch.linalg import hermitian_eig, outer_product
-from qmatch.reference import global_mixture, local_mixture, measure_all, slide_windows
+from qmatch.reference import (
+    assemble_word_vector,
+    global_mixture,
+    local_mixture,
+    measure_all,
+    normalize_word,
+    slide_windows,
+)
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 

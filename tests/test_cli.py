@@ -29,7 +29,7 @@ from qmatch.cli import (
 )
 from qmatch.data import write_canonical_tsv
 from qmatch.model import TrainerConfig
-from qmatch.synthetic import toy_corpus
+from synthetic import toy_corpus
 
 
 @pytest.fixture()
@@ -547,6 +547,44 @@ def test_grid_search_with_an_empty_training_split_keeps_an_earlier_search(
     assert {name: (out / name).read_bytes() for name in before} == before
 
 
+@pytest.fixture()
+def all_positive_tsv(tmp_path):
+    """A split whose two questions have no negative answer: no triplet."""
+    path = tmp_path / "positive.tsv"
+    path.write_text("q1\task key0\techo key0 reply\t1\n"
+                    "q2\task key1\techo key1 reply\t1\n", encoding="utf-8")
+    return path
+
+
+NO_TRIPLET = "split 'train' has no question with both a positive and a negative answer"
+
+
+def test_train_on_a_split_with_no_triplet_exits_3_before_writing(
+    toy_tsv, all_positive_tsv, tmp_path, capsys
+):
+    out = tmp_path / "run"
+    args = train_args(toy_tsv, out)
+    args[args.index("--dataset") + 1] = str(all_positive_tsv)
+    assert main(args) == 3
+    assert NO_TRIPLET in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_grid_search_on_a_split_with_no_triplet_keeps_an_earlier_search(
+    toy_tsv, all_positive_tsv, tmp_path, capsys
+):
+    out = tmp_path / "grid"
+    assert main(grid_args(toy_tsv, tmp_path, {"seed": [1, 2]}, out)) == 0
+    before = {name: (out / name).read_bytes()
+              for name in (GRID_RESULTS_NAME, BEST_CHECKPOINT_NAME)}
+    capsys.readouterr()
+    args = grid_args(toy_tsv, tmp_path, {"seed": [1, 2]}, out)
+    args[args.index("--dataset") + 1] = str(all_positive_tsv)
+    assert main(args) == 3
+    assert NO_TRIPLET in capsys.readouterr().err
+    assert {name: (out / name).read_bytes() for name in before} == before
+
+
 @pytest.mark.parametrize("flag", ["--config", "--grid"])
 def test_non_utf8_config_or_grid_exits_2_and_keeps_an_earlier_search(
     flag, toy_tsv, tmp_path, capsys
@@ -788,6 +826,17 @@ def test_bad_config_json_exits_2(toy_tsv, tmp_path, capsys):
     )
     assert rc == 2
     assert "invalid JSON" in capsys.readouterr().err
+
+
+def test_config_json_with_a_byte_order_mark_is_read(toy_tsv, tmp_path):
+    # the mark is not JSON text: read as text, it fails the JSON parse
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"margin": 0.25}), encoding="utf-8-sig")
+    out = tmp_path / "run"
+    args = [*train_args(toy_tsv, out, epochs="0"), "--config", str(config_path)]
+    assert main(args) == 0
+    _, config, _ = load_checkpoint(out / CHECKPOINT_NAME)
+    assert config.margin == 0.25
 
 
 @pytest.mark.parametrize(

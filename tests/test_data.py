@@ -187,6 +187,28 @@ def test_readers_name_the_first_line_that_is_not_utf8(tmp_path, read, line):
         read(str(path))
 
 
+@pytest.mark.parametrize(
+    "read, text",
+    [
+        # as text, the mark would split q1 into a half with no negative
+        # and a half with no positive, which the loader drops
+        (lambda path: load_tsv(path, CANONICAL_FORMAT)[0].questions,
+         "q1\twhat is tea\tit is tea\t1\nq1\twhat is tea\tit is rain\t0\n"),
+        (read_format_descriptor, "label_col = 3\nanswer_col = 0\n"),
+        (lambda path: {token: vector.tolist()
+                       for token, vector in read_glove_vectors(path, 2).items()},
+         "tea 0.5 0.25\n"),
+    ],
+    ids=["load_tsv", "read_format_descriptor", "read_glove_vectors"],
+)
+def test_readers_drop_a_leading_byte_order_mark(tmp_path, read, text):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert read(str(marked)) == read(str(plain))
+
+
 def test_load_rejects_unknown_labels(tmp_path):
     path = tmp_path / "badlabel.tsv"
     path.write_text("q1\tSome question\tSome answer\t2\n", encoding="utf-8")

@@ -14,10 +14,8 @@ from qmatch.embedding import (
     PAD_TOKEN,
     UNK_TOKEN,
     Vocabulary,
-    assemble_word_vector,
     init_amplitudes_from_glove,
     init_phases,
-    normalize_word,
     phase_factor,
     read_glove_vectors,
     tokenize,
@@ -25,6 +23,7 @@ from qmatch.embedding import (
 )
 from qmatch.errors import ParseError, ShapeError
 from qmatch.model import TrainerConfig, init_parameters
+from qmatch.reference import assemble_word_vector, normalize_word
 
 RNG = np.random.default_rng(20260814)
 

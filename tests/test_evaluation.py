@@ -20,7 +20,7 @@ from qmatch.evaluation import (
 )
 from qmatch.data import build_vocab
 from qmatch.model import TrainerConfig, init_parameters
-from qmatch.synthetic import topic_corpus
+from synthetic import topic_corpus
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ payload (the checkpoint's little-endian float64 blocks) and best dev MAP,
 and the five measures' 300-trial metric audits by their ``report_to_dict``
 JSON.  A change that moves any of these bits fails here.
 
-    PYTHONPATH=src python tests/test_fingerprints.py
+    PYTHONPATH=src:scripts python tests/test_fingerprints.py
 
 prints each digest that moved (name, old, new) and exits 1 if any did;
 it rewrites the record only when given ``--write``.  When a move is
@@ -35,8 +35,8 @@ import pytest
 
 from qmatch.density_metrics import METRIC_FNS, audit_metric, report_to_dict
 from qmatch.model import TrainerConfig
-from qmatch.synthetic import topic_corpus
 from qmatch.training import train
+from synthetic import topic_corpus
 
 RECORD_PATH = Path(__file__).with_name("fingerprints.json")
 

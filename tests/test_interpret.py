@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qmatch.embedding import Vocabulary, normalize_word, row_norms, tokenize
+from qmatch.embedding import Vocabulary, row_norms, tokenize
 from qmatch.errors import DegenerateInputError
 from qmatch.interpret import (
     match_weight_map,
@@ -12,7 +12,7 @@ from qmatch.interpret import (
 )
 from qmatch.matcher import cosines, forward_batch, represent, score
 from qmatch.model import TrainerConfig, init_parameters
-from qmatch.reference import slide_windows, softmax_weights
+from qmatch.reference import normalize_word, slide_windows, softmax_weights
 
 VOCAB = Vocabulary.from_tokens(
     ["apple", "banana", "cherry", "melon", "orange", "pear", "plum", "quince"]

@@ -5,11 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmatch.embedding import Vocabulary, normalize_word
+from qmatch.embedding import Vocabulary
 from qmatch.errors import DomainError, ShapeError
 from qmatch.matcher import forward_batch
 from qmatch.model import ParameterSet, TrainerConfig, init_measurements, init_parameters
-from qmatch.reference import global_mixture, local_mixture, measure_all, slide_windows
+from qmatch.reference import (
+    global_mixture,
+    local_mixture,
+    measure_all,
+    normalize_word,
+    slide_windows,
+)
 from qmatch.training import _project
 
 RNG = np.random.default_rng(20260814)

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmatch.embedding import WordState, normalize_word, uniform_state
+from qmatch.embedding import uniform_state
 from qmatch.errors import ConfigError, DegenerateInputError
 from qmatch.reference import (
+    WordState,
     global_mixture,
     local_mixture,
+    normalize_word,
     slide_windows,
     softmax_weights,
 )

@@ -7,7 +7,7 @@ from qmatch.data import build_vocab
 from qmatch.embedding import tokenize
 from qmatch.matcher import represent
 from qmatch.model import TrainerConfig, init_parameters
-from qmatch.synthetic import order_corpus, topic_corpus, toy_corpus
+from synthetic import order_corpus, topic_corpus, toy_corpus
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from qmatch.data import QADataset
+from qmatch.data import QADataset, QuestionGroup
 from qmatch.embedding import Vocabulary
 from qmatch.errors import ConfigError, DataError, NumericError
 from qmatch.evaluation import evaluate
 from qmatch.model import GradientSet, ParameterSet, TrainerConfig, init_parameters
 from qmatch import training
-from qmatch.synthetic import topic_corpus, toy_corpus
 from qmatch.training import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -22,6 +21,7 @@ from qmatch.training import (
     sgd_step,
     train,
 )
+from synthetic import topic_corpus, toy_corpus
 
 
 def hand_params():
@@ -416,6 +416,20 @@ def test_train_with_an_empty_training_split_fails_before_its_first_epoch():
     with pytest.raises(DataError, match="split 'train' has no questions to train on"):
         train(QADataset(split="train", questions=[]), toy_corpus(num_questions=2),
               small_config(epochs=2), log_fn=records.append)
+    assert records == []
+
+
+def test_train_on_a_split_with_no_triplet_fails_before_its_first_epoch():
+    # no question has a negative answer, so no epoch could draw a triplet
+    positives = QADataset(split="train", questions=[
+        QuestionGroup(question_id=q.question_id, text=q.text, candidates=q.positives())
+        for q in toy_corpus(num_questions=2).questions
+    ])
+    records = []
+    with pytest.raises(DataError, match="split 'train' has no question with both a "
+                                        "positive and a negative answer"):
+        train(positives, toy_corpus(num_questions=2), small_config(epochs=2),
+              log_fn=records.append)
     assert records == []
 
 
