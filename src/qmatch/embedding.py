@@ -136,8 +136,11 @@ def _open_text(path: str):
     that does not decode raises a ParseError naming the first line that is
     not UTF-8; the reader decodes ahead in chunks, so the caller's line
     count cannot say which it is."""
-    with open(path, encoding="utf-8-sig") as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
+            # utf-8-sig would decode every chunk in Python, not in C
+            if fh.read(1) != "\ufeff":
+                fh.seek(0)
             yield fh
         except UnicodeDecodeError:
             with open(path, "rb") as raw:

@@ -19,7 +19,7 @@ with dropout exactly when it is given a generator; one ``matcher.cosines``
 call scores both answers, and one ``cosine_grad`` call differentiates that
 call's open rows.
 A gradient set covers the touched vocabulary rows only; token gradients
-reach each row in sentence order and, within a sentence, in token order.
+reach each row in tape order.
 The real-valued ablation zeroes the phase gradient and the measurements'
 imaginary part.  ``triplet_grad`` and ``backward_sentence`` are
 batches of one that only the tracer calls.
@@ -63,27 +63,26 @@ def backward_batch(
     params: ParameterSet,
     config: TrainerConfig,
 ) -> GradientSet:
-    """dLoss/dParams of the tape's ``sentences``, in that order.
+    """dLoss/dParams of the tape's ``sentences``, which are distinct.
 
-    ``g_reps`` holds one representation gradient per listed sentence.  The
-    amplitude and phase gradients cover the touched vocabulary rows only
-    (``rows``, ascending); each row sums its tokens' terms in sentence
-    order and, within a sentence, in token order.
+    ``g_reps`` holds one representation gradient per listed sentence.  Each
+    row of the word table sums its listed tokens' terms in tape order, and
+    the amplitude and phase gradients cover the touched vocabulary rows
+    only (``rows``, ascending).
     """
     sel = np.asarray(sentences, dtype=np.int64)
     M = sel.size
     k = params.k
-    lengths = tape.lengths[sel]
-    offsets = np.cumsum(lengths) - lengths     # first position of each sentence
-    shift = tape.starts[sel] - offsets         # tape token minus position
-    T = int(lengths.sum())
-    tokens = np.arange(T) + np.repeat(shift, lengths)
-    rows = tape.rows[tokens]
+    N, T = tape.lengths.size, tape.rows.size
+    # the listed sentences' tokens, on the tape's token axis
+    listed = np.repeat(np.bincount(sel, minlength=N) > 0, tape.lengths)
 
     g = g_reps if tape.pooled_mask is None else g_reps * tape.pooled_mask[sel]
 
     if config.mixture == GLOBAL_MIXTURE:
-        g_sq = (g / lengths[:, None])[np.repeat(np.arange(M), lengths)]
+        g_sq = np.zeros((N, k))
+        g_sq[sel] = g / tape.lengths[sel][:, None]
+        g_sq = np.repeat(g_sq, tape.lengths, axis=0)
         g_pi = np.zeros(T)
     else:
         # per size, only each measurement's winning window was pooled
@@ -94,25 +93,29 @@ def backward_batch(
         for i, s in enumerate(sel):
             tape.winners(s, out=win[i])
         win += tape.starts[sel][:, None, None]                      # tape tokens
-        pos = tape.window_pos[win] - shift[:, None, None, None]     # (M, B, k, W)
+        pos = tape.window_pos[win]                                   # (M, B, k, W)
         a = tape.window_weights[win, sizes]                          # (M, B, k, W)
         pooled = tape.window_probs[win, sizes, np.arange(k)][..., None]
         # pooled = sum_o a_o inner_sq_o with a = softmax of pi over the window
         g_a = g.reshape(M, B, k, 1) * a                  # d pooled/d inner_sq_o
         g_sq = np.bincount((pos * k + cols).ravel(), g_a.ravel(), minlength=T * k)
         g_sq = g_sq.reshape(T, k)
-        window_sq = tape.inner_sq[rows[pos], cols]
+        window_sq = tape.inner_sq[tape.rows[pos], cols]
         g_pi_win = g_a * (window_sq - pooled)            # d pooled/d pi_o
         g_pi = np.bincount(pos.ravel(), g_pi_win.ravel(), minlength=T)
 
-    inner = tape.inner[rows]
-    states = tape.states[rows]
-    pi = tape.pi[rows]
-    amp_eff = tape.amp_eff[rows]
-    eiph = tape.eiph[rows]
+    # each table row the listed sentences read sums its tokens' terms
+    used, rows = np.unique(tape.rows[listed], return_inverse=True)
+    g_sq = _row_sums(rows, g_sq[listed], used.size)
+    g_pi = np.bincount(rows, g_pi[listed], minlength=used.size)
+
+    states = tape.states[used]
+    pi = tape.pi[used]
+    amp_eff = tape.amp_eff[used]
+    eiph = tape.eiph[used]
 
     # inner_sq = |inner|^2
-    g_inner = 2.0 * inner * g_sq
+    g_inner = 2.0 * tape.inner[used] * g_sq
     # inner[i, k] = sum_d conj(M[k, d]) states[i, d]
     g_states = matmul_rows(g_inner, params.measurements)
 
@@ -121,31 +124,24 @@ def backward_batch(
     g_pi = g_pi - radial / pi
     g_w = g_states / pi[:, None]
 
-    mask = tape.emb_mask[tokens] if tape.emb_mask is not None else 1.0
+    mask = tape.emb_mask[used] if tape.emb_mask is not None else 1.0
     # W = mask * amp * e^{i phase};  pi = ||mask * amp||
     g_amp = (g_w.conj() * eiph).real * mask
     g_amp += (g_pi / pi)[:, None] * (mask * amp_eff)
     g_phase = -(g_w.conj() * (amp_eff * eiph)).imag
 
-    dead = ~tape.alive[rows]
-    g_amp[dead] = 0.0
-    g_phase[dead] = 0.0
+    dead = ~tape.alive[used]
+    g_amp[dead] = g_phase[dead] = 0.0
 
-    if not config.complex_valued:
-        g_phase[:] = 0.0
-
-    touched, ids = np.unique(tape.ids[tokens], return_inverse=True)
+    touched, ids = np.unique(tape.words[used], return_inverse=True)
     grads = GradientSet(
         d_amplitude=_row_sums(ids, g_amp, touched.size),
         d_phase=_row_sums(ids, g_phase, touched.size),
-        d_measurements=np.zeros_like(params.measurements),
+        d_measurements=g_inner.conj().T @ states,
         rows=touched,
     )
-    g_inner_h = g_inner.conj()
-    for start, length in zip(offsets, lengths):
-        span = slice(start, start + length)
-        grads.d_measurements += g_inner_h[span].T @ states[span]
     if not config.complex_valued:
+        grads.d_phase[:] = 0.0
         grads.d_measurements.imag = 0.0
     return grads
 

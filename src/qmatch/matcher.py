@@ -91,14 +91,15 @@ class BatchTape:
     The N sentences' tokens lie end to end on one token axis of length T;
     sentence s holds tokens ``starts[s]`` to ``starts[s] + lengths[s]``.
     Word quantities live on table rows: one row per distinct id without
-    embedding dropout, one row per token with it (its mask is per token).
+    embedding dropout, one row per token with it (its mask is per token);
+    token t's id is ``words[rows[t]]``.
     Window arrays are token-major: window t starts at token t, so sentence
     s's windows are rows ``span(s)`` of each window array.
     """
 
     lengths: np.ndarray          # (N,) tokens per sentence after truncation
     starts: np.ndarray           # (N,) first token of each sentence
-    ids: np.ndarray              # (T,) token ids
+    words: np.ndarray            # (U,) vocabulary id of each table row
     rows: np.ndarray             # (T,) table row of each token
     emb_mask: np.ndarray | None  # (T, n) dropout mask on amplitude rows
     amp_eff: np.ndarray          # (U, n) masked amplitude rows
@@ -184,12 +185,10 @@ def _window_stage(
     if config.mixture == GLOBAL_MIXTURE:
         # one mean per sentence over its rows in ascending table-row order,
         # so a permuted sentence gets the same bits (lexsort, as np.unique
-        # would import numpy.ma); np.add.reduceat would sum in another order
+        # would import numpy.ma); reduceat sums each block in that order
         sentence = np.repeat(np.arange(lengths.size), lengths)
         tok_sq = inner_sq[rows[np.lexsort((rows, sentence))]]
-        pooled = np.stack(
-            [tok_sq[a : a + L].mean(axis=0) for a, L in zip(starts, lengths)]
-        )
+        pooled = np.add.reduceat(tok_sq, starts) / lengths[:, None]
         no_windows = np.zeros((T, 0), dtype=np.int64)
         return pooled, no_windows, np.zeros((T, 0, 0)), np.zeros((T, 0, k))
     sizes = np.asarray(config.window_sizes)
@@ -247,7 +246,7 @@ def forward_batch(
     if emb_mask is not None:
         amp_eff = amp_eff[rows] * emb_mask
         eiph = eiph[rows]
-        rows = np.arange(T)
+        words, rows = ids, np.arange(T)
 
     pi, alive, states, inner, inner_sq = _word_stage(
         amp_eff, eiph, params.measurements
@@ -260,7 +259,7 @@ def forward_batch(
     tape = BatchTape(
         lengths=lengths,
         starts=starts,
-        ids=ids,
+        words=words,
         rows=rows,
         emb_mask=emb_mask,
         amp_eff=amp_eff,

@@ -188,6 +188,21 @@ def test_readers_name_the_first_line_that_is_not_utf8(tmp_path, read, line):
 
 
 @pytest.mark.parametrize(
+    "read",
+    [lambda path: load_tsv(path, CANONICAL_FORMAT), read_format_descriptor,
+     lambda path: read_glove_vectors(path, 2)],
+    ids=["load_tsv", "read_format_descriptor", "read_glove_vectors"],
+)
+def test_readers_name_line_1_when_the_first_byte_is_not_utf8(tmp_path, read):
+    # the reader looks for a byte-order mark by decoding the first chunk,
+    # which must fail as any other undecodable line does
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("\xe9 0.5 0.25\n".encode("latin-1"))
+    with pytest.raises(ParseError, match="latin1.txt:1: not valid UTF-8"):
+        read(str(path))
+
+
+@pytest.mark.parametrize(
     "read, text",
     [
         # as text, the mark would split q1 into a half with no negative

@@ -384,20 +384,50 @@ def test_batch_grad_losses_and_rows_equal_one_triplet_at_a_time(dropout_rate):
     assert np.array_equal(grads.rows, np.unique(open_rows))
 
 
-@pytest.mark.parametrize("dropout_rate, picks", [(0.0, [1, 2, 3])], ids=["eval"])
+@pytest.mark.parametrize(
+    "dropout_rate, picks",
+    [(0.0, [1, 2, 3]), (0.0, [1, 0, 3, 4])],
+    ids=["eval", "eval-two-open"],
+)
 def test_batch_grad_with_one_open_hinge_is_that_triplets_gradient(
     dropout_rate, picks
 ):
-    # closed hinges add nothing, so the batch's gradient is the open
-    # triplet's own, bit for bit
+    # closed hinges add nothing, so the batch's gradient is that of a batch
+    # of its open triplets alone, bit for bit
     triplets, params, config = batch_instance(dropout_rate)
     batch = [triplets[i] for i in picks]
     losses, grads = batch_grad(batch, params, config, np.random.default_rng(4))
-    (t,) = np.flatnonzero(losses)
-    assert t > 0                      # a closed hinge runs first
-    (loss,), alone = batch_grad([batch[t]], params, config)
-    assert loss == losses[t]
+    open_ = np.flatnonzero(losses)
+    assert open_[0] > 0               # a closed hinge runs first
+    alone_losses, alone = batch_grad([batch[t] for t in open_], params, config)
+    assert alone_losses == [losses[t] for t in open_]
     assert np.array_equal(grads.rows, alone.rows)
     assert np.array_equal(grads.d_amplitude, alone.d_amplitude)
     assert np.array_equal(grads.d_phase, alone.d_phase)
     assert np.array_equal(grads.d_measurements, alone.d_measurements)
+
+
+@pytest.mark.parametrize("mixture", ["local", "global"])
+@pytest.mark.parametrize("dropout_rate", [0.0, 0.5], ids=["eval", "dropout"])
+def test_backward_batch_reads_only_the_listed_sentences_rows(mixture, dropout_rate):
+    # a NaN word read only by an unlisted sentence stays out of the gradient:
+    # the word stage's chain runs over the rows the listed sentences read
+    config = TrainerConfig(
+        embedding_dim=4, num_measurements=3, mixture=mixture,
+        window_sizes=(1, 2) if mixture == "local" else (1,),
+        dropout_rate=dropout_rate, max_sentence_len=7, seed=3,
+    )
+    params = init_parameters(VOCAB, config)
+    nan_word = len(VOCAB) - 1
+    params.phase[nan_word] = np.nan
+    rng = np.random.default_rng(12)
+    batch = [rng.integers(1, nan_word, size=L) for L in (3, 5, 1, 4)]
+    batch[1][2] = nan_word
+    reps, tape = forward_batch(batch, params, config, rng if dropout_rate else None)
+    assert np.isnan(reps[1]).all() and np.isfinite(np.delete(reps, 1, axis=0)).all()
+    listed = [0, 2, 3]
+    g = rng.normal(size=(len(listed), reps.shape[1]))
+    grads = gradients.backward_batch(g, tape, listed, params, config)
+    assert nan_word not in grads.rows
+    for block in (grads.d_amplitude, grads.d_phase, grads.d_measurements):
+        assert np.isfinite(block).all()

@@ -314,7 +314,7 @@ def test_forward_batch_equals_represent_per_sentence(overrides):
         assert np.array_equal(reps[s], represent(ids, params, config))
         _, single = forward_batch([ids], params, config)
         span = tape.span(s)
-        assert np.array_equal(tape.ids[span], single.ids)
+        assert np.array_equal(tape.words[tape.rows[span]], single.words[single.rows])
         assert np.array_equal(tape.winners(s), single.winners(0))
         assert np.array_equal(tape.window_weights[span], single.window_weights)
         assert np.array_equal(tape.window_probs[span], single.window_probs)
@@ -529,7 +529,7 @@ def test_forward_batch_draws_dropout_masks_in_two_blocks(monkeypatch, one):
     draws = spy(monkeypatch, "_dropout_mask")
     rng = np.random.default_rng(9)
     _, tape = forward_batch(batch, params, config, rng)
-    T, N, R = tape.ids.size, len(batch), config.representation_len
+    T, N, R = tape.rows.size, len(batch), config.representation_len
     assert [shape for shape, _, _ in draws] == [(T, config.embedding_dim), (N, R)]
     want = np.random.default_rng(9)
     keep = config.keep_probability
