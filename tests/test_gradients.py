@@ -8,11 +8,14 @@ two-sided difference straddles the kink.  Under dropout every evaluation
 runs on a fresh generator of one seed, so each draws the same masks.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from qmatch import gradients
 from qmatch.embedding import Vocabulary
+from qmatch.errors import ShapeError
 from qmatch.gradients import batch_grad, cosine_grad
 from qmatch.matcher import cosines, forward_batch, score, triplet_loss
 from qmatch.model import TrainerConfig, init_parameters
@@ -148,6 +151,7 @@ def run_fd_check(seed, mixture="local", complex_valued=True, norm=None,
         # frozen by policy in the real-only ablation
         assert np.all(grads.d_phase == 0.0)
         assert np.all(grads.d_measurements.imag == 0.0)
+    return grads
 
 
 @pytest.mark.parametrize(
@@ -169,10 +173,18 @@ def test_fd_agreement_real_only_model(seed):
     run_fd_check(seed, complex_valued=False)
 
 
-@pytest.mark.parametrize("mixture", ("local", "global"))
-def test_fd_agreement_under_dropout(mixture):
-    # one seed's masks at every evaluation: the masked loss is a fixed function
-    run_fd_check(6, mixture=mixture, dropout_rate=0.5, mask_seed=40)
+@pytest.mark.parametrize(
+    "seed, mixture, dropout_rate, mask_seed",
+    [(6, "local", 0.5, 40), (6, "global", 0.5, 40), (11, "local", 0.9, 11)],
+    ids=["local", "global", "local-default-rate"],
+)
+def test_fd_agreement_under_dropout(seed, mixture, dropout_rate, mask_seed):
+    # one seed's masks at every evaluation: the masked loss is a fixed
+    # function.  At 0.9 the backward pass skips most pooled entries and
+    # tokens; mask seed 11 keeps an entry of every sentence there.
+    grads = run_fd_check(seed, mixture=mixture, dropout_rate=dropout_rate,
+                         mask_seed=mask_seed)
+    assert np.count_nonzero(grads.d_amplitude) and np.count_nonzero(grads.d_phase)
 
 
 # ------------------------------------------------------------- cosine grad
@@ -431,3 +443,105 @@ def test_backward_batch_reads_only_the_listed_sentences_rows(mixture, dropout_ra
     assert nan_word not in grads.rows
     for block in (grads.d_amplitude, grads.d_phase, grads.d_measurements):
         assert np.isfinite(block).all()
+
+
+@pytest.mark.parametrize("dropout_rate", [0.0, 0.9], ids=["eval", "dropout"])
+def test_backward_batch_rejects_a_gradient_of_the_wrong_shape(dropout_rate):
+    # under dropout one row would broadcast over every listed sentence
+    triplets, params, config = batch_instance(dropout_rate)
+    sentences = [ids for triplet in triplets for ids in triplet]
+    rng = np.random.default_rng(1) if dropout_rate else None
+    reps, tape = forward_batch(sentences, params, config, rng)
+    listed = [0, 4, 7]
+    for g in (reps[:1], reps[:2], reps[:3, :-1]):
+        with pytest.raises(ShapeError):
+            gradients.backward_batch(g, tape, listed, params, config)
+
+
+def test_backward_batch_rejects_a_sentence_listed_twice():
+    triplets, params, config = batch_instance(0.9)
+    sentences = [ids for triplet in triplets for ids in triplet]
+    reps, tape = forward_batch(sentences, params, config, np.random.default_rng(1))
+    with pytest.raises(ShapeError):
+        gradients.backward_batch(reps[:3], tape, [0, 4, 0], params, config)
+
+
+@pytest.mark.parametrize("mixture", ["local", "global"])
+@pytest.mark.parametrize("dropout_rate", [0.3, 0.9])
+def test_skipping_the_dropped_terms_equals_the_dense_pass(mixture, dropout_rate):
+    # the reference is the dense pass over the same tape, its pooled mask
+    # folded into g_reps: the terms the dropout pass skips are exact zeros
+    triplets, params, config = batch_instance(dropout_rate)
+    # two sizes, three measurements: an entry's size and column differ
+    config = config.with_overrides(mixture=mixture, window_sizes=(1, 3))
+    sentences = [ids for triplet in triplets for ids in triplet]
+    rng = np.random.default_rng(6)
+    reps, tape = forward_batch(sentences, params, config, rng)
+    listed = np.delete(np.arange(len(sentences)), [2, 5])
+    g = rng.normal(size=(listed.size, reps.shape[1]))
+    grads = gradients.backward_batch(g, tape, listed, params, config)
+    dense = gradients.backward_batch(g * tape.pooled_mask[listed],
+                                     replace(tape, pooled_mask=None),
+                                     listed, params, config)
+    for name in ("rows", "d_amplitude", "d_phase"):
+        assert np.array_equal(getattr(grads, name), getattr(dense, name)), name
+    # one product over fewer zero rows: the same sum, rounded apart
+    assert np.allclose(grads.d_measurements, dense.d_measurements,
+                       rtol=1e-12, atol=1e-15)
+    assert np.count_nonzero(grads.d_amplitude)
+
+
+def kept_window_tokens(tape, listed):
+    """Tokens that the winning windows of the listed sentences' kept pooled
+    entries read: those a window's softmax weighs above 0."""
+    B = tape.window_probs.shape[1]
+    read = []
+    for s in listed:
+        kept = tape.pooled_mask[s].reshape(B, -1) > 0
+        win = tape.starts[s] + tape.winners(s)[kept]
+        size = np.nonzero(kept)[0]
+        read.append(tape.window_pos[win][tape.window_weights[win, size] > 0])
+    return np.unique(np.concatenate(read), return_inverse=True)[0]
+
+
+def dropout_backward(seed):
+    """(grads, tape, listed, listed tokens, g, params, config) of
+    backward_batch at dropout 0.9 over all but one sentence of
+    ``batch_instance``."""
+    triplets, params, config = batch_instance(0.9)
+    sentences = [ids for triplet in triplets for ids in triplet]
+    reps, tape = forward_batch(sentences, params, config, np.random.default_rng(seed))
+    listed = np.delete(np.arange(len(sentences)), 5)
+    tokens = np.concatenate([np.arange(tape.rows.size)[tape.span(s)] for s in listed])
+    g = np.random.default_rng(seed).normal(size=(listed.size, reps.shape[1]))
+    grads = gradients.backward_batch(g, tape, listed, params, config)
+    return grads, tape, listed, tokens, g, params, config
+
+
+def test_a_word_no_kept_window_reads_keeps_a_zero_gradient_row():
+    grads, tape, listed, tokens, _, _, _ = dropout_backward(2)
+    words = tape.words[tape.rows[tokens]]
+    read = tape.words[tape.rows[kept_window_tokens(tape, listed)]]
+    unread = np.setdiff1d(words, read)
+    assert unread.size
+    # rows lists every word the listed sentences read, kept window or not
+    assert np.array_equal(grads.rows, np.unique(words, return_inverse=True)[0])
+    at = np.searchsorted(grads.rows, unread)
+    assert np.all(grads.d_amplitude[at] == 0.0) and np.all(grads.d_phase[at] == 0.0)
+    assert np.count_nonzero(grads.d_amplitude) and np.count_nonzero(grads.d_phase)
+
+
+def test_tokens_no_kept_window_reads_stay_out_of_the_chain():
+    # poisoning their word-stage rows changes no bit of the gradient
+    grads, tape, listed, tokens, g, params, config = dropout_backward(2)
+    unread = tape.rows[np.setdiff1d(tokens, kept_window_tokens(tape, listed))]
+    assert unread.size
+    states, inner = tape.states.copy(), tape.inner.copy()
+    states[unread] = inner[unread] = np.nan
+    poisoned = gradients.backward_batch(
+        g, replace(tape, states=states, inner=inner), listed, params, config
+    )
+    for name in ("rows", "d_amplitude", "d_phase", "d_measurements"):
+        block = getattr(poisoned, name)
+        assert np.isfinite(block).all()
+        assert np.array_equal(block, getattr(grads, name)), name

@@ -1,5 +1,9 @@
 """Optimizer arithmetic, training-loop determinism and grid enumeration."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -431,6 +435,27 @@ def test_train_on_a_split_with_no_triplet_fails_before_its_first_epoch():
         train(positives, toy_corpus(num_questions=2), small_config(epochs=2),
               log_fn=records.append)
     assert records == []
+
+
+def test_training_under_dropout_does_not_import_numpy_ma():
+    # a plain np.unique imports numpy.ma, which shows in the benchmark's
+    # peak RSS; the training path takes np.unique with return_inverse only
+    scripts = str(Path(__file__).resolve().parents[1] / "scripts")
+    script = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {scripts!r})",
+        "from synthetic import toy_corpus",
+        "from qmatch.model import TrainerConfig",
+        "from qmatch.training import train",
+        "ds = toy_corpus(num_questions=4)",
+        "config = TrainerConfig(embedding_dim=4, num_measurements=3, batch_size=4,",
+        "                       epochs=1, dropout_rate=0.9, seed=3)",
+        "train(ds, ds, config)",
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_train_returns_snapshot_of_best_dev_epoch():
