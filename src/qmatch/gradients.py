@@ -19,9 +19,10 @@ with dropout exactly when it is given a generator; one ``matcher.cosines``
 call scores both answers, and one ``cosine_grad`` call differentiates that
 call's open rows.
 A gradient set covers the touched vocabulary rows only; token gradients
-reach each row in tape order.  Under dropout the backward pass skips the
-terms dropout zeroed, which add exact zeros: the pooled entries it
-dropped, and the tokens that no kept entry's winning window reads.
+reach each row in tape order.  The backward pass skips the terms that add
+exact zeros: the pooled entries with a zero gradient (those dropout
+dropped among them), and the tokens that no kept entry's winning window
+reads.
 The real-valued ablation zeroes the phase gradient and the measurements'
 imaginary part.  ``triplet_grad`` and ``backward_sentence`` are
 batches of one that only the tracer calls.
@@ -69,15 +70,14 @@ def backward_batch(
     """dLoss/dParams of the tape's ``sentences``, which are distinct.
 
     ``g_reps`` holds one representation gradient per listed sentence, shape
-    (len(sentences), R).  Each row of the word table sums its listed
-    tokens' terms in tape order, and the amplitude and phase gradients
-    cover the vocabulary rows the listed sentences read (``rows``,
-    ascending).
+    (len(sentences), R).  The amplitude and phase gradients cover the
+    vocabulary rows the listed sentences read (``rows``, ascending).
 
-    Under dropout the terms dropout zeroed are skipped, as they add exact
-    zeros: the window half runs over the pooled entries with a nonzero
-    gradient only, and the word stage's chain over the token rows their
-    winning windows read.  A word no such window reads keeps its row in
+    Terms that add exact zeros are skipped: the window half runs over the
+    pooled entries with a nonzero gradient only, after the pooled dropout
+    mask is folded in, and the word stage's chain over the table rows
+    that their winning windows read.  Each such row sums its read tokens'
+    terms in tape order.  A word no such window reads keeps its row in
     ``rows``, with an exactly zero gradient.
     """
     sel = np.asarray(sentences, dtype=np.int64)
@@ -92,16 +92,14 @@ def backward_batch(
         )
     # the listed sentences' tokens, on the tape's token axis
     listed = np.repeat(hit, tape.lengths)
-    # forward_batch draws both masks or neither; with them a table row is a token
-    dropped = tape.pooled_mask is not None
-    g = g_reps * tape.pooled_mask[sel] if dropped else g_reps
-    read = listed
+    g = g_reps * tape.pooled_mask[sel] if tape.pooled_mask is not None else g_reps
 
     if config.mixture == GLOBAL_MIXTURE:
         g_sq = np.zeros((N, k))
         g_sq[sel] = g / tape.lengths[sel][:, None]
         g_sq = np.repeat(g_sq, tape.lengths, axis=0)
         g_pi = np.zeros(T)
+        read = listed
     else:
         # per size, only each measurement's winning window was pooled
         B = tape.window_probs.shape[1]
@@ -109,42 +107,31 @@ def backward_batch(
         for i, s in enumerate(sel):
             tape.winners(s, out=win[i])
         win += tape.starts[sel][:, None, None]                      # tape tokens
-        size, col = np.arange(B)[:, None], np.arange(k)
-        if dropped:
-            # (sentence, size, measurement) entries with a nonzero gradient
-            kept = np.flatnonzero(g)
-            g, win = g.ravel()[kept], win.ravel()[kept]
-            size, col = kept // k % B, kept % k
-        else:
-            g = g.reshape(M, B, k)
-        pos = tape.window_pos[win]                                   # (..., W)
-        a = tape.window_weights[win, size]                           # (..., W)
-        pooled = tape.window_probs[win, size, col][..., None]
-        col = col[..., None]
+        # (sentence, size, measurement) entries with a nonzero gradient
+        kept = np.flatnonzero(g)
+        g, win = g.ravel()[kept], win.ravel()[kept]
+        size, col = kept // k % B, kept % k
+        pos = tape.window_pos[win]                                   # (E, W)
+        a = tape.window_weights[win, size]                           # (E, W)
+        pooled = tape.window_probs[win, size, col][:, None]
+        col = col[:, None]
         # pooled = sum_o a_o inner_sq_o with a = softmax of pi over the window
-        g_a = g[..., None] * a                           # d pooled/d inner_sq_o
+        g_a = g[:, None] * a                             # d pooled/d inner_sq_o
         g_sq = np.bincount((pos * k + col).ravel(), g_a.ravel(), minlength=T * k)
         g_sq = g_sq.reshape(T, k)
         window_sq = tape.inner_sq[tape.rows[pos], col]
         g_pi_win = g_a * (window_sq - pooled)            # d pooled/d pi_o
         g_pi = np.bincount(pos.ravel(), g_pi_win.ravel(), minlength=T)
-        if dropped:
-            read = np.zeros(T, dtype=bool)
-            read[pos[a > 0]] = True                   # off-window offsets weigh 0
+        read = np.zeros(T, dtype=bool)
+        read[pos[a > 0]] = True                       # off-window offsets weigh 0
 
-    if dropped:
-        # one row per token: a read token's row sum is its own term
-        used = np.flatnonzero(read)
-        g_sq, g_pi = g_sq[used], g_pi[used]
-        # every word the listed sentences read (a plain np.unique imports numpy.ma)
-        touched = np.unique(tape.words[listed], return_inverse=True)[0]
-        ids = np.searchsorted(touched, tape.words[used])
-    else:
-        # each table row the listed sentences read sums its tokens' terms
-        used, rows = np.unique(tape.rows[listed], return_inverse=True)
-        g_sq = _row_sums(rows, g_sq[listed], used.size)
-        g_pi = np.bincount(rows, g_pi[listed], minlength=used.size)
-        touched, ids = np.unique(tape.words[used], return_inverse=True)
+    # each table row a read token lands on sums its tokens' terms in tape order
+    used, rows = np.unique(tape.rows[read], return_inverse=True)
+    g_sq = _row_sums(rows, g_sq[read], used.size)
+    g_pi = np.bincount(rows, g_pi[read], minlength=used.size)
+    # every word the listed sentences read (a plain np.unique imports numpy.ma)
+    touched = np.unique(tape.words[tape.rows[listed]], return_inverse=True)[0]
+    ids = np.searchsorted(touched, tape.words[used])
 
     states = tape.states[used]
     pi = tape.pi[used]

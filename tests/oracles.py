@@ -7,6 +7,8 @@ product's identity counterexample.  ``pairwise_table`` is a measure's audit
 table from one plain call per pair, the oracle the stacked tables are
 pinned against; ``pairwise_measure`` makes it a registry row, which a test
 installs in ``density_metrics._MEASURES`` to audit a plain function.
+``all_terms_backward`` is ``gradients.backward_batch`` with no term
+skipped, the reference its skip of exact-zero terms is pinned against.
 """
 
 import functools
@@ -16,6 +18,8 @@ import numpy as np
 
 from qmatch.density_metrics import _I, _J, _two_state_family, trace_inner_product
 from qmatch.errors import DomainError
+from qmatch.matcher import matmul_rows
+from qmatch.model import GLOBAL_MIXTURE, GradientSet
 
 
 def complex_add_polar(
@@ -76,3 +80,67 @@ def pairwise_measure(kind: str, fn) -> tuple:
     """A ``density_metrics._MEASURES`` row that audits ``fn`` as ``kind``
     through ``pairwise_table``."""
     return kind, fn, functools.partial(pairwise_table, fn), "one plain call per pair"
+
+
+def all_terms_backward(g_reps, tape, sentences, params, config) -> GradientSet:
+    """dLoss/dParams of the tape's listed ``sentences`` with every term
+    summed: every (sentence, size, measurement) pooled entry, the pooled
+    dropout mask folded into ``g_reps``, and every listed token.  Each table
+    row the listed sentences read sums its tokens' terms in tape order, then
+    the word stage's chain runs over every such row.  ``np.add.at`` adds in
+    index order from zero, as ``np.bincount`` does."""
+    sel = np.asarray(sentences)
+    k = params.k
+    T = tape.rows.size
+    listed = np.zeros(T, dtype=bool)
+    for s in sel:
+        listed[tape.span(s)] = True
+    g = g_reps if tape.pooled_mask is None else g_reps * tape.pooled_mask[sel]
+
+    g_sq, g_pi = np.zeros((T, k)), np.zeros(T)
+    if config.mixture == GLOBAL_MIXTURE:
+        for s, g_s in zip(sel, g):
+            g_sq[tape.span(s)] = g_s / tape.lengths[s]
+    else:
+        # per size, only each measurement's winning window was pooled
+        B = tape.window_probs.shape[1]
+        win = np.stack([tape.starts[s] + tape.winners(s) for s in sel])   # (M, B, k)
+        size, col = np.arange(B)[:, None], np.arange(k)
+        pos = tape.window_pos[win]                                         # (M, B, k, W)
+        a = tape.window_weights[win, size]
+        pooled = tape.window_probs[win, size, col][..., None]
+        col = col[..., None]
+        g_a = g.reshape(sel.size, B, k)[..., None] * a
+        np.add.at(g_sq, (pos, col), g_a)
+        window_sq = tape.inner_sq[tape.rows[pos], col]
+        np.add.at(g_pi, pos, g_a * (window_sq - pooled))
+
+    used, rows = np.unique(tape.rows[listed], return_inverse=True)
+    row_sq, row_pi = np.zeros((used.size, k)), np.zeros(used.size)
+    np.add.at(row_sq, rows, g_sq[listed])
+    np.add.at(row_pi, rows, g_pi[listed])
+    touched, ids = np.unique(tape.words[used], return_inverse=True)
+
+    states, pi = tape.states[used], tape.pi[used]
+    amp_eff, eiph = tape.amp_eff[used], tape.eiph[used]
+    g_inner = 2.0 * tape.inner[used] * row_sq
+    g_states = matmul_rows(g_inner, params.measurements)
+    radial = np.einsum("ld,ld->l", g_states.conj(), states).real
+    row_pi = row_pi - radial / pi
+    g_w = g_states / pi[:, None]
+    mask = tape.emb_mask[used] if tape.emb_mask is not None else 1.0
+    g_amp = (g_w.conj() * eiph).real * mask
+    g_amp += (row_pi / pi)[:, None] * (mask * amp_eff)
+    g_phase = -(g_w.conj() * (amp_eff * eiph)).imag
+    dead = ~tape.alive[used]
+    g_amp[dead] = g_phase[dead] = 0.0
+
+    d_amplitude = np.zeros((touched.size, params.dim))
+    d_phase = np.zeros((touched.size, params.dim))
+    np.add.at(d_amplitude, ids, g_amp)
+    np.add.at(d_phase, ids, g_phase)
+    grads = GradientSet(d_amplitude, d_phase, g_inner.conj().T @ states, touched)
+    if not config.complex_valued:
+        grads.d_phase[:] = 0.0
+        grads.d_measurements.imag = 0.0
+    return grads

@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import all_terms_backward
 from qmatch import gradients
 from qmatch.embedding import Vocabulary
 from qmatch.errors import ShapeError
@@ -447,7 +448,8 @@ def test_backward_batch_reads_only_the_listed_sentences_rows(mixture, dropout_ra
 
 @pytest.mark.parametrize("dropout_rate", [0.0, 0.9], ids=["eval", "dropout"])
 def test_backward_batch_rejects_a_gradient_of_the_wrong_shape(dropout_rate):
-    # under dropout one row would broadcast over every listed sentence
+    # on every tape, eval or dropout, one row would otherwise stand in for
+    # every listed sentence's
     triplets, params, config = batch_instance(dropout_rate)
     sentences = [ids for triplet in triplets for ids in triplet]
     rng = np.random.default_rng(1) if dropout_rate else None
@@ -467,22 +469,24 @@ def test_backward_batch_rejects_a_sentence_listed_twice():
 
 
 @pytest.mark.parametrize("mixture", ["local", "global"])
-@pytest.mark.parametrize("dropout_rate", [0.3, 0.9])
+@pytest.mark.parametrize("dropout_rate", [0.0, 0.3, 0.9])
 def test_skipping_the_dropped_terms_equals_the_dense_pass(mixture, dropout_rate):
-    # the reference is the dense pass over the same tape, its pooled mask
-    # folded into g_reps: the terms the dropout pass skips are exact zeros
+    # the reference sums every term, pooled mask folded into g_reps: the
+    # terms backward_batch skips are exact zeros, on eval tapes too
     triplets, params, config = batch_instance(dropout_rate)
     # two sizes, three measurements: an entry's size and column differ
     config = config.with_overrides(mixture=mixture, window_sizes=(1, 3))
     sentences = [ids for triplet in triplets for ids in triplet]
     rng = np.random.default_rng(6)
     reps, tape = forward_batch(sentences, params, config, rng)
+    assert (tape.pooled_mask is None) == (dropout_rate == 0.0)
     listed = np.delete(np.arange(len(sentences)), [2, 5])
     g = rng.normal(size=(listed.size, reps.shape[1]))
+    # exact zeros that no dropout drew: two whole rows and single entries
+    g[rng.choice(listed.size, size=2, replace=False)] = 0.0
+    g[rng.random(g.shape) < 0.1] = 0.0
     grads = gradients.backward_batch(g, tape, listed, params, config)
-    dense = gradients.backward_batch(g * tape.pooled_mask[listed],
-                                     replace(tape, pooled_mask=None),
-                                     listed, params, config)
+    dense = all_terms_backward(g, tape, listed, params, config)
     for name in ("rows", "d_amplitude", "d_phase"):
         assert np.array_equal(getattr(grads, name), getattr(dense, name)), name
     # one product over fewer zero rows: the same sum, rounded apart
@@ -491,57 +495,76 @@ def test_skipping_the_dropped_terms_equals_the_dense_pass(mixture, dropout_rate)
     assert np.count_nonzero(grads.d_amplitude)
 
 
-def kept_window_tokens(tape, listed):
-    """Tokens that the winning windows of the listed sentences' kept pooled
-    entries read: those a window's softmax weighs above 0."""
+def kept_window_tokens(tape, listed, g):
+    """Tokens that the winning windows of the listed sentences' pooled
+    entries with a nonzero gradient read: those a window's softmax weighs
+    above 0."""
+    if tape.pooled_mask is not None:
+        g = g * tape.pooled_mask[listed]
     B = tape.window_probs.shape[1]
     read = []
-    for s in listed:
-        kept = tape.pooled_mask[s].reshape(B, -1) > 0
+    for s, g_s in zip(listed, g):
+        kept = g_s.reshape(B, -1) != 0
         win = tape.starts[s] + tape.winners(s)[kept]
         size = np.nonzero(kept)[0]
         read.append(tape.window_pos[win][tape.window_weights[win, size] > 0])
     return np.unique(np.concatenate(read), return_inverse=True)[0]
 
 
-def dropout_backward(seed):
-    """(grads, tape, listed, listed tokens, g, params, config) of
-    backward_batch at dropout 0.9 over all but one sentence of
-    ``batch_instance``."""
-    triplets, params, config = batch_instance(0.9)
+def unread_backward(dropout_rate, seed):
+    """(grads, tape, listed, listed tokens, g, read tokens, params, config) of
+    backward_batch over all but one sentence of ``batch_instance``.  At
+    dropout 0 (an eval tape, one table row per word) the model has two
+    measurements, and g is zeroed on five of every seven listed sentences
+    and on a tenth of the other entries, so that some words no winning
+    window reads."""
+    triplets, params, config = batch_instance(dropout_rate)
+    if not dropout_rate:
+        config = config.with_overrides(num_measurements=2)
+        params = init_parameters(VOCAB, config)
     sentences = [ids for triplet in triplets for ids in triplet]
     reps, tape = forward_batch(sentences, params, config, np.random.default_rng(seed))
     listed = np.delete(np.arange(len(sentences)), 5)
     tokens = np.concatenate([np.arange(tape.rows.size)[tape.span(s)] for s in listed])
-    g = np.random.default_rng(seed).normal(size=(listed.size, reps.shape[1]))
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(listed.size, reps.shape[1]))
+    if not dropout_rate:
+        g[np.arange(listed.size) % 7 > 1] = 0.0
+        g[rng.random(g.shape) < 0.1] = 0.0
     grads = gradients.backward_batch(g, tape, listed, params, config)
-    return grads, tape, listed, tokens, g, params, config
+    read = kept_window_tokens(tape, listed, g)
+    return grads, tape, listed, tokens, g, read, params, config
 
 
 def test_a_word_no_kept_window_reads_keeps_a_zero_gradient_row():
-    grads, tape, listed, tokens, _, _, _ = dropout_backward(2)
-    words = tape.words[tape.rows[tokens]]
-    read = tape.words[tape.rows[kept_window_tokens(tape, listed)]]
-    unread = np.setdiff1d(words, read)
-    assert unread.size
-    # rows lists every word the listed sentences read, kept window or not
-    assert np.array_equal(grads.rows, np.unique(words, return_inverse=True)[0])
-    at = np.searchsorted(grads.rows, unread)
-    assert np.all(grads.d_amplitude[at] == 0.0) and np.all(grads.d_phase[at] == 0.0)
-    assert np.count_nonzero(grads.d_amplitude) and np.count_nonzero(grads.d_phase)
+    for dropout_rate in (0.9, 0.0):
+        grads, tape, _, tokens, _, read, _, _ = unread_backward(dropout_rate, 2)
+        words = tape.words[tape.rows[tokens]]
+        unread = np.setdiff1d(words, tape.words[tape.rows[read]])
+        assert unread.size, dropout_rate
+        # rows lists every word the listed sentences read, kept window or not
+        assert np.array_equal(grads.rows, np.unique(words, return_inverse=True)[0])
+        at = np.searchsorted(grads.rows, unread)
+        assert np.all(grads.d_amplitude[at] == 0.0)
+        assert np.all(grads.d_phase[at] == 0.0)
+        assert np.count_nonzero(grads.d_amplitude) and np.count_nonzero(grads.d_phase)
 
 
 def test_tokens_no_kept_window_reads_stay_out_of_the_chain():
-    # poisoning their word-stage rows changes no bit of the gradient
-    grads, tape, listed, tokens, g, params, config = dropout_backward(2)
-    unread = tape.rows[np.setdiff1d(tokens, kept_window_tokens(tape, listed))]
-    assert unread.size
-    states, inner = tape.states.copy(), tape.inner.copy()
-    states[unread] = inner[unread] = np.nan
-    poisoned = gradients.backward_batch(
-        g, replace(tape, states=states, inner=inner), listed, params, config
-    )
-    for name in ("rows", "d_amplitude", "d_phase", "d_measurements"):
-        block = getattr(poisoned, name)
-        assert np.isfinite(block).all()
-        assert np.array_equal(block, getattr(grads, name)), name
+    # poisoning the word-stage rows that no read token lands on changes no
+    # bit of the gradient; on an eval tape a row serves several tokens
+    for dropout_rate in (0.9, 0.0):
+        grads, tape, listed, tokens, g, read, params, config = unread_backward(
+            dropout_rate, 2
+        )
+        unread = np.setdiff1d(tape.rows[tokens], tape.rows[read])
+        assert unread.size, dropout_rate
+        states, inner = tape.states.copy(), tape.inner.copy()
+        states[unread] = inner[unread] = np.nan
+        poisoned = gradients.backward_batch(
+            g, replace(tape, states=states, inner=inner), listed, params, config
+        )
+        for name in ("rows", "d_amplitude", "d_phase", "d_measurements"):
+            block = getattr(poisoned, name)
+            assert np.isfinite(block).all()
+            assert np.array_equal(block, getattr(grads, name)), (dropout_rate, name)
