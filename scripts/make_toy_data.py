@@ -4,8 +4,7 @@
 import argparse
 from pathlib import Path
 
-from qmatch.data import write_canonical_tsv
-from synthetic import order_corpus, topic_corpus, toy_corpus
+from synthetic import order_corpus, topic_corpus, toy_corpus, write_canonical_tsv
 
 
 def main() -> None:

@@ -10,6 +10,8 @@ Three families:
                        of words; only adjacency differs.  A bag-of-words
                        (whole-sentence) mixture cannot separate them, a
                        windowed one can.
+
+``write_canonical_tsv`` writes a corpus split as a canonical TSV file.
 """
 
 from __future__ import annotations
@@ -130,3 +132,11 @@ def order_corpus(
         return QADataset(split=split, questions=questions)
 
     return build("train", train_questions), build("dev", dev_questions)
+
+
+def write_canonical_tsv(dataset: QADataset, path: str) -> None:
+    """Serialize to the canonical four-column layout (no header)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for q in dataset.questions:
+            for c in q.candidates:
+                fh.write(f"{q.question_id}\t{q.text}\t{c.text}\t{c.label}\n")

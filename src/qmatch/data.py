@@ -230,14 +230,6 @@ def load_tsv(
     return QADataset(split=split, questions=kept), report
 
 
-def write_canonical_tsv(dataset: QADataset, path: str) -> None:
-    """Serialize to the canonical four-column layout (no header)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for q in dataset.questions:
-            for c in q.candidates:
-                fh.write(f"{q.question_id}\t{q.text}\t{c.text}\t{c.label}\n")
-
-
 def build_vocab(datasets: list[QADataset]) -> Vocabulary:
     """Vocabulary over the given (training) splits.
 

@@ -18,11 +18,11 @@ pass, and ``batch_grad`` runs one SGD batch of triplets through both,
 with dropout exactly when it is given a generator; one ``matcher.cosines``
 call scores both answers, and one ``cosine_grad`` call differentiates that
 call's open rows.
-A gradient set covers the touched vocabulary rows only; token gradients
-reach each row in tape order.  The backward pass skips the terms that add
-exact zeros: the pooled entries with a zero gradient (those dropout
-dropped among them), and the tokens that no kept entry's winning window
-reads.
+The backward pass skips the terms that add exact zeros: the pooled
+entries with a zero gradient (those dropout dropped among them), and the
+tokens that no kept entry's winning window reads.  A gradient set covers
+the vocabulary rows the word stage's chain differentiates, and token
+gradients reach each row in tape order.
 The real-valued ablation zeroes the phase gradient and the measurements'
 imaginary part.  ``triplet_grad`` and ``backward_sentence`` are
 batches of one that only the tracer calls.
@@ -70,15 +70,15 @@ def backward_batch(
     """dLoss/dParams of the tape's ``sentences``, which are distinct.
 
     ``g_reps`` holds one representation gradient per listed sentence, shape
-    (len(sentences), R).  The amplitude and phase gradients cover the
-    vocabulary rows the listed sentences read (``rows``, ascending).
+    (len(sentences), R).
 
     Terms that add exact zeros are skipped: the window half runs over the
     pooled entries with a nonzero gradient only, after the pooled dropout
     mask is folded in, and the word stage's chain over the table rows
     that their winning windows read.  Each such row sums its read tokens'
-    terms in tape order.  A word no such window reads keeps its row in
-    ``rows``, with an exactly zero gradient.
+    terms in tape order.  The amplitude and phase gradients cover the
+    words of those rows (``rows``, ascending): a word no such window reads
+    has no row (under the global mixture every listed token is read).
     """
     sel = np.asarray(sentences, dtype=np.int64)
     M = sel.size
@@ -90,8 +90,6 @@ def backward_batch(
             f"need one gradient row of length {config.representation_len} per "
             f"distinct listed sentence, got {g_reps.shape} for {M} listed"
         )
-    # the listed sentences' tokens, on the tape's token axis
-    listed = np.repeat(hit, tape.lengths)
     g = g_reps * tape.pooled_mask[sel] if tape.pooled_mask is not None else g_reps
 
     if config.mixture == GLOBAL_MIXTURE:
@@ -99,7 +97,7 @@ def backward_batch(
         g_sq[sel] = g / tape.lengths[sel][:, None]
         g_sq = np.repeat(g_sq, tape.lengths, axis=0)
         g_pi = np.zeros(T)
-        read = listed
+        read = np.repeat(hit, tape.lengths)           # the listed sentences' tokens
     else:
         # per size, only each measurement's winning window was pooled
         B = tape.window_probs.shape[1]
@@ -129,9 +127,7 @@ def backward_batch(
     used, rows = np.unique(tape.rows[read], return_inverse=True)
     g_sq = _row_sums(rows, g_sq[read], used.size)
     g_pi = np.bincount(rows, g_pi[read], minlength=used.size)
-    # every word the listed sentences read (a plain np.unique imports numpy.ma)
-    touched = np.unique(tape.words[tape.rows[listed]], return_inverse=True)[0]
-    ids = np.searchsorted(touched, tape.words[used])
+    touched, ids = np.unique(tape.words[used], return_inverse=True)
 
     states = tape.states[used]
     pi = tape.pi[used]

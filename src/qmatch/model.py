@@ -175,7 +175,8 @@ def init_measurements(k: int, dim: int) -> np.ndarray:
 class GradientSet:
     """Loss gradients matching ParameterSet; measurement grads are packed
     complex (real part = d/d Re, imaginary part = d/d Im).  Amplitude and
-    phase grads cover the vocabulary rows ``rows`` (ascending)."""
+    phase grads cover the vocabulary rows ``rows`` (ascending); a row left
+    out has a zero gradient, so a step that adds ``-lr * g`` skips it."""
 
     d_amplitude: np.ndarray
     d_phase: np.ndarray

@@ -5,12 +5,9 @@ each batch (one batched forward and backward pass) and applies one
 optimizer step.  The optimizers see real coordinates only, a complex
 measurement entry being its real and its imaginary part: SGD steps the
 batch's touched rows, Adam runs one update rule over every block.  L2
-decay applies to the amplitude table and to nothing else.  Adam decays
-every row on every step.  SGD decays lazily: each step multiplies a row
-by f = 1 - lr * l2_lambda, and a row the batches leave alone for several
-steps takes those factors at once, as f**steps, when a batch next reads
-it.  Every row catches up at each epoch end, so the dev ``evaluate``, the
-best-parameter copy and the returned parameters see the dense decay.
+decay applies to the amplitude table and to nothing else, and both
+optimizers decay every row on every step: SGD multiplies the whole table
+by f = 1 - lr * l2_lambda in place before it steps the touched rows.
 Measurement rows live on the unit sphere via projected gradient: step
 first, then ``_project`` divides each row by its norm and checks the
 stepped rows are finite; each epoch end checks every row.  After each
@@ -22,6 +19,7 @@ epoch runs), so no caller scores them again.  Ids come from
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable
@@ -59,40 +57,12 @@ def _project(params: ParameterSet, rows: np.ndarray | None = None) -> None:
     params.check_finite(rows)
 
 
-@dataclass
-class SGDState:
-    """Lazy L2 decay: after ``step`` SGD steps, amplitude row r holds the
-    decay of its first ``synced[r]`` steps."""
-
-    synced: np.ndarray
-    step: int = 0
-
-    @classmethod
-    def zeros_like(cls, params: ParameterSet) -> "SGDState":
-        return cls(np.zeros(params.vocab_size, dtype=np.int64))
-
-    def catch_up(
-        self, params: ParameterSet, config: TrainerConfig, rows: np.ndarray | None = None
-    ) -> None:
-        """Apply the decay the amplitude ``rows`` (default: every row; a
-        repeated row counts once) have missed, as ``amp * f**lag`` with
-        f = 1 - lr * l2_lambda."""
-        rows = slice(None) if rows is None else rows
-        decay = 1.0 - config.learning_rate * config.l2_lambda
-        params.amplitude[rows] *= (decay ** (self.step - self.synced[rows]))[:, None]
-        self.synced[rows] = self.step
-
-
-def sgd_step(
-    params: ParameterSet, grads: GradientSet, config: TrainerConfig, state: SGDState
-) -> None:
-    """One projected SGD step in place on the batch's rows: each amplitude
-    row becomes ``amp * f**lag - lr * g``, its pending L2 decay included.
-    Rows outside ``grads.rows`` keep theirs pending in ``state``."""
+def sgd_step(params: ParameterSet, grads: GradientSet, config: TrainerConfig) -> None:
+    """One projected SGD step in place: every amplitude row decays by
+    f = 1 - lr * l2_lambda, then the batch's rows step by ``-lr * g``."""
     lr = config.learning_rate
     rows = grads.rows
-    state.step += 1
-    state.catch_up(params, config, rows)
+    params.amplitude *= 1.0 - lr * config.l2_lambda
     params.amplitude[rows] -= lr * grads.d_amplitude
     params.phase[rows] -= lr * grads.d_phase
     params.measurements -= lr * grads.d_measurements
@@ -118,9 +88,6 @@ class AdamState:
     def zeros_like(cls, params: ParameterSet) -> "AdamState":
         return cls([(np.zeros_like(x), np.zeros_like(x)) for x in _coordinates(params)])
 
-    def catch_up(self, params: ParameterSet, config: TrainerConfig, rows=None) -> None:
-        """A no-op: Adam decays every row on every step, so none is pending."""
-
 
 def adam_step(
     params: ParameterSet,
@@ -129,8 +96,8 @@ def adam_step(
     state: AdamState,
 ) -> None:
     """Adam on every real coordinate, with the same L2-on-amplitudes and
-    unit-row projection as ``sgd_step``, but dense: every row decays and
-    is checked on every step."""
+    unit-row projection as ``sgd_step``; every row is checked on every
+    step."""
     state.step += 1
     t = state.step
     lr = config.learning_rate
@@ -210,9 +177,9 @@ def train(
     dropout = streams["dropout"]
     # looked up per call, so a wrapper set on the module by name sees each step
     if config.optimizer == "adam":
-        state, step = AdamState.zeros_like(params), adam_step
+        step = functools.partial(adam_step, state=AdamState.zeros_like(params))
     else:
-        state, step = SGDState.zeros_like(params), sgd_step
+        step = sgd_step
 
     best_params: ParameterSet | None = None
     best_report: MetricReport | None = None
@@ -227,16 +194,13 @@ def train(
         losses = []
         for batch_no, start in enumerate(range(0, len(order), config.batch_size)):
             batch = [triplets[idx] for idx in order[start : start + config.batch_size]]
-            # the forward pass reads decayed rows
-            read = np.concatenate([ids for triplet in batch for ids in triplet])
-            state.catch_up(params, config, read)
             batch_losses, grads = batch_grad(batch, params, config, dropout)
             batch_loss = 0.0
             for loss in batch_losses:
                 batch_loss += loss
             grads.scale_(1.0 / len(batch))
             batch_loss /= len(batch)
-            step(params, grads, config, state)
+            step(params, grads, config)
             losses.append(batch_loss)
             if log_fn is not None:
                 log_fn(
@@ -248,7 +212,6 @@ def train(
                     }
                 )
 
-        state.catch_up(params, config)
         params.check_finite()
         mean_loss = float(np.mean(losses))
         dev_map = dev_mrr = None

@@ -27,9 +27,8 @@ from qmatch.cli import (
     _configure_threads,
     main,
 )
-from qmatch.data import write_canonical_tsv
 from qmatch.model import TrainerConfig
-from synthetic import toy_corpus
+from synthetic import toy_corpus, write_canonical_tsv
 
 
 @pytest.fixture()

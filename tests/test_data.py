@@ -18,10 +18,10 @@ from qmatch.data import (
     read_format_descriptor,
     resolve_format,
     sample_triplets,
-    write_canonical_tsv,
 )
 from qmatch.embedding import read_glove_vectors, tokenize
 from qmatch.errors import DataError, ParseError
+from synthetic import write_canonical_tsv
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 

@@ -19,7 +19,8 @@ from qmatch.embedding import Vocabulary
 from qmatch.errors import ShapeError
 from qmatch.gradients import batch_grad, cosine_grad
 from qmatch.matcher import cosines, forward_batch, score, triplet_loss
-from qmatch.model import TrainerConfig, init_parameters
+from qmatch.model import GradientSet, TrainerConfig, init_parameters
+from qmatch.training import AdamState, adam_step, sgd_step
 
 FD_STEP = 1e-5
 REL_TOL = 1e-4
@@ -471,8 +472,9 @@ def test_backward_batch_rejects_a_sentence_listed_twice():
 @pytest.mark.parametrize("mixture", ["local", "global"])
 @pytest.mark.parametrize("dropout_rate", [0.0, 0.3, 0.9])
 def test_skipping_the_dropped_terms_equals_the_dense_pass(mixture, dropout_rate):
-    # the reference sums every term, pooled mask folded into g_reps: the
-    # terms backward_batch skips are exact zeros, on eval tapes too
+    # the reference sums every term, pooled mask folded into g_reps, and
+    # lists every word the listed sentences read: the terms backward_batch
+    # skips are exact zeros, on eval tapes too
     triplets, params, config = batch_instance(dropout_rate)
     # two sizes, three measurements: an entry's size and column differ
     config = config.with_overrides(mixture=mixture, window_sizes=(1, 3))
@@ -487,8 +489,11 @@ def test_skipping_the_dropped_terms_equals_the_dense_pass(mixture, dropout_rate)
     g[rng.random(g.shape) < 0.1] = 0.0
     grads = gradients.backward_batch(g, tape, listed, params, config)
     dense = all_terms_backward(g, tape, listed, params, config)
-    for name in ("rows", "d_amplitude", "d_phase"):
-        assert np.array_equal(getattr(grads, name), getattr(dense, name)), name
+    shared = np.isin(dense.rows, grads.rows)
+    assert np.array_equal(dense.rows[shared], grads.rows)
+    for name in ("d_amplitude", "d_phase"):
+        assert np.all(getattr(dense, name)[~shared] == 0.0), name
+        assert np.array_equal(getattr(grads, name), getattr(dense, name)[shared]), name
     # one product over fewer zero rows: the same sum, rounded apart
     assert np.allclose(grads.d_measurements, dense.d_measurements,
                        rtol=1e-12, atol=1e-15)
@@ -536,18 +541,35 @@ def unread_backward(dropout_rate, seed):
     return grads, tape, listed, tokens, g, read, params, config
 
 
-def test_a_word_no_kept_window_reads_keeps_a_zero_gradient_row():
+def test_a_word_no_kept_window_reads_has_no_gradient_row():
     for dropout_rate in (0.9, 0.0):
-        grads, tape, _, tokens, _, read, _, _ = unread_backward(dropout_rate, 2)
+        grads, tape, listed, tokens, g, read, params, config = unread_backward(
+            dropout_rate, 2
+        )
         words = tape.words[tape.rows[tokens]]
         unread = np.setdiff1d(words, tape.words[tape.rows[read]])
         assert unread.size, dropout_rate
-        # rows lists every word the listed sentences read, kept window or not
-        assert np.array_equal(grads.rows, np.unique(words, return_inverse=True)[0])
-        at = np.searchsorted(grads.rows, unread)
-        assert np.all(grads.d_amplitude[at] == 0.0)
-        assert np.all(grads.d_phase[at] == 0.0)
+        # rows lists the words a kept window reads, and no other
+        assert np.array_equal(grads.rows, np.unique(tape.words[tape.rows[read]]))
         assert np.count_nonzero(grads.d_amplitude) and np.count_nonzero(grads.d_phase)
+        # the reference's wide set adds the unread words' zero rows; with
+        # one measurement gradient for both, each optimizer steps to the same bits
+        dense = all_terms_backward(g, tape, listed, params, config)
+        assert np.isin(unread, dense.rows).all()
+        wide = GradientSet(dense.d_amplitude, dense.d_phase,
+                           grads.d_measurements, dense.rows)
+        config = config.with_overrides(learning_rate=0.1, l2_lambda=1e-2)
+        steps = {
+            "sgd": lambda p, gs: sgd_step(p, gs, config),
+            "adam": lambda p, gs: adam_step(p, gs, config, AdamState.zeros_like(p)),
+        }
+        for optimizer, step in steps.items():
+            narrow_params, wide_params = params.copy(), params.copy()
+            step(narrow_params, grads)
+            step(wide_params, wide)
+            for name in ("amplitude", "phase", "measurements"):
+                assert np.array_equal(getattr(narrow_params, name),
+                                      getattr(wide_params, name)), (optimizer, name)
 
 
 def test_tokens_no_kept_window_reads_stay_out_of_the_chain():

@@ -7,8 +7,7 @@ import sys
 
 import pytest
 
-from qmatch.data import write_canonical_tsv
-from synthetic import order_corpus
+from synthetic import order_corpus, write_canonical_tsv
 
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 

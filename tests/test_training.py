@@ -19,7 +19,6 @@ from qmatch.training import (
     ADAM_EPS,
     DEFAULT_GRID_POOLS,
     AdamState,
-    SGDState,
     adam_step,
     enumerate_grid,
     sgd_step,
@@ -80,12 +79,9 @@ def test_sgd_step_on_touched_rows_equals_dense_step():
     )
     config = TrainerConfig(learning_rate=0.1, l2_lambda=0.01)
     a, b = hand_params(), hand_params()
-    state_a, state_b = SGDState.zeros_like(a), SGDState.zeros_like(b)
-    sgd_step(a, dense, config, state_a)
-    sgd_step(b, sparse, config, state_b)
-    # row 1 keeps its decay pending until it catches up
-    assert params_bytes(a) != params_bytes(b)
-    state_b.catch_up(b, config)
+    sgd_step(a, dense, config)
+    sgd_step(b, sparse, config)
+    # row 1 decays in both, with or without its zero gradient row
     assert params_bytes(a) == params_bytes(b)
     a, b = hand_params(), hand_params()
     adam_step(a, dense, config, AdamState.zeros_like(a))
@@ -96,7 +92,7 @@ def test_sgd_step_on_touched_rows_equals_dense_step():
 def test_sgd_step_arithmetic_by_hand():
     params = hand_params()
     config = TrainerConfig(learning_rate=0.1, l2_lambda=0.01)
-    sgd_step(params, hand_grads(params), config, SGDState.zeros_like(params))
+    sgd_step(params, hand_grads(params), config)
     # amplitude[0,0]: 1.0 - 0.1 * (0.5 + 0.01 * 1.0) = 0.949
     assert params.amplitude[0, 0] == pytest.approx(0.949, abs=1e-15)
     # decayed but gradient-free: 2.0 * (1 - 0.1 * 0.01) = 1.998
@@ -114,9 +110,7 @@ def test_sgd_l2_decay_touches_only_amplitudes():
     before_phase = params.phase.copy()
     before_meas = params.measurements.copy()
     config = TrainerConfig(learning_rate=0.2, l2_lambda=0.1)
-    sgd_step(
-        params, zero_grads(params), config, SGDState.zeros_like(params)
-    )
+    sgd_step(params, zero_grads(params), config)
     np.testing.assert_array_equal(params.phase, before_phase)
     np.testing.assert_allclose(params.measurements, before_meas, atol=1e-15)
     np.testing.assert_allclose(
@@ -129,7 +123,7 @@ def test_sgd_keeps_measurement_rows_unit_norm():
     params = hand_params()
     grads = zero_grads(params)
     grads.d_measurements = rng.normal(size=(1, 2)) + 1j * rng.normal(size=(1, 2))
-    sgd_step(params, grads, TrainerConfig(learning_rate=0.5), SGDState.zeros_like(params))
+    sgd_step(params, grads, TrainerConfig(learning_rate=0.5))
     np.testing.assert_allclose(
         np.linalg.norm(params.measurements, axis=1), 1.0, atol=1e-12
     )
@@ -140,11 +134,11 @@ def test_sgd_rejects_nonfinite_updates():
     grads = hand_grads(params)
     grads.d_amplitude[0, 0] = np.inf
     with pytest.raises(NumericError, match="amplitude"):
-        sgd_step(params, grads, TrainerConfig(), SGDState.zeros_like(params))
+        sgd_step(params, grads, TrainerConfig())
 
 
-def test_lazy_decay_equals_the_dense_decay():
-    # rows skipped by several steps take their decay as f**lag when touched
+def test_sgd_steps_equal_a_dense_decay_reference():
+    # every row decays on every step, the rows a step skips included
     rng = np.random.default_rng(6)
     vocab_size, dim = 9, 3
     start = ParameterSet(
@@ -164,10 +158,9 @@ def test_lazy_decay_equals_the_dense_decay():
             rows=rows,
         ))
 
-    lazy, state = start.copy(), SGDState.zeros_like(start)
+    stepped = start.copy()
     for grads in steps:
-        sgd_step(lazy, grads, config, state)
-    state.catch_up(lazy, config)
+        sgd_step(stepped, grads, config)
 
     dense = start.copy()
     f = 1.0 - config.learning_rate * config.l2_lambda
@@ -179,30 +172,27 @@ def test_lazy_decay_equals_the_dense_decay():
         dense.measurements -= config.learning_rate * grads.d_measurements
         dense.measurements /= np.linalg.norm(dense.measurements, axis=1)[:, None]
 
-    assert state.step == len(steps) and np.all(state.synced == len(steps))
-    np.testing.assert_allclose(lazy.amplitude, dense.amplitude, rtol=1e-13, atol=0)
-    np.testing.assert_allclose(lazy.phase, dense.phase, rtol=1e-13, atol=0)
-    np.testing.assert_allclose(
-        lazy.measurements, dense.measurements, rtol=1e-13, atol=0
-    )
-    # row 6 was never touched: it took all eight decays at the final catch-up
-    np.testing.assert_allclose(
-        lazy.amplitude[6], start.amplitude[6] * f**8, rtol=1e-13, atol=0
-    )
+    np.testing.assert_array_equal(stepped.amplitude, dense.amplitude)
+    np.testing.assert_array_equal(stepped.phase, dense.phase)
+    np.testing.assert_array_equal(stepped.measurements, dense.measurements)
+    # row 6 was never touched: it took one decay per step, eight in all
+    untouched = start.amplitude[6].copy()
+    for _ in steps:
+        untouched *= f
+    np.testing.assert_array_equal(stepped.amplitude[6], untouched)
 
 
-def test_train_with_lazy_decay_matches_a_dense_decay_run(monkeypatch):
-    # every pending decay is applied by the time dev evaluation and the
-    # returned parameters read the table; with batches of four triplets,
-    # 18 or 19 of the 32 rows still have decay pending at an epoch's end
+def test_train_matches_a_dense_decay_run(monkeypatch):
+    # every step decays the whole table, so dev evaluation and the returned
+    # parameters read the dense decay, on rows the last batches skip too
     train_set, dev_set = topic_corpus(
         num_topics=2, train_questions=6, dev_questions=4, topic_words=10,
         filler_words=10,
     )
     config = small_config(epochs=2, l2_lambda=1e-3, batch_size=4)
-    lazy = train(train_set, dev_set, config)
+    stepped = train(train_set, dev_set, config)
 
-    def dense_step(params, grads, config, state):
+    def dense_step(params, grads, config):
         lr = config.learning_rate
         g = np.zeros_like(params.amplitude)
         g[grads.rows] = grads.d_amplitude
@@ -213,12 +203,12 @@ def test_train_with_lazy_decay_matches_a_dense_decay_run(monkeypatch):
         training._project(params)
 
     monkeypatch.setattr(training, "sgd_step", dense_step)
-    monkeypatch.setattr(SGDState, "catch_up", lambda self, *args: None)
     dense = train(train_set, dev_set, config)
-    for got, want in ((lazy.params, dense.params), (lazy.final_params, dense.final_params)):
-        np.testing.assert_allclose(got.amplitude, want.amplitude, rtol=1e-13, atol=0)
-        np.testing.assert_allclose(got.phase, want.phase, rtol=1e-13, atol=0)
-    assert [r.dev_map for r in lazy.history] == [r.dev_map for r in dense.history]
+    for got, want in ((stepped.params, dense.params),
+                      (stepped.final_params, dense.final_params)):
+        np.testing.assert_array_equal(got.amplitude, want.amplitude)
+        np.testing.assert_array_equal(got.phase, want.phase)
+    assert [r.dev_map for r in stepped.history] == [r.dev_map for r in dense.history]
 
 
 def test_sgd_step_checks_only_the_touched_rows():
@@ -230,8 +220,7 @@ def test_sgd_step_checks_only_the_touched_rows():
         d_measurements=np.zeros((1, 2), dtype=np.complex128),
         rows=np.array([0, 2]),
     )
-    state = SGDState.zeros_like(params)
-    sgd_step(params, grads, TrainerConfig(), state)
+    sgd_step(params, grads, TrainerConfig())
     with pytest.raises(NumericError, match="'amplitude'"):
         params.check_finite()
 
