@@ -10,7 +10,10 @@ Writing the same parameters twice produces byte-identical files — there
 are no timestamps or compression headers.  Saves go through a renamed
 temporary file, so a failed save never leaves a half-written checkpoint,
 and ``_check_loadable`` is the one rule of what a checkpoint may hold:
-save refuses what load would reject.
+save refuses what load would reject.  Load reads the file once, in order,
+and checks the payload's size against the header's before one read puts
+it straight into a (2V + 2k, n) array; amplitude and phase are views of
+that array's rows.
 """
 
 from __future__ import annotations
@@ -91,73 +94,66 @@ def load_checkpoint(
     path: str | Path,
 ) -> tuple[ParameterSet, TrainerConfig, Vocabulary]:
     path = Path(path)
-    raw = path.read_bytes()
-    # slice by offsets, so the parameter payload is never copied out of raw
-    head_end = raw.find(b"\n\n")
-    if head_end < 0:
-        raise ParseError(f"{path}: missing checkpoint header terminator")
-    head = raw[:head_end]
-    try:
-        lines = head.decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: checkpoint header is not UTF-8 ({exc})") from exc
-    if not lines or not lines[0].startswith(MAGIC):
-        raise ParseError(f"{path}: not a checkpoint file")
-    version = lines[0][len(MAGIC):].strip()
-    if version != f"v{FORMAT_VERSION}":
-        raise ParseError(
-            f"{path}: unsupported checkpoint version {version!r}"
-        )
-    fields: dict[str, str] = {}
-    for line in lines[1:]:
-        key, _, value = line.partition(":")
-        fields[key.strip()] = value.strip()
-    try:
-        vocab_size = int(fields["vocab_size"])
-        dim = int(fields["dim"])
-        k = int(fields["measurements"])
-        config = TrainerConfig.from_dict(json.loads(fields["config"]))
-    except KeyError as exc:
-        raise ParseError(f"{path}: missing checkpoint field {exc}") from exc
-    except ValueError as exc:
-        raise ParseError(f"{path}: bad checkpoint field ({exc})") from exc
-    except ConfigError as exc:
-        raise ParseError(f"{path}: bad stored config ({exc})") from exc
+    with open(path, "rb") as fh:
+        head = []
+        for line in iter(fh.readline, b""):
+            if line == b"\n":
+                break
+            head.append(line)
+        else:
+            raise ParseError(f"{path}: missing checkpoint header terminator")
+        try:
+            lines = b"".join(head).decode("utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: checkpoint header is not UTF-8 ({exc})") from exc
+        if not lines or not lines[0].startswith(MAGIC):
+            raise ParseError(f"{path}: not a checkpoint file")
+        version = lines[0][len(MAGIC):].strip()
+        if version != f"v{FORMAT_VERSION}":
+            raise ParseError(
+                f"{path}: unsupported checkpoint version {version!r}"
+            )
+        fields: dict[str, str] = {}
+        for line in lines[1:]:
+            key, _, value = line.partition(":")
+            fields[key.strip()] = value.strip()
+        try:
+            vocab_size = int(fields["vocab_size"])
+            dim = int(fields["dim"])
+            k = int(fields["measurements"])
+            config = TrainerConfig.from_dict(json.loads(fields["config"]))
+        except KeyError as exc:
+            raise ParseError(f"{path}: missing checkpoint field {exc}") from exc
+        except ValueError as exc:
+            raise ParseError(f"{path}: bad checkpoint field ({exc})") from exc
+        except ConfigError as exc:
+            raise ParseError(f"{path}: bad stored config ({exc})") from exc
 
-    vocab_end = raw.find(b"\n", head_end + 2)
-    if vocab_end < 0:
-        raise ParseError(f"{path}: truncated vocabulary record")
-    vocab_line = raw[head_end + 2 : vocab_end]
-    payload = memoryview(raw)[vocab_end + 1 :]
-    try:
-        tokens = json.loads(vocab_line.decode("utf-8"))
-    except ValueError as exc:   # not UTF-8, or not JSON
-        raise ParseError(f"{path}: bad vocabulary record ({exc})") from exc
-    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-        raise ParseError(f"{path}: vocabulary record is not a list of strings")
-    try:
-        vocab = Vocabulary(tokens)
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+        vocab_line = fh.readline()
+        if not vocab_line.endswith(b"\n"):
+            raise ParseError(f"{path}: truncated vocabulary record")
+        try:
+            tokens = json.loads(vocab_line.decode("utf-8"))
+        except ValueError as exc:   # not UTF-8, or not JSON
+            raise ParseError(f"{path}: bad vocabulary record ({exc})") from exc
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise ParseError(f"{path}: vocabulary record is not a list of strings")
+        try:
+            vocab = Vocabulary(tokens)
+        except ValueError as exc:
+            raise ParseError(f"{path}: {exc}") from exc
 
-    shapes = [(vocab_size, dim), (vocab_size, dim), (k, dim), (k, dim)]
-    expected = sum(r * c for r, c in shapes) * 8
-    if len(payload) != expected:
-        raise ParseError(
-            f"{path}: parameter payload is {len(payload)} bytes, "
-            f"expected {expected}"
-        )
-    blocks = []
-    offset = 0
-    for shape in shapes:
-        count = shape[0] * shape[1]
-        blocks.append(
-            np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
-            .astype(np.float64)
-            .reshape(shape)
-        )
-        offset += count * 8
-    amplitude, phase, meas_re, meas_im = blocks
+        rows = 2 * vocab_size + 2 * k
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != rows * dim * 8:
+            raise ParseError(
+                f"{path}: parameter payload is {size} bytes, "
+                f"expected {rows * dim * 8}"
+            )
+        payload = np.fromfile(fh, dtype="<f8", count=rows * dim)
+    payload = payload.astype(np.float64, copy=False).reshape(rows, dim)
+    amplitude, phase, meas_re, meas_im = np.split(
+        payload, [vocab_size, 2 * vocab_size, 2 * vocab_size + k])
     # each part written in place: meas_re + 1j * meas_im would turn an inf
     # imaginary entry into nan+infj, with a warning, before the finite check
     measurements = np.empty((k, dim), dtype=np.complex128)

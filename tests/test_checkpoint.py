@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from qmatch import checkpoint
 from qmatch.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, save_checkpoint
 from qmatch.embedding import Vocabulary
 from qmatch.errors import ConfigError, NumericError, ParseError
-from qmatch.model import TrainerConfig, init_parameters
+from qmatch.model import ParameterSet, TrainerConfig, init_parameters
 from qmatch.training import enumerate_grid
 
 
@@ -47,6 +49,39 @@ def test_round_trip_restores_everything(saved):
     assert loaded_config == config
     assert loaded_vocab.tokens == vocab.tokens
     assert loaded_vocab.encode(vocab.tokens).tolist() == list(range(len(vocab)))
+
+
+# written once by save_checkpoint(FROZEN, *frozen_state()); never rewritten
+FROZEN = Path(__file__).parent / "data" / "frozen_v1.qmatch"
+
+
+def frozen_state():
+    """The state in ``FROZEN``, from closed forms exact in float64."""
+    vocab = Vocabulary.from_tokens(["red", "green", "blue", "naïve"])
+    config = TrainerConfig(
+        embedding_dim=4, num_measurements=2, window_sizes=(1, 2), seed=5
+    )
+    amplitude = np.arange(24, dtype=np.float64).reshape(6, 4) / 7
+    params = ParameterSet(
+        amplitude=amplitude,
+        phase=1.5 - amplitude[::-1],
+        measurements=np.array([[0.5, 0.5j, -0.5, -0.5j],
+                               [0.5 + 0.5j, 0.0, 0.0, -0.5 + 0.5j]]),
+    )
+    return params, config, vocab
+
+
+def test_the_frozen_checkpoint_loads_and_saves_byte_for_byte(tmp_path):
+    params, config, vocab = frozen_state()
+    loaded_params, loaded_config, loaded_vocab = load_checkpoint(FROZEN)
+    np.testing.assert_array_equal(loaded_params.amplitude, params.amplitude)
+    np.testing.assert_array_equal(loaded_params.phase, params.phase)
+    np.testing.assert_array_equal(loaded_params.measurements, params.measurements)
+    assert loaded_config == config
+    assert loaded_vocab.tokens == vocab.tokens
+    again = tmp_path / "again.qmatch"
+    save_checkpoint(again, params, config, vocab)
+    assert again.read_bytes() == FROZEN.read_bytes()
 
 
 def test_saves_are_byte_identical(tmp_path):
@@ -109,10 +144,13 @@ def test_load_rejects_future_version(tmp_path, saved):
 
 
 def test_load_rejects_truncated_payload(tmp_path, saved):
+    # a reader that takes the rest of the file must not accept trailing bytes
+    data = saved.read_bytes()
     bad = tmp_path / "short.qmatch"
-    bad.write_bytes(saved.read_bytes()[:-16])
-    with pytest.raises(ParseError, match="payload"):
-        load_checkpoint(bad)
+    for cut in (data[:-1], data[:-16], data + b"\0", data + b"\0" * 8):
+        bad.write_bytes(cut)
+        with pytest.raises(ParseError, match="short.qmatch: parameter payload"):
+            load_checkpoint(bad)
 
 
 def test_load_rejects_missing_terminator(tmp_path):
@@ -426,8 +464,30 @@ def test_load_missing_file_raises():
 
 
 def test_loaded_parameters_are_writable(saved):
-    # frombuffer views are read-only; training must get its own memory
+    # training steps the loaded blocks in place
     loaded, _, _ = load_checkpoint(saved)
+    for block in (loaded.amplitude, loaded.phase, loaded.measurements):
+        assert block.flags.writeable and block.flags.c_contiguous
+        assert block.dtype.isnative
     loaded.amplitude[0, 0] = 42.0
     loaded.measurements[0, 0] = 0.5 + 0.5j
     assert loaded.amplitude[0, 0] == 42.0
+
+
+def test_load_reads_the_payload_into_the_arrays_it_returns(tmp_path):
+    # a whole-file buffer, or a copy of each block out of one, holds the
+    # payload twice
+    vocab = Vocabulary.from_tokens([f"w{i}" for i in range(2000)])
+    config = TrainerConfig(embedding_dim=64, num_measurements=8)
+    path = tmp_path / "big.qmatch"
+    save_checkpoint(path, init_parameters(vocab, config), config, vocab)
+    payload_bytes = (2 * len(vocab) + 2 * 8) * 64 * 8
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 1.5 * payload_bytes
